@@ -15,6 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from typing import Generator
 
+from ..field import PrimeField, lagrange_zero_coefficients
 from ..net import (
     PROTO_SC_LOW_ROUNDS,
     PROTO_SC_SEMI_HONEST,
@@ -62,7 +63,6 @@ class TapRecorder:
 
     def shamir_vector(self, name: str) -> list[int]:
         """Combine Shamir contributions (keyed by party index) per position."""
-        from ..field import PrimeField, lagrange_zero_coefficients
         parts = self.contributions[name]
         field = PrimeField(self.moduli[name])
         indices = sorted(parts)
@@ -72,7 +72,6 @@ class TapRecorder:
                 for pos in range(len(vecs[0]))]
 
     def shamir_scalar(self, name: str) -> int:
-        from ..field import PrimeField, lagrange_zero_coefficients
         parts = self.contributions[name]
         field = PrimeField(self.moduli[name])
         indices = sorted(parts)

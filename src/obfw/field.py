@@ -9,6 +9,7 @@ sharing come out clean.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -67,13 +68,26 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
+# Modulus -> result of is_probable_prime.  The test is deterministic in the
+# modulus, so two threads racing on a new modulus at worst both run it.
+_PRIMALITY: dict[int, bool] = {}
+
+
 class PrimeField:
-    """Arithmetic mod a prime p.  Construction verifies primality."""
+    """Arithmetic mod a prime p.
+
+    Construction verifies primality: the first time for each modulus it
+    runs `is_probable_prime`, afterwards it reuses that verdict, so a
+    composite modulus raises NotPrime on every construction.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not is_probable_prime(p):
+        prime = _PRIMALITY.get(p)
+        if prime is None:
+            prime = _PRIMALITY[p] = is_probable_prime(p)
+        if not prime:
             raise NotPrime(f"{p} failed the primality check")
         self.p = p
 
@@ -235,8 +249,10 @@ def _check_distinct_nonzero(field: PrimeField, xs: Sequence[int],
         seen.add(x)
 
 
-def lagrange_zero_coefficients(field: PrimeField, indices: Sequence[int]) -> list[int]:
-    """Weights L_j with f(0) = sum L_j * f(x_j) for distinct nonzero x_j."""
+@functools.cache
+def _zero_weights(field: PrimeField, indices: tuple[int, ...]) -> tuple[int, ...]:
+    # Invalid index tuples raise before anything is cached, so every call
+    # with one raises again.
     _check_distinct_nonzero(field, indices)
     p = field.p
     out = []
@@ -249,7 +265,16 @@ def lagrange_zero_coefficients(field: PrimeField, indices: Sequence[int]) -> lis
             num = num * (-xk) % p
             den = den * (xj - xk) % p
         out.append(num * field.inv(den) % p)
-    return out
+    return tuple(out)
+
+
+def lagrange_zero_coefficients(field: PrimeField, indices: Sequence[int]) -> list[int]:
+    """Weights L_j with f(0) = sum L_j * f(x_j) for distinct nonzero x_j.
+
+    Computed once per (modulus, index tuple) and process; each call gets
+    its own list.
+    """
+    return list(_zero_weights(field, tuple(indices)))
 
 
 def interpolate(field: PrimeField, points: Sequence[tuple[int, int]]) -> Polynomial:
@@ -273,7 +298,7 @@ def interpolate(field: PrimeField, points: Sequence[tuple[int, int]]) -> Polynom
 
 def interpolate_at_zero(field: PrimeField, points: Sequence[tuple[int, int]]) -> int:
     """f(0) without building the whole polynomial."""
-    coeffs = lagrange_zero_coefficients(field, [x for x, _ in points])
+    coeffs = _zero_weights(field, tuple(x for x, _ in points))
     acc = 0
     for c, (_, y) in zip(coeffs, points):
         acc = (acc + c * y) % field.p

@@ -124,7 +124,11 @@ class TcpNode:
     # -- session driving -------------------------------------------------
     def run_program(self, program: Generator, session_id: int,
                     protocol_id: int, transcript: Transcript | None = None):
-        """Drive one party program over the socket mesh; returns its result."""
+        """Drive one party program over the socket mesh; returns its result.
+
+        The session's receive queues are freed when the program returns or
+        raises.
+        """
         tr = transcript if transcript is not None else Transcript(
             session_id=session_id, protocol_id=protocol_id)
         resume = None
@@ -171,6 +175,10 @@ class TcpNode:
             except PartyTimeout:
                 pass
             raise
+        finally:
+            with self._queues_lock:
+                for key in [k for k in self._queues if k[0] == session_id]:
+                    del self._queues[key]
 
     def close(self) -> None:
         self._closed = True

@@ -104,13 +104,15 @@ class FirewallServerDaemon:
                              daemon=True).start()
 
     def _admin_conn(self, conn: socket.socket) -> None:
-        with conn:
-            fh = conn.makefile("rw", newline="\n")
+        # Separate reader and writer: a write through a shared "rw" text file
+        # discards the reader's buffered input, which holds pipelined lines.
+        with conn, conn.makefile("r", newline="\n") as rfh, \
+                conn.makefile("w", newline="\n") as fh:
             while not self._stop.is_set():
-                line = fh.readline()
+                line = rfh.readline()
                 if not line:
                     return
-                mac_line = fh.readline()
+                mac_line = rfh.readline()
                 try:
                     if not mac_line.startswith("HMAC "):
                         raise AuthFail("missing HMAC line")
@@ -189,10 +191,11 @@ class GatewayDaemon:
             threading.Thread(target=self._conn, args=(conn,), daemon=True).start()
 
     def _conn(self, conn: socket.socket) -> None:
-        with conn:
-            fh = conn.makefile("rw", newline="\n")
+        # Separate reader and writer, as in _admin_conn.
+        with conn, conn.makefile("r", newline="\n") as rfh, \
+                conn.makefile("w", newline="\n") as fh:
             while not self._stop.is_set():
-                line = fh.readline()
+                line = rfh.readline()
                 if not line:
                     return
                 parts = line.split()

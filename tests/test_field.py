@@ -38,8 +38,10 @@ class TestPrimality:
             assert not is_probable_prime(n)
 
     def test_field_requires_prime(self):
-        with pytest.raises(NotPrime):
-            PrimeField(91)
+        # The verdict is kept per modulus: a composite fails every time.
+        for _ in range(2):
+            with pytest.raises(NotPrime):
+                PrimeField(91)
 
 
 class TestModInverse:
@@ -75,12 +77,25 @@ class TestLagrangeZeroCoefficients:
             assert lagrange_zero_coefficients(field, [1]) == [1]
 
     def test_duplicate_raises(self):
-        with pytest.raises(DuplicateIndex):
-            lagrange_zero_coefficients(F101, [1, 2, 2])
+        for _ in range(2):
+            with pytest.raises(DuplicateIndex):
+                lagrange_zero_coefficients(F101, [1, 2, 2])
 
     def test_zero_index_raises(self):
-        with pytest.raises(DuplicateIndex):
-            lagrange_zero_coefficients(F101, [0, 1])
+        for indices in ([0, 1], [0, 1], [1, 101], [1, 101]):  # 101 = 0 mod 101
+            with pytest.raises(DuplicateIndex):
+                lagrange_zero_coefficients(F101, indices)
+
+    def test_caller_mutation_does_not_reach_the_next_call(self):
+        first = lagrange_zero_coefficients(F101, [1, 2, 3, 4, 5])
+        first[0] = 0
+        first.append(7)
+        assert lagrange_zero_coefficients(F101, [1, 2, 3, 4, 5]) == [5, 91, 10, 96, 1]
+
+    def test_moduli_sharing_an_index_tuple_get_their_own_weights(self):
+        assert lagrange_zero_coefficients(F251, (1, 2, 3)) == [3, 248, 1]
+        assert lagrange_zero_coefficients(F101, (1, 2, 3)) == [3, 98, 1]
+        assert lagrange_zero_coefficients(F11, (1, 2, 3)) == [3, 8, 1]
 
     @settings(max_examples=50)
     @given(st.data())

@@ -10,7 +10,7 @@ import pytest
 from obfw.bloom import derive_params
 from obfw.cli import EXIT_OK, EXIT_USAGE, main
 from obfw.firewall import FirewallConfig, fw_init, fw_update_pairs, parse_ipv4
-from obfw.net import Endpoint, TcpNode
+from obfw.net import Endpoint, TcpNode, build_mesh
 from obfw.rng import RandomSource
 from obfw.service import FirewallServerDaemon, GatewayDaemon, admin_push_update
 
@@ -135,6 +135,77 @@ class TestProductModeDaemons:
                 GatewayDaemon(cfg, node, mode="product")
         finally:
             node.close()
+
+
+@pytest.fixture
+def mesh_stack(request):
+    """build_mesh wiring of m share servers plus a gateway, as `obfw` runs them."""
+    scheme, m, t, mode = request.param
+    cfg = FirewallConfig(scheme=scheme, m=m, t=t, N=101,
+                         bloom=derive_params(20, 0.05))
+    flt, stores = fw_init([f"10.8.0.{i}" for i in range(20)], cfg,
+                          RandomSource(b"mesh-stack" + bytes(22)))
+    nodes = build_mesh(list(range(m + 1)))
+    daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=b"psk", seed=i)
+               for i in range(1, m + 1)]
+    for d in daemons:
+        d.start()
+    gw = GatewayDaemon(cfg, nodes[0], mode=mode)
+    gw.start()
+    yield flt, nodes, gw
+    gw.stop()
+    for d in daemons:
+        d.stop()
+
+
+class TestSessionQueues:
+    @pytest.mark.parametrize("mesh_stack", [("additive", 3, 0, "sum"),
+                                            ("shamir", 5, 2, "product")],
+                             indirect=True, ids=["sum", "product"])
+    def test_finished_sessions_leave_no_queues(self, mesh_stack):
+        flt, nodes, gw = mesh_stack
+        addrs = [f"10.8.0.{i}" for i in range(4)] + ["172.20.0.1", "172.20.0.2"]
+        for addr in addrs:
+            want = "BLOCK" if flt.query(parse_ipv4(addr)) else "FORWARD"
+            assert check_line(gw.port, addr) == want
+        # Servers finish their side of a session just after the gateway's
+        # reply, so give their threads a moment.
+        deadline = time.monotonic() + 2.0
+        while (any(node._queues for node in nodes.values())
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert {i: sorted(node._queues) for i, node in nodes.items()
+                if node._queues} == {}
+
+
+class TestPipelinedLines:
+    def test_three_checks_in_one_write(self, stack):
+        _, flt, _, _, gw = stack
+        fresh = next(a for a in (f"172.16.0.{i}" for i in range(256))
+                     if not flt.query(parse_ipv4(a)))
+        with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as c:
+            c.sendall(f"CHECK 10.0.0.7\nCHECK {fresh}\nCHECK 10.0.0.9\n"
+                      .encode())
+            fh = c.makefile("r", newline="\n")
+            replies = [fh.readline().strip() for _ in range(3)]
+        assert replies == ["BLOCK", "FORWARD", "BLOCK"]
+
+    def test_two_updates_in_one_write(self, stack):
+        cfg, flt, _, daemons, gw = stack
+        from obfw.firewall import admin_mac
+        lines = []
+        for k, addr in enumerate(("44.33.22.11", "44.33.22.12")):
+            per_server = fw_update_pairs(flt, cfg, parse_ipv4(addr),
+                                         RandomSource(k))
+            update = (f"UPDATE {addr} "
+                      + ",".join(str(v) for _, v in per_server[0]))
+            lines += [update, "HMAC " + admin_mac(b"pskpsk", update)]
+        with socket.create_connection(("127.0.0.1", daemons[0].admin_port),
+                                      timeout=5) as c:
+            c.sendall(("\n".join(lines) + "\n").encode())
+            fh = c.makefile("r", newline="\n")
+            replies = [fh.readline().strip() for _ in range(2)]
+        assert replies == ["OK", "OK"]
 
 
 class TestCli:
