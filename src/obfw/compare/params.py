@@ -8,6 +8,7 @@ is the comparison result.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..field import is_probable_prime
@@ -55,7 +56,9 @@ class ComparisonParams:
     N2: int
 
     @classmethod
+    @functools.cache
     def for_bitwidth(cls, lbits: int) -> "ComparisonParams":
+        """Parameters for l-bit inputs, searched for once per bit width."""
         return cls(lbits=lbits, N=smallest_prime_above(1 << lbits),
                    N2=select_n2(lbits))
 

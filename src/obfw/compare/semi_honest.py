@@ -5,7 +5,9 @@ masked values between groups and locates the zero slot of the blinded
 difference vector.  The low-round variant replaces the last two group
 swaps with a single wider resharing; the shared-inputs variant collapses
 an m-party bitwise sharing onto P1/P2, runs the same core, and expands
-the result back out.
+the result back out.  Steps 3-10 run in one core per role, `_side_core`
+for P1 and P2 and `_helper_core` for P3; each role program adds only its
+own steps 1-2 (deal or collapse) and step 11 (expand).
 
 Step ids mirror the algorithm's step numbers 1..11.
 """
@@ -79,14 +81,14 @@ class TapRecorder:
         return sum(w * parts[i] for w, i in zip(weights, indices)) % field.p
 
 
-def _share_bit(v: int, rng: RandomSource) -> tuple[int, int]:
-    r = rng.randbelow(2)
-    return r, (v - r) % 2
-
-
 def _share_mod(v: int, modulus: int, rng: RandomSource) -> tuple[int, int]:
     r = rng.randbelow(modulus)
     return r, (v - r) % modulus
+
+
+def _flip(vec, mask: list[int], c: int, modulus: int) -> list[int]:
+    """Map each masked position x to (c - x) mod modulus."""
+    return [(c - x) % modulus if bit else x for x, bit in zip(vec, mask)]
 
 
 def _groups(params: ComparisonParams):
@@ -94,12 +96,49 @@ def _groups(params: ComparisonParams):
             group_zn_compare(params.N, params.lbits), group_shift(params.lbits))
 
 
+def _wide(params: ComparisonParams, variant: str):
+    """Group and modulus of the s_a share and of h' (steps 1 and 8)."""
+    if variant == "alg4":
+        return group_zn2(params.N2, params.lbits), params.N2
+    return group_zn_compare(params.N, params.lbits), params.N
+
+
+def _no_tap(*_) -> None:
+    pass
+
+
+def _mask_schema(params: ComparisonParams) -> list:
+    """Wire layout of P1's step-1 masks for P2: flip vectors r and r', flip
+    bit r'', step-5 multipliers tau and the circular shift pi."""
+    z2, zn2, _, zpi = _groups(params)
+    W = params.lbits + 1
+    return [(z2, W), (z2, W), (z2, 1), (zn2, W), (zpi, 1)]
+
+
+def _draw_masks(params: ComparisonParams, rng: RandomSource,
+                force_pi: int | None, taps: TapRecorder | None) -> list:
+    """P1's step-1 masks, as the values `_mask_schema` lays out."""
+    W = params.lbits + 1
+    r = [rng.randbelow(2) for _ in range(W)]
+    rp = [rng.randbelow(2) for _ in range(W)]
+    rpp = rng.randbelow(2)
+    tau = [1 + rng.randbelow(params.N2 - 1) for _ in range(W)]
+    pi = force_pi if force_pi is not None else rng.randbelow(W)
+    if taps is not None:
+        taps.put_plain("pi", pi)
+    return [r, rp, [rpp], tau, [pi]]
+
+
+def _mask_segments(params: ComparisonParams, masks: list) -> list:
+    return [(g, v) for (g, _), v in zip(_mask_schema(params), masks)]
+
+
 # ---------------------------------------------------------------------------
-# Core P1/P2 arithmetic shared by all variants
+# Steps 3-10: one core per role, shared by all variants
 # ---------------------------------------------------------------------------
 
-def _gamma_pipeline(e_shares: list[int], n2: int, is_p1: bool, tau: list[int],
-                    pi: int, taps: TapRecorder | None, me: int):
+def _gamma_pipeline(e_shares: list[int], n2: int, c: int, tau: list[int],
+                    pi: int, put, me: int):
     """Steps 5(c)-(i): double prefix sum, decrement, blind, shift."""
     width = len(e_shares)
     gp = [0] * width
@@ -110,219 +149,177 @@ def _gamma_pipeline(e_shares: list[int], n2: int, is_p1: bool, tau: list[int],
     g[width - 1] = gp[width - 1]
     for i in range(width - 2, -1, -1):
         g[i] = (gp[i + 1] + gp[i]) % n2
-    if taps is not None:
-        taps.put("gamma_prime", me, gp, n2)
-        taps.put("gamma", me, g, n2)
-    if is_p1:
-        g = [(x - 1) % n2 for x in g]
-    u = [x * tau[i] % n2 for i, x in enumerate(g)]
-    if taps is not None:
-        taps.put("u", me, u, n2)
+    put("gamma_prime", me, gp, n2)
+    put("gamma", me, g, n2)
+    u = [(x - c) * t % n2 for x, t in zip(g, tau)]
+    put("u", me, u, n2)
     v = circular_shift(u, pi)
-    if taps is not None:
-        taps.put("v", me, v, n2)
+    put("v", me, v, n2)
     return v
 
 
-def _finalize_f(sa_share: int, hp_shares: list[int], modulus: int,
-                is_p1: bool, taps: TapRecorder | None, me: int) -> int:
-    """Steps 9(c)-(f): popcount difference mapped into {0, 1}."""
-    spa = sum(hp_shares) % modulus
-    f = (sa_share - spa) % modulus
-    if is_p1:
-        f = (f + 1) % modulus
-    f = f * pow(2, -1, modulus) % modulus
-    if taps is not None:
-        taps.put("s_a", me, sa_share, modulus)
-        taps.put("s_a_prime", me, spa, modulus)
-    return f
+def _side_core(me: int, params: ComparisonParams, a_vec, b_vec, masks: list,
+               sa: int | None, variant: str, taps: TapRecorder | None,
+               q: list[int] | None = None) -> Generator:
+    """Steps 3-10 for P1 (me = 1) or P2 (me = 2); returns the [f]_N share.
+
+    P1 and P2 hold additive shares, so a masked position x becomes
+    (c - x) mod q with c = 1 for P1 and c = 0 for P2; on Z2 the c = 0 map
+    leaves P2's bits as they are.  Given alg6's flip vector `q`, the step-4
+    message also carries the helper's re-sharing of the collapsed alpha
+    bits, and their sum replaces the step-1 share `sa`.
+    """
+    z2, zn2, zn, _ = _groups(params)
+    W = params.lbits + 1
+    N2, N = params.N2, params.N
+    r, rp, (rpp,), tau, (pi,) = masks
+    c = 1 if me == 1 else 0
+    put = taps.put if taps is not None else _no_tap
+
+    e = _flip([(x + y) % 2 for x, y in zip(a_vec, b_vec)], r, c, 2)
+    yield from send(3, 3, [(z2, e)])
+
+    if q is None:
+        (e_n2,) = yield from recv(3, 4, [(zn2, W)])
+    else:
+        (e_n2, a_n2) = yield from recv(3, 4, [(zn2, W), (zn2, W)])
+        a_n2 = _flip(a_n2, q, c, N2)
+        put("a_n2", me, a_n2, N2)
+        sa = sum(a_n2) % N2
+    e_n2 = _flip(e_n2, r, c, N2)
+    put("e", me, e_n2, N2)
+    v = _gamma_pipeline(e_n2, N2, c, tau, pi, put, me)
+    yield from send(3, 5, [(zn2, v)])
+
+    (h_sh,) = yield from recv(3, 6, [(z2, W)])
+    put("h_shifted", me, h_sh, 2)
+    h = circular_unshift(h_sh, pi)
+    put("h", me, h, 2)
+    hp = _flip([(hb - ab) % 2 for hb, ab in zip(h, a_vec)], rp, c, 2)
+    yield from send(3, 7, [(z2, hp)])
+
+    # Steps 9(c)-(f): popcount difference mapped into {0, 1}.
+    wide, wide_mod = _wide(params, variant)
+    (hp_w,) = yield from recv(3, 8, [(wide, W)])
+    hp_w = _flip(hp_w, rp, c, wide_mod)
+    put("h_prime", me, hp_w, wide_mod)
+    spa = sum(hp_w) % wide_mod
+    put("s_a", me, sa, wide_mod)
+    put("s_a_prime", me, spa, wide_mod)
+    f = (sa - spa + c) * pow(2, -1, wide_mod) % wide_mod
+    if variant == "alg5":
+        return f  # already a Z_N share; protocol ends after step 9
+
+    f = (c - f) % N2 if rpp else f
+    yield from send(3, 9, [(zn2, [f])])
+    ((f_n,),) = yield from recv(3, 10, [(zn, 1)])
+    return (c - f_n) % N if rpp else f_n
+
+
+def _recv_open(step: int, group, width: int, modulus: int) -> Generator:
+    """Receive P1's and P2's shares of one vector and add them up."""
+    (x1,) = yield from recv(1, step, [(group, width)])
+    (x2,) = yield from recv(2, step, [(group, width)])
+    return [(x + y) % modulus for x, y in zip(x1, x2)]
+
+
+def _send_pairs(step: int, segments: list) -> Generator:
+    """Send the first share of each pair to P1 and the second to P2."""
+    for to in (1, 2):
+        yield from send(to, step, [(g, [pair[to - 1] for pair in pairs])
+                                   for g, pairs in segments])
+
+
+def _helper_core(params: ComparisonParams, rng: RandomSource, variant: str,
+                 taps: TapRecorder | None,
+                 a_masked: list[int] | None = None) -> Generator:
+    """Steps 3-10 for the helper P3.  For alg6 the step-4 message also
+    re-shares the collapsed, q-masked alpha bits `a_masked`."""
+    z2, zn2, zn, _ = _groups(params)
+    W = params.lbits + 1
+    N2, N = params.N2, params.N
+    note = taps.put_plain if taps is not None else _no_tap
+
+    e_masked = yield from _recv_open(3, z2, W, 2)
+    note("p3_e_masked", e_masked)
+    resh = [(zn2, [_share_mod(x, N2, rng) for x in e_masked])]
+    if a_masked is not None:
+        resh.append((zn2, [_share_mod(x, N2, rng) for x in a_masked]))
+    yield from _send_pairs(4, resh)
+
+    v = yield from _recv_open(5, zn2, W, N2)
+    zeros = [i for i, x in enumerate(v) if x == 0]
+    if len(zeros) != 1:
+        raise ProtocolInvariantError(f"blinded vector has {len(zeros)} zeros")
+    note("p3_v", v)
+    note("p3_zero_index", zeros[0])
+    h_pairs = [_share_mod(1 if i == zeros[0] else 0, 2, rng) for i in range(W)]
+    yield from _send_pairs(6, [(z2, h_pairs)])
+
+    hp_masked = yield from _recv_open(7, z2, W, 2)
+    note("p3_hp_masked", hp_masked)
+    wide, wide_mod = _wide(params, variant)
+    yield from _send_pairs(8, [(wide, [_share_mod(x, wide_mod, rng) for x in hp_masked])])
+
+    if variant == "alg5":
+        return None
+
+    (f_masked,) = yield from _recv_open(9, zn2, 1, N2)
+    if f_masked not in (0, 1):
+        raise ProtocolInvariantError("masked comparison bit outside {0,1}")
+    note("p3_f_masked", f_masked)
+    yield from _send_pairs(10, [(zn, [_share_mod(f_masked, N, rng)])])
 
 
 # ---------------------------------------------------------------------------
-# Algorithm 4 / 5 party programs
+# Algorithm 4 / 5 party programs: steps 1-2 (deal) around the cores
 # ---------------------------------------------------------------------------
 
 def p1_program(params: ComparisonParams, a: int, rng: RandomSource,
                variant: str = "alg4", force_pi: int | None = None,
                taps: TapRecorder | None = None) -> Generator:
-    z2, zn2, zn, zpi = _groups(params)
+    z2 = group_z2()
     W = params.lbits + 1
-    N2, N = params.N2, params.N
     params.check_input(a)
 
-    alpha = 2 * a + 1
-    abits = bits_lsb(alpha, W)
-    s_a = sum(abits)
-    r = [rng.randbelow(2) for _ in range(W)]
-    rp = [rng.randbelow(2) for _ in range(W)]
-    rpp = rng.randbelow(2)
-    tau = [1 + rng.randbelow(N2 - 1) for _ in range(W)]
-    pi = force_pi if force_pi is not None else rng.randbelow(W)
-    if taps is not None:
-        taps.put_plain("pi", pi)
-
-    a_mine, a_theirs = zip(*[_share_bit(bit, rng) for bit in abits])
-    sa_group = zn2 if variant == "alg4" else zn
-    sa_mod = N2 if variant == "alg4" else N
-    sa_mine, sa_theirs = _share_mod(s_a, sa_mod, rng)
+    abits = bits_lsb(2 * a + 1, W)
+    masks = _draw_masks(params, rng, force_pi, taps)
+    a_mine, a_theirs = zip(*[_share_mod(bit, 2, rng) for bit in abits])
+    sa_group, sa_mod = _wide(params, variant)
+    sa_mine, sa_theirs = _share_mod(sum(abits), sa_mod, rng)
 
     yield from send(2, 1, [(z2, list(a_theirs)), (sa_group, [sa_theirs]),
-                           (z2, r), (z2, rp), (z2, [rpp]),
-                           (zn2, tau), (zpi, [pi])])
+                           *_mask_segments(params, masks)])
     (b_mine,) = yield from recv(2, 2, [(z2, W)])
-
-    e = [(x + y) % 2 for x, y in zip(a_mine, b_mine)]
-    e = [(1 - x) % 2 if r[i] else x for i, x in enumerate(e)]
-    yield from send(3, 3, [(z2, e)])
-
-    (e_n2,) = yield from recv(3, 4, [(zn2, W)])
-    e_n2 = [(1 - x) % N2 if r[i] else x for i, x in enumerate(e_n2)]
-    if taps is not None:
-        taps.put("e", 1, e_n2, N2)
-    v = _gamma_pipeline(e_n2, N2, True, tau, pi, taps, 1)
-    yield from send(3, 5, [(zn2, v)])
-
-    (h_sh,) = yield from recv(3, 6, [(z2, W)])
-    if taps is not None:
-        taps.put("h_shifted", 1, h_sh, 2)
-    h = circular_unshift(h_sh, pi)
-    if taps is not None:
-        taps.put("h", 1, h, 2)
-    hp = [(hb - ab) % 2 for hb, ab in zip(h, a_mine)]
-    hp = [(1 - x) % 2 if rp[i] else x for i, x in enumerate(hp)]
-    yield from send(3, 7, [(z2, hp)])
-
-    hp_group = zn2 if variant == "alg4" else zn
-    hp_mod = N2 if variant == "alg4" else N
-    (hp_w,) = yield from recv(3, 8, [(hp_group, W)])
-    hp_w = [(1 - x) % hp_mod if rp[i] else x for i, x in enumerate(hp_w)]
-    if taps is not None:
-        taps.put("h_prime", 1, hp_w, hp_mod)
-    f = _finalize_f(sa_mine, hp_w, hp_mod, True, taps, 1)
-
-    if variant == "alg5":
-        return f  # already a Z_N share; protocol ends after step 9
-
-    f = (1 - f) % N2 if rpp else f
-    yield from send(3, 9, [(zn2, [f])])
-    ((f_n,),) = yield from recv(3, 10, [(zn, 1)])
-    f_n = (1 - f_n) % N if rpp else f_n
-    return f_n
+    return (yield from _side_core(1, params, a_mine, b_mine, masks, sa_mine,
+                                  variant, taps))
 
 
 def p2_program(params: ComparisonParams, b: int, rng: RandomSource,
                variant: str = "alg4", taps: TapRecorder | None = None) -> Generator:
-    z2, zn2, zn, zpi = _groups(params)
+    z2 = group_z2()
     W = params.lbits + 1
-    N2, N = params.N2, params.N
     params.check_input(b)
 
-    sa_group = zn2 if variant == "alg4" else zn
-    (a_mine, (sa_mine,), r, rp, (rpp,), tau, (pi,)) = yield from recv(
-        1, 1, [(z2, W), (sa_group, 1), (z2, W), (z2, W), (z2, 1),
-               (zn2, W), (zpi, 1)])
+    sa_group, _ = _wide(params, variant)
+    (a_mine, (sa_mine,), *masks) = yield from recv(
+        1, 1, [(z2, W), (sa_group, 1), *_mask_schema(params)])
 
-    beta = 2 * b
-    bbits = bits_lsb(beta, W)
-    b_mine, b_theirs = zip(*[_share_bit(bit, rng) for bit in bbits])
+    b_mine, b_theirs = zip(*[_share_mod(bit, 2, rng) for bit in bits_lsb(2 * b, W)])
     yield from send(1, 2, [(z2, list(b_theirs))])
-
-    e = [(x + y) % 2 for x, y in zip(a_mine, b_mine)]
-    yield from send(3, 3, [(z2, e)])
-
-    (e_n2,) = yield from recv(3, 4, [(zn2, W)])
-    e_n2 = [(-x) % N2 if r[i] else x for i, x in enumerate(e_n2)]
-    if taps is not None:
-        taps.put("e", 2, e_n2, N2)
-    v = _gamma_pipeline(e_n2, N2, False, tau, pi, taps, 2)
-    yield from send(3, 5, [(zn2, v)])
-
-    (h_sh,) = yield from recv(3, 6, [(z2, W)])
-    if taps is not None:
-        taps.put("h_shifted", 2, h_sh, 2)
-    h = circular_unshift(h_sh, pi)
-    if taps is not None:
-        taps.put("h", 2, h, 2)
-    hp = [(hb - ab) % 2 for hb, ab in zip(h, a_mine)]
-    yield from send(3, 7, [(z2, hp)])
-
-    hp_mod = N2 if variant == "alg4" else N
-    hp_group = zn2 if variant == "alg4" else zn
-    (hp_w,) = yield from recv(3, 8, [(hp_group, W)])
-    hp_w = [(-x) % hp_mod if rp[i] else x for i, x in enumerate(hp_w)]
-    if taps is not None:
-        taps.put("h_prime", 2, hp_w, hp_mod)
-    f = _finalize_f(sa_mine, hp_w, hp_mod, False, taps, 2)
-
-    if variant == "alg5":
-        return f
-
-    f = (-f) % N2 if rpp else f
-    yield from send(3, 9, [(zn2, [f])])
-    ((f_n,),) = yield from recv(3, 10, [(zn, 1)])
-    f_n = (-f_n) % N if rpp else f_n
-    return f_n
+    return (yield from _side_core(2, params, a_mine, b_mine,
+                                  masks, sa_mine, variant, taps))
 
 
 def p3_program(params: ComparisonParams, rng: RandomSource,
                variant: str = "alg4",
                taps: TapRecorder | None = None) -> Generator:
-    z2, zn2, zn, _ = _groups(params)
-    W = params.lbits + 1
-    N2, N = params.N2, params.N
-
-    (e1,) = yield from recv(1, 3, [(z2, W)])
-    (e2,) = yield from recv(2, 3, [(z2, W)])
-    e_masked = [(x + y) % 2 for x, y in zip(e1, e2)]
-    if taps is not None:
-        taps.put_plain("p3_e_masked", list(e_masked))
-    resh = [_share_mod(v, N2, rng) for v in e_masked]
-    yield from send(1, 4, [(zn2, [p[0] for p in resh])])
-    yield from send(2, 4, [(zn2, [p[1] for p in resh])])
-
-    (v1,) = yield from recv(1, 5, [(zn2, W)])
-    (v2,) = yield from recv(2, 5, [(zn2, W)])
-    v = [(x + y) % N2 for x, y in zip(v1, v2)]
-    zeros = [i for i, x in enumerate(v) if x == 0]
-    if len(zeros) != 1:
-        raise ProtocolInvariantError(f"blinded vector has {len(zeros)} zeros")
-    if taps is not None:
-        taps.put_plain("p3_v", list(v))
-        taps.put_plain("p3_zero_index", zeros[0])
-    h_bits = [1 if i == zeros[0] else 0 for i in range(W)]
-    h_pairs = [_share_bit(bit, rng) for bit in h_bits]
-    yield from send(1, 6, [(z2, [p[0] for p in h_pairs])])
-    yield from send(2, 6, [(z2, [p[1] for p in h_pairs])])
-
-    (hp1,) = yield from recv(1, 7, [(z2, W)])
-    (hp2,) = yield from recv(2, 7, [(z2, W)])
-    hp_masked = [(x + y) % 2 for x, y in zip(hp1, hp2)]
-    if taps is not None:
-        taps.put_plain("p3_hp_masked", list(hp_masked))
-    wide_mod = N2 if variant == "alg4" else N
-    wide_group = zn2 if variant == "alg4" else zn
-    resh2 = [_share_mod(vv, wide_mod, rng) for vv in hp_masked]
-    yield from send(1, 8, [(wide_group, [p[0] for p in resh2])])
-    yield from send(2, 8, [(wide_group, [p[1] for p in resh2])])
-
-    if variant == "alg5":
-        return None
-
-    ((f1,),) = yield from recv(1, 9, [(zn2, 1)])
-    ((f2,),) = yield from recv(2, 9, [(zn2, 1)])
-    f_masked = (f1 + f2) % N2
-    if f_masked not in (0, 1):
-        raise ProtocolInvariantError("masked comparison bit outside {0,1}")
-    if taps is not None:
-        taps.put_plain("p3_f_masked", f_masked)
-    fa, fb = _share_mod(f_masked, N, rng)
-    yield from send(1, 10, [(zn, [fa])])
-    yield from send(2, 10, [(zn, [fb])])
-    return None
+    yield from _helper_core(params, rng, variant, taps)
 
 
 # ---------------------------------------------------------------------------
-# Algorithm 6: shared, bit-decomposed inputs among m parties
+# Algorithm 6: shared, bit-decomposed inputs among m parties.  Steps 1-2
+# collapse the m-party sharing onto P1/P2, step 11 expands the result.
 # ---------------------------------------------------------------------------
 
 def share_bits_among(value: int, lbits: int, m: int, rng: RandomSource) -> list[list[int]]:
@@ -338,81 +335,56 @@ def share_bits_among(value: int, lbits: int, m: int, rng: RandomSource) -> list[
     return vectors
 
 
+def _expand(params: ComparisonParams, m: int, f_n: int,
+            rng: RandomSource) -> Generator:
+    """Step 11 at P1/P2: hand parties 3..m a random piece each, keep the rest."""
+    zn = group_zn_compare(params.N, params.lbits)
+    pieces = [rng.randbelow(params.N) for _ in range(m - 2)]
+    for k, piece in enumerate(pieces, start=3):
+        yield from send(k, 11, [(zn, [piece])])
+    return (f_n - sum(pieces)) % params.N
+
+
+def _collect(params: ComparisonParams) -> Generator:
+    """Step 11 at parties 3..m: add up the pieces from P1 and P2."""
+    zn = group_zn_compare(params.N, params.lbits)
+    ((p1_piece,),) = yield from recv(1, 11, [(zn, 1)])
+    ((p2_piece,),) = yield from recv(2, 11, [(zn, 1)])
+    return (p1_piece + p2_piece) % params.N
+
+
 def p1_shared_program(params: ComparisonParams, m: int,
                       a_bits: list[int], b_bits: list[int], rng: RandomSource,
                       force_pi: int | None = None,
                       taps: TapRecorder | None = None) -> Generator:
-    z2, zn2, zn, zpi = _groups(params)
+    z2, _, zn, _ = _groups(params)
     W = params.lbits + 1
-    N2, N = params.N2, params.N
 
     a_vec = [0] + list(a_bits)   # alpha low bit comes from P2's share
     b_vec = [0] + list(b_bits)
     q = [rng.randbelow(2) for _ in range(W)]
-    r = [rng.randbelow(2) for _ in range(W)]
-    rp = [rng.randbelow(2) for _ in range(W)]
-    rpp = rng.randbelow(2)
-    tau = [1 + rng.randbelow(N2 - 1) for _ in range(W)]
-    pi = force_pi if force_pi is not None else rng.randbelow(W)
-    rho1 = rng.randbelow(N)
-    if taps is not None:
-        taps.put_plain("pi", pi)
+    masks = _draw_masks(params, rng, force_pi, taps)
+    rho1 = rng.randbelow(params.N)
 
-    a_masked = [(1 - x) % 2 if q[i] else x for i, x in enumerate(a_vec)]
-    yield from send(2, 1, [(z2, q), (z2, r), (z2, rp), (z2, [rpp]),
-                           (zn2, tau), (zpi, [pi]), (zn, [rho1])])
-    yield from send(3, 1, [(z2, a_masked)])
-
-    e = [(x + y) % 2 for x, y in zip(a_vec, b_vec)]
-    e = [(1 - x) % 2 if r[i] else x for i, x in enumerate(e)]
-    yield from send(3, 3, [(z2, e)])
-    ((rho2,),) = yield from recv(2, 2, [(zn, 1)])
-
-    (e_n2, a_n2) = yield from recv(3, 4, [(zn2, W), (zn2, W)])
-    e_n2 = [(1 - x) % N2 if r[i] else x for i, x in enumerate(e_n2)]
-    a_n2 = [(1 - x) % N2 if q[i] else x for i, x in enumerate(a_n2)]
-    if taps is not None:
-        taps.put("e", 1, e_n2, N2)
-        taps.put("a_n2", 1, a_n2, N2)
-    sa_mine = sum(a_n2) % N2
-    v = _gamma_pipeline(e_n2, N2, True, tau, pi, taps, 1)
-    yield from send(3, 5, [(zn2, v)])
-
-    (h_sh,) = yield from recv(3, 6, [(z2, W)])
-    h = circular_unshift(h_sh, pi)
-    hp = [(hb - ab) % 2 for hb, ab in zip(h, a_vec)]
-    hp = [(1 - x) % 2 if rp[i] else x for i, x in enumerate(hp)]
-    yield from send(3, 7, [(z2, hp)])
-
-    (hp_w,) = yield from recv(3, 8, [(zn2, W)])
-    hp_w = [(1 - x) % N2 if rp[i] else x for i, x in enumerate(hp_w)]
-    if taps is not None:
-        taps.put("h_prime", 1, hp_w, N2)
-    f = _finalize_f(sa_mine, hp_w, N2, True, taps, 1)
-    f = (1 - f) % N2 if rpp else f
-    yield from send(3, 9, [(zn2, [f])])
-    ((f_n,),) = yield from recv(3, 10, [(zn, 1)])
-    f_n = (1 - f_n) % N if rpp else f_n
+    yield from send(2, 1, [(z2, q), *_mask_segments(params, masks), (zn, [rho1])])
+    yield from send(3, 1, [(z2, _flip(a_vec, q, 1, 2))])
+    f_n = yield from _side_core(1, params, a_vec, b_vec, masks, None, "alg4",
+                                taps, q)
 
     # Residual re-randomization, then redistribution to parties 3..m.
-    f_n = (f_n + rho2 - rho1) % N
-    pieces = [rng.randbelow(N) for _ in range(m - 2)]
-    own = (f_n - sum(pieces)) % N
-    for k in range(3, m + 1):
-        yield from send(k, 11, [(zn, [pieces[k - 3]])])
-    return own
+    ((rho2,),) = yield from recv(2, 2, [(zn, 1)])
+    return (yield from _expand(params, m, (f_n + rho2 - rho1) % params.N, rng))
 
 
 def p2_shared_program(params: ComparisonParams, m: int,
                       a_bits: list[int], b_bits: list[int], rng: RandomSource,
                       taps: TapRecorder | None = None) -> Generator:
-    z2, zn2, zn, zpi = _groups(params)
+    z2, _, zn, _ = _groups(params)
     W = params.lbits + 1
-    N2, N = params.N2, params.N
     L = params.lbits
 
-    (q, r, rp, (rpp,), tau, (pi,), (rho1,)) = yield from recv(
-        1, 1, [(z2, W), (z2, W), (z2, W), (z2, 1), (zn2, W), (zpi, 1), (zn, 1)])
+    (q, *masks, (rho1,)) = yield from recv(
+        1, 1, [(z2, W), *_mask_schema(params), (zn, 1)])
     a_coll = list(a_bits)
     b_coll = list(b_bits)
     for k in range(3, m + 1):
@@ -422,108 +394,34 @@ def p2_shared_program(params: ComparisonParams, m: int,
     a_vec = [1] + a_coll
     b_vec = [0] + b_coll
 
-    rho2 = rng.randbelow(N)
+    rho2 = rng.randbelow(params.N)
     yield from send(1, 2, [(zn, [rho2])])
     yield from send(3, 2, [(z2, a_vec)])
-
-    e = [(x + y) % 2 for x, y in zip(a_vec, b_vec)]
-    yield from send(3, 3, [(z2, e)])
-
-    (e_n2, a_n2) = yield from recv(3, 4, [(zn2, W), (zn2, W)])
-    e_n2 = [(-x) % N2 if r[i] else x for i, x in enumerate(e_n2)]
-    a_n2 = [(-x) % N2 if q[i] else x for i, x in enumerate(a_n2)]
-    if taps is not None:
-        taps.put("e", 2, e_n2, N2)
-        taps.put("a_n2", 2, a_n2, N2)
-    sa_mine = sum(a_n2) % N2
-    v = _gamma_pipeline(e_n2, N2, False, tau, pi, taps, 2)
-    yield from send(3, 5, [(zn2, v)])
-
-    (h_sh,) = yield from recv(3, 6, [(z2, W)])
-    h = circular_unshift(h_sh, pi)
-    hp = [(hb - ab) % 2 for hb, ab in zip(h, a_vec)]
-    yield from send(3, 7, [(z2, hp)])
-
-    (hp_w,) = yield from recv(3, 8, [(zn2, W)])
-    hp_w = [(-x) % N2 if rp[i] else x for i, x in enumerate(hp_w)]
-    if taps is not None:
-        taps.put("h_prime", 2, hp_w, N2)
-    f = _finalize_f(sa_mine, hp_w, N2, False, taps, 2)
-    f = (-f) % N2 if rpp else f
-    yield from send(3, 9, [(zn2, [f])])
-    ((f_n,),) = yield from recv(3, 10, [(zn, 1)])
-    f_n = (-f_n) % N if rpp else f_n
-
-    f_n = (f_n + rho1 - rho2) % N
-    pieces = [rng.randbelow(N) for _ in range(m - 2)]
-    own = (f_n - sum(pieces)) % N
-    for k in range(3, m + 1):
-        yield from send(k, 11, [(zn, [pieces[k - 3]])])
-    return own
+    f_n = yield from _side_core(2, params, a_vec, b_vec, masks,
+                                None, "alg4", taps, q)
+    return (yield from _expand(params, m, (f_n + rho1 - rho2) % params.N, rng))
 
 
 def p3_shared_program(params: ComparisonParams, m: int,
                       a_bits: list[int], b_bits: list[int],
                       rng: RandomSource) -> Generator:
     """Helper role plus its own shareholder duties (collapse and expand)."""
-    z2, zn2, zn, _ = _groups(params)
+    z2 = group_z2()
     W = params.lbits + 1
-    N2, N = params.N2, params.N
-    L = params.lbits
 
     yield from send(2, 1, [(z2, list(a_bits)), (z2, list(b_bits))])
-
     (a1_masked,) = yield from recv(1, 1, [(z2, W)])
     (a2,) = yield from recv(2, 2, [(z2, W)])
     a_masked = [(x + y) % 2 for x, y in zip(a1_masked, a2)]
-
-    (e1,) = yield from recv(1, 3, [(z2, W)])
-    (e2,) = yield from recv(2, 3, [(z2, W)])
-    e_masked = [(x + y) % 2 for x, y in zip(e1, e2)]
-
-    resh_e = [_share_mod(v, N2, rng) for v in e_masked]
-    resh_a = [_share_mod(v, N2, rng) for v in a_masked]
-    yield from send(1, 4, [(zn2, [p[0] for p in resh_e]), (zn2, [p[0] for p in resh_a])])
-    yield from send(2, 4, [(zn2, [p[1] for p in resh_e]), (zn2, [p[1] for p in resh_a])])
-
-    (v1,) = yield from recv(1, 5, [(zn2, W)])
-    (v2,) = yield from recv(2, 5, [(zn2, W)])
-    v = [(x + y) % N2 for x, y in zip(v1, v2)]
-    zeros = [i for i, x in enumerate(v) if x == 0]
-    if len(zeros) != 1:
-        raise ProtocolInvariantError(f"blinded vector has {len(zeros)} zeros")
-    h_pairs = [_share_bit(1 if i == zeros[0] else 0, rng) for i in range(W)]
-    yield from send(1, 6, [(z2, [p[0] for p in h_pairs])])
-    yield from send(2, 6, [(z2, [p[1] for p in h_pairs])])
-
-    (hp1,) = yield from recv(1, 7, [(z2, W)])
-    (hp2,) = yield from recv(2, 7, [(z2, W)])
-    hp_masked = [(x + y) % 2 for x, y in zip(hp1, hp2)]
-    resh2 = [_share_mod(v_, N2, rng) for v_ in hp_masked]
-    yield from send(1, 8, [(zn2, [p[0] for p in resh2])])
-    yield from send(2, 8, [(zn2, [p[1] for p in resh2])])
-
-    ((f1,),) = yield from recv(1, 9, [(zn2, 1)])
-    ((f2,),) = yield from recv(2, 9, [(zn2, 1)])
-    f_masked = (f1 + f2) % N2
-    fa, fb = _share_mod(f_masked, N, rng)
-    yield from send(1, 10, [(zn, [fa])])
-    yield from send(2, 10, [(zn, [fb])])
-
-    ((p1_piece,),) = yield from recv(1, 11, [(zn, 1)])
-    ((p2_piece,),) = yield from recv(2, 11, [(zn, 1)])
-    return (p1_piece + p2_piece) % N
+    yield from _helper_core(params, rng, "alg4", None, a_masked)
+    return (yield from _collect(params))
 
 
 def pk_shared_program(params: ComparisonParams, a_bits: list[int],
                       b_bits: list[int]) -> Generator:
     """Parties 4..m: fold input shares into P2, receive a result share."""
-    z2, _, zn, _ = _groups(params)
-    N = params.N
-    yield from send(2, 1, [(z2, list(a_bits)), (z2, list(b_bits))])
-    ((p1_piece,),) = yield from recv(1, 11, [(zn, 1)])
-    ((p2_piece,),) = yield from recv(2, 11, [(zn, 1)])
-    return (p1_piece + p2_piece) % N
+    yield from send(2, 1, [(group_z2(), list(a_bits)), (group_z2(), list(b_bits))])
+    return (yield from _collect(params))
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,6 @@ class PrimeField:
         return 1 + rng.randbelow(self.p - 1)
 
 
-def mod_inverse(field: PrimeField, a: int) -> int:
-    """Multiplicative inverse of a nonzero element."""
-    return field.inv(a)
-
-
 class Polynomial:
     """Dense polynomial over a prime field, coefficients ascending."""
 

@@ -86,10 +86,6 @@ def parse_ipv4(text: str) -> bytes:
     return bytes(out)
 
 
-def format_ipv4(addr: bytes) -> str:
-    return ".".join(str(b) for b in addr)
-
-
 @dataclass(frozen=True)
 class FirewallConfig:
     scheme: str                 # 'additive' | 'shamir'
@@ -138,6 +134,9 @@ class ShareStore:
     instance_keys: list[bytes]
     values: list[int]
     _lock: threading.Lock = dc_field(default_factory=threading.Lock, repr=False)
+    # Hash family that replaces SipHash over `instance_keys` (a stub family
+    # in tests); not saved with the store.
+    family: object = dc_field(default=None, repr=False, compare=False)
 
     def snapshot(self) -> list[int]:
         with self._lock:
@@ -151,6 +150,8 @@ class ShareStore:
             self.values = fresh
 
     def hash_indices(self, addr: bytes) -> list[int]:
+        if self.family is not None:
+            return self.family.indices(addr, self.config.bloom.beta)
         from .bloom import siphash24
         return [siphash24(k, addr) % self.config.bloom.beta
                 for k in self.instance_keys]
@@ -228,23 +229,13 @@ def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
     else:
         keys = [bytes(16)] * cfg.bloom.kappa  # stub family: keys unused
     stores = [ShareStore(config=cfg, party_index=i + 1, instance_keys=keys,
-                         values=[0] * cfg.bloom.beta)
+                         values=[0] * cfg.bloom.beta, family=family)
               for i in range(cfg.m)]
     for pos in range(cfg.bloom.beta):
         shares = _share_position(flt.bit(pos), cfg, rng.child(f"pos/{pos}"))
         for i, store in enumerate(stores):
             store.values[pos] = shares[i]
-    if family is not None:
-        for store in stores:
-            store.family = family  # type: ignore[attr-defined]
     return flt, stores
-
-
-def store_indices(store: ShareStore, addr: bytes) -> list[int]:
-    fam = getattr(store, "family", None)
-    if fam is not None:
-        return fam.indices(addr, store.config.bloom.beta)
-    return store.hash_indices(addr)
 
 
 def fw_update_pairs(flt: BloomFilter, cfg: FirewallConfig, addr: bytes,
@@ -367,7 +358,7 @@ def server_sum_program(store: ShareStore, tamper: ServerTamper | None = None
     ((addr_int,),) = yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
     addr = addr_int.to_bytes(4, "big")
     snap = store.snapshot()
-    sigma = sum(snap[j] for j in store_indices(store, addr)) % cfg.N
+    sigma = sum(snap[j] for j in store.hash_indices(addr)) % cfg.N
     if tamper is not None:
         sigma = (sigma + tamper.result_offset) % cfg.N
     yield from send(GATEWAY, 2, [(zn, [sigma])])
@@ -431,7 +422,7 @@ def server_product_program(store: ShareStore, rng: RandomSource,
     ((addr_int,),) = yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
     addr = addr_int.to_bytes(4, "big")
     snap = store.snapshot()
-    vals = [snap[j] for j in store_indices(store, addr)]
+    vals = [snap[j] for j in store.hash_indices(addr)]
     if len(vals) == 1:
         result = vals[0]
     else:
@@ -481,6 +472,20 @@ def decide_product(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
     raise NoMajority("reveal combinations have no strict majority")
 
 
+def _run_product_session(stores: Sequence[ShareStore], addr: bytes, seed,
+                         tampers: dict[int, ServerTamper] | None,
+                         session_id: int, protocol_id: int,
+                         broadcast: bool = False):
+    """Run the gateway and every server's product program in one session."""
+    rng = RandomSource(seed)
+    programs: dict[int, Generator] = {
+        GATEWAY: gateway_product_program(stores[0].config, addr)}
+    for s in stores:
+        programs[s.party_index] = server_product_program(
+            s, rng, (tampers or {}).get(s.party_index), broadcast)
+    return run_session(programs, session_id=session_id, protocol_id=protocol_id)
+
+
 def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
                      tampers: dict[int, ServerTamper] | None = None,
                      session_id: int = 0):
@@ -491,14 +496,8 @@ def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
         raise BadConfig("product evaluation is implemented for Shamir stores")
     if cfg.m < 2 * cfg.t + 1:
         raise BadConfig("product evaluation needs m >= 2t+1 servers")
-    rng = RandomSource(seed)
-    programs: dict[int, Generator] = {
-        GATEWAY: gateway_product_program(cfg, addr)}
-    for s in stores:
-        programs[s.party_index] = server_product_program(
-            s, rng, (tampers or {}).get(s.party_index))
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_FW_EVAL_PRODUCT)
+    net = _run_product_session(stores, addr, seed, tampers, session_id,
+                               PROTO_FW_EVAL_PRODUCT)
     verdict = decide_product(cfg, net.results[GATEWAY])
     return verdict, net
 
@@ -510,14 +509,8 @@ def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
     cfg = stores[0].config
     if cfg.scheme != "shamir":
         raise BadConfig("BW recovery requires Shamir stores")
-    rng = RandomSource(seed)
-    programs: dict[int, Generator] = {
-        GATEWAY: gateway_product_program(cfg, addr)}
-    for s in stores:
-        programs[s.party_index] = server_product_program(
-            s, rng, (tampers or {}).get(s.party_index))
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_FW_EVAL_PRODUCT)
+    net = _run_product_session(stores, addr, seed, tampers, session_id,
+                               PROTO_FW_EVAL_PRODUCT)
     shares = net.results[GATEWAY]
     value, bad = bw_decode(cfg.field(), shares, cfg.t - 1)
     decision = "block" if value == 1 else "forward"
@@ -549,14 +542,8 @@ def run_product_with_vote(stores: Sequence[ShareStore], addr: bytes, seed=0,
     gateway's own.  The broadcast adds m(m-1) result-share transmissions.
     """
     cfg = stores[0].config
-    rng = RandomSource(seed)
-    programs: dict[int, Generator] = {
-        GATEWAY: gateway_product_program(cfg, addr)}
-    for s in stores:
-        programs[s.party_index] = server_product_program(
-            s, rng, (tampers or {}).get(s.party_index), broadcast=True)
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_MAJORITY_VOTE)
+    net = _run_product_session(stores, addr, seed, tampers, session_id,
+                               PROTO_MAJORITY_VOTE, broadcast=True)
     gateway_verdict = decide_product(cfg, net.results[GATEWAY])
     verdicts = [gateway_verdict]
     for s in stores:

@@ -76,9 +76,6 @@ class Transcript:
     def raw_total(self) -> int:
         return sum(self.step_raw_bits.values())
 
-    def step_bits(self, step: int) -> int:
-        return self.step_acc_bits.get(step, 0)
-
     def rounds(self) -> int:
         if not self.party_events:
             return 0

@@ -63,9 +63,3 @@ class RandomSource:
             v = self.randbits(k)
             if v < n:
                 return v
-
-    def randrange(self, lo: int, hi: int) -> int:
-        return lo + self.randbelow(hi - lo)
-
-    def shuffle_amount(self, length: int) -> int:
-        return self.randbelow(length)

@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 from obfw.compare import (
     ComparisonParams,
     DomainOverflow,
+    ProtocolInvariantError,
     alg4_step_bits,
     alg4_total,
     alg5_total,
     alg6_total,
+    build_programs,
+    build_shared_programs,
     circular_shift,
     circular_unshift,
     claim1_oracle,
@@ -20,6 +23,7 @@ from obfw.compare import (
     select_n2,
     smallest_prime_above,
 )
+from obfw.net import PASS, Replace, decode_elements, encode_elements, group_zn2, run_session
 from obfw.rng import RandomSource
 
 
@@ -114,6 +118,12 @@ class TestSelectN2:
             expected = next(p for p in primes if p > 2 ** lbits)
             assert ComparisonParams.for_bitwidth(lbits).N == expected
 
+    def test_params_built_once_per_bit_width(self):
+        assert ComparisonParams.for_bitwidth(16) is ComparisonParams.for_bitwidth(16)
+        for _ in range(2):  # a failed search is not cached
+            with pytest.raises(ValueError):
+                ComparisonParams.for_bitwidth(3)
+
 
 class TestSemiHonestTrace:
     def test_seeded_worked_trace(self):
@@ -203,6 +213,27 @@ class TestSharedInputs:
             a, b = rng.randbelow(32), rng.randbelow(32)
             assert run_shared_inputs(a, b, 5, m=7, seed=rng.bytes(32)).f \
                 == expect(a, b)
+
+
+class TestHelperChecksMaskedBit:
+    """Every variant's helper rejects a step-9 masked bit outside {0,1}."""
+
+    @pytest.mark.parametrize("build", [
+        lambda p: build_programs(200, 100, p, 1),
+        lambda p: build_shared_programs(200, 100, p, 3, 1),
+    ], ids=["alg4", "alg6"])
+    def test_tampered_step9_raises(self, build):
+        params = ComparisonParams.for_bitwidth(8)
+        zn2 = group_zn2(params.N2, params.lbits)
+
+        def add_two(env):
+            if env.sender != 1 or env.step_id != 9:
+                return PASS
+            ((f,),) = decode_elements(env.payload, [(zn2, 1)])
+            return Replace(encode_elements([(zn2, [(f + 2) % params.N2])]))
+
+        with pytest.raises(ProtocolInvariantError):
+            run_session(build(params), adversary=add_two)
 
 
 class TestMalicious:

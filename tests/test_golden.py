@@ -3,8 +3,11 @@
 Each case runs one protocol with fixed inputs and a fixed seed and pins
 the transcript's `payload_digest()`, `accounting_total()` and `rounds()`.
 A change that claims to preserve behaviour (a refactor, a cache, a
-faster codec) must leave all three byte-identical.  The expected values
-were recorded before the field and Lagrange-weight memoisation landed.
+faster codec) must leave all three byte-identical.  The first fifteen
+values were recorded before the field and Lagrange-weight memoisation
+landed; the extra comparison cases (forced shift with a < b, alg5 on
+equal inputs, alg6 at m = 3 and m = 4) before the alg4/alg5/alg6 role
+programs were merged onto one P1/P2 core and one helper core.
 """
 import pytest
 
@@ -116,6 +119,14 @@ CASES = {
         1234, 4321, 16, seed="golden/alg5", variant="alg5").transcript),
     "alg6": (PROTO_SC_SHARED_INPUTS, lambda: run_shared_inputs(
         200, 200, 8, m=5, seed="golden/alg6").transcript),
+    "alg4_force_pi_a_lt_b": (PROTO_SC_SEMI_HONEST, lambda: run_semi_honest(
+        1000, 50000, 16, seed="golden/alg4/pi", force_pi=3).transcript),
+    "alg5_equal": (PROTO_SC_LOW_ROUNDS, lambda: run_semi_honest(
+        777, 777, 16, seed="golden/alg5/eq", variant="alg5").transcript),
+    "alg6_m3": (PROTO_SC_SHARED_INPUTS, lambda: run_shared_inputs(
+        13, 200, 8, m=3, seed="golden/alg6/m3").transcript),
+    "alg6_m4": (PROTO_SC_SHARED_INPUTS, lambda: run_shared_inputs(
+        201, 200, 8, m=4, seed="golden/alg6/m4", force_pi=6).transcript),
     "alg7": (PROTO_SC_MALICIOUS, lambda: run_malicious(
         77, 200, 8, t=1, seed="golden/alg7").transcript),
     "mult_fanin": (PROTO_SC_MALICIOUS, _mult_fanin),
@@ -132,8 +143,12 @@ CASES = {
 GOLDEN = {
     "additive_mult3": ("3f45fcf43845a6322969418eb8cccae138ab03397c67a683be141f0e135cac4a", 837, 2),
     "alg4": ("e733544a0ac0d6b9d0add51bca2ac4e3bd7f1dfb0994755de927c26e6a3fdf1d", 940, 5),
+    "alg4_force_pi_a_lt_b": ("ed3b0deb3865196bd2250c8d9a84eb5ab1894fafb23cf3c25b8388af1aeb1bcd", 940, 5),
     "alg5": ("08c42f8e9ba4b507ff732c31d2a06545b6952ada4534b6f987adaa356ddc79ab", 1246, 4),
+    "alg5_equal": ("c6d74f004ff4b4debeb044a0a912566126dd35f1a1c28e518b8001841d421416", 1246, 4),
     "alg6": ("bf71c7435564a9ac18cd98c9e95213d46da6658b406925b498e1d4629808eb13", 647, 5),
+    "alg6_m3": ("aa94436da12376b7c7bb52986a1a0c67c2d2104d62e045ad7cda660d8c92acae", 583, 5),
+    "alg6_m4": ("eb3a3c87c12540962b98b5778ed8d8ba9397a32be5c5163ea40b5dbdcd71895a", 615, 5),
     "alg7": ("5a39fc5738646dbc53a2d9d4a726b276702f446dd47d24ed09a5f6b2fa2dc74b", 4860, 7),
     "eval_bw": ("6a012dca3437ac1f9e3b3a5a27ed132844f4a9154f1e8df8041bec0b89c2fe7a", 2175, 3),
     "eval_product": ("8fbf5827639ab35124ed7d3e92993f9e35f7ceefe891ce22e3adb2901a5c31a1", 2175, 3),
