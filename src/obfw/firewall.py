@@ -126,8 +126,8 @@ class FirewallConfig:
 class ShareStore:
     """One server's view: its share of every filter position.
 
-    Reads take an immutable snapshot; updates swap the list under a lock so
-    in-flight evaluations keep a consistent view.
+    An evaluation reads its positions, and an update writes its positions,
+    under one lock, so an evaluation sees all of an update or none of it.
     """
     config: FirewallConfig
     party_index: int
@@ -138,16 +138,25 @@ class ShareStore:
     # in tests); not saved with the store.
     family: object = dc_field(default=None, repr=False, compare=False)
 
-    def snapshot(self) -> list[int]:
+    def read(self, positions: Sequence[int]) -> list[int]:
         with self._lock:
-            return self.values
+            values = self.values
+            return [values[j] for j in positions]
 
     def apply_update(self, pairs: Sequence[tuple[int, int]]) -> None:
+        """Write each (position, value) pair in place.
+
+        Every pair is checked first, so a bad position changes nothing.
+        """
+        beta = len(self.values)
+        fresh = [(idx, val % self.config.N) for idx, val in pairs]
+        for idx, _ in fresh:
+            if not 0 <= idx < beta:
+                raise IndexError(f"position {idx} outside [0, {beta})")
         with self._lock:
-            fresh = list(self.values)
-            for idx, val in pairs:
-                fresh[idx] = val % self.config.N
-            self.values = fresh
+            values = self.values
+            for idx, val in fresh:
+                values[idx] = val
 
     def hash_indices(self, addr: bytes) -> list[int]:
         if self.family is not None:
@@ -260,9 +269,9 @@ def reveal_position(stores: Sequence[ShareStore], pos: int) -> int:
     """Test oracle: reconstruct one filter position from all stores."""
     cfg = stores[0].config
     if cfg.scheme == "additive":
-        return sum(s.snapshot()[pos] for s in stores) % cfg.N
+        return sum(s.read([pos])[0] for s in stores) % cfg.N
     f = cfg.field()
-    pts = [(s.party_index, s.snapshot()[pos]) for s in stores[:cfg.reveal_size]]
+    pts = [(s.party_index, s.read([pos])[0]) for s in stores[:cfg.reveal_size]]
     return interpolate_at_zero(f, pts)
 
 
@@ -357,8 +366,7 @@ def server_sum_program(store: ShareStore, tamper: ServerTamper | None = None
     zn = group_zp(cfg.N)
     ((addr_int,),) = yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
     addr = addr_int.to_bytes(4, "big")
-    snap = store.snapshot()
-    sigma = sum(snap[j] for j in store.hash_indices(addr)) % cfg.N
+    sigma = sum(store.read(store.hash_indices(addr))) % cfg.N
     if tamper is not None:
         sigma = (sigma + tamper.result_offset) % cfg.N
     yield from send(GATEWAY, 2, [(zn, [sigma])])
@@ -421,8 +429,7 @@ def server_product_program(store: ShareStore, rng: RandomSource,
     sp = cfg.shamir_params()
     ((addr_int,),) = yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
     addr = addr_int.to_bytes(4, "big")
-    snap = store.snapshot()
-    vals = [snap[j] for j in store.hash_indices(addr)]
+    vals = store.read(store.hash_indices(addr))
     if len(vals) == 1:
         result = vals[0]
     else:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 FRAME_MAGIC = b"OBF1"
 HEADER_LEN = 1 + 1 + 8 + 1 + 4
+MAX_FRAME = 1 << 26
 
 # Registry of interactive protocols.
 PROTO_SHAMIR_MULT = 1
@@ -61,6 +62,31 @@ def read_frame(read_exact) -> Envelope:
     if magic != FRAME_MAGIC:
         raise FrameCorrupt(f"bad frame magic {magic!r}")
     n = int.from_bytes(read_exact(4), "little")
-    if n > 1 << 26:
+    if n > MAX_FRAME:
         raise FrameCorrupt("frame length implausible")
     return Envelope.decode(read_exact(n))
+
+
+def take_frames(buf: bytearray) -> list[Envelope]:
+    """Remove every complete record from the front of `buf` and decode it.
+
+    A partial record stays in `buf` for the next read.  A bad magic or an
+    implausible length raises FrameCorrupt as soon as its header is in.
+    """
+    out = []
+    pos = 0
+    while len(buf) - pos >= 4:
+        if buf[pos:pos + 4] != FRAME_MAGIC:
+            raise FrameCorrupt(f"bad frame magic {bytes(buf[pos:pos + 4])!r}")
+        if len(buf) - pos < 8:
+            break
+        n = int.from_bytes(buf[pos + 4:pos + 8], "little")
+        if n > MAX_FRAME:
+            raise FrameCorrupt("frame length implausible")
+        end = pos + 8 + n
+        if len(buf) < end:
+            break
+        out.append(Envelope.decode(bytes(buf[pos + 8:end])))
+        pos = end
+    del buf[:pos]
+    return out

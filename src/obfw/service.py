@@ -8,9 +8,15 @@ Wire surfaces:
         "HMAC <hex over the UPDATE line>\n" -> "OK\n" | "AUTHFAIL\n"
   * server eval port     -- envelope protocol (ids 9/10) with the gateway
         and the other servers.
+
+Each daemon's TcpNode reads all of its peer connections on one thread.  A
+server runs the evaluation sessions the gateway starts on that thread (see
+TcpNode.serve); the gateway runs each CHECK on the thread of the client
+connection that asked for it.
 """
 from __future__ import annotations
 
+import os
 import socket
 import threading
 from dataclasses import dataclass
@@ -56,42 +62,31 @@ class FirewallServerDaemon:
         self._admin_srv = socket.create_server((admin_listen.host, admin_listen.port))
         self._admin_srv.settimeout(0.2)
         self.admin_port = self._admin_srv.getsockname()[1]
-        self._threads = [
-            threading.Thread(target=self._session_loop, daemon=True),
-            threading.Thread(target=self._admin_loop, daemon=True),
-        ]
+        self._admin_thread = threading.Thread(target=self._admin_loop, daemon=True)
 
     def start(self) -> None:
-        for t in self._threads:
-            t.start()
+        self.node.serve(self._program_for)
+        self._admin_thread.start()
 
     def stop(self) -> None:
         self._stop.set()
+        try:
+            self._admin_srv.shutdown(socket.SHUT_RDWR)  # wakes accept() now
+        except OSError:
+            pass
         self._admin_srv.close()
         self.node.close()
+        if self._admin_thread.is_alive():
+            self._admin_thread.join(1.0)
 
     # -- envelope sessions -------------------------------------------------
-    def _session_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                session_id, protocol_id = self.node.new_sessions.get(timeout=0.2)
-            except Exception:
-                continue
-            threading.Thread(target=self._run_session,
-                             args=(session_id, protocol_id), daemon=True).start()
-
-    def _run_session(self, session_id: int, protocol_id: int) -> None:
+    def _program_for(self, session_id: int, protocol_id: int):
         if protocol_id == PROTO_FW_EVAL_SUM:
-            program = server_sum_program(self.store)
-        elif protocol_id == PROTO_FW_EVAL_PRODUCT:
-            program = server_product_program(
+            return server_sum_program(self.store)
+        if protocol_id == PROTO_FW_EVAL_PRODUCT:
+            return server_product_program(
                 self.store, self.rng.child(f"s/{session_id}"))
-        else:
-            return
-        try:
-            self.node.run_program(program, session_id, protocol_id)
-        except PartyTimeout:
-            pass
+        return None
 
     # -- admin text protocol -------------------------------------------------
     def _admin_loop(self) -> None:
@@ -145,7 +140,9 @@ class GatewayDaemon:
         self.cfg = cfg
         self.node = node
         self.mode = mode
-        self._session_counter = 0
+        # Session ids start at a random 64-bit epoch, so a restarted gateway
+        # does not reuse the ids that the servers remember as finished.
+        self._session_counter = int.from_bytes(os.urandom(8), "little")
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._srv = socket.create_server((listen.host, listen.port))
@@ -164,7 +161,7 @@ class GatewayDaemon:
     def check(self, addr_text: str) -> EvalVerdict:
         addr = parse_ipv4(addr_text)
         with self._lock:
-            self._session_counter += 1
+            self._session_counter = (self._session_counter + 1) % 2 ** 64
             session = self._session_counter
         self.node.mark_session(session)
         if self.mode == "product":

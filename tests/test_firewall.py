@@ -373,6 +373,23 @@ class TestDeduction:
             [None, None, 1, None, 1, 1, None, None]
 
 
+class TestStoreUpdate:
+    @pytest.mark.parametrize("bad", [8, -1], ids=["past-end", "negative"])
+    def test_bad_position_changes_nothing(self, bad):
+        _, _, stores = toy_stores()
+        before = list(stores[0].values)
+        with pytest.raises(IndexError):
+            stores[0].apply_update([(0, before[0] + 1), (bad, 1)])
+        assert stores[0].values == before
+
+    def test_update_writes_in_place(self):
+        _, _, stores = toy_stores()
+        values = stores[0].values
+        stores[0].apply_update([(3, 15), (6, 4)])
+        assert stores[0].values is values
+        assert stores[0].read([3, 6, 3]) == [15 % 11, 4, 15 % 11]
+
+
 class TestStoreFile:
     def test_round_trip(self, tmp_path):
         cfg, _, stores = toy_stores(scheme="shamir", m=7, t=3)

@@ -1,6 +1,8 @@
 """Transport layer: codec, envelope framing, simulator, TCP equivalence."""
+import logging
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,8 @@ from obfw.net import (
     run_tcp_session,
     send,
 )
-from obfw.net.envelope import frame, read_frame, PROTO_SC_SEMI_HONEST
+from obfw.net.envelope import frame, read_frame, take_frames, PROTO_SC_SEMI_HONEST
+from obfw.net.tcp import RECENT_SESSIONS, TICK
 
 
 class TestCodec:
@@ -114,6 +117,19 @@ class TestEnvelope:
 
         with pytest.raises(FrameCorrupt):
             read_frame(read_exact)
+
+    def test_take_frames_keeps_partial_record(self):
+        a, b = Envelope(9, 1, 5, 0, b"x"), Envelope(9, 2, 5, 1, b"yz")
+        buf, got = bytearray(), []
+        for byte in frame(a) + frame(b):
+            buf.append(byte)
+            got += take_frames(buf)
+        assert got == [a, b]
+        assert buf == bytearray()
+
+    def test_take_frames_bad_magic(self):
+        with pytest.raises(FrameCorrupt):
+            take_frames(bytearray(b"XXXX"))
 
     def test_bad_length(self):
         env = Envelope(9, 1, 5, 0, b"payload")
@@ -283,3 +299,162 @@ class TestTcp:
         finally:
             for n in nodes.values():
                 n.close()
+
+
+def _recv_one(frm):
+    (got,) = yield from recv(frm, 1, [(group_zp(251), 1)])
+    return got[0]
+
+
+def _send_one(to, value):
+    yield from send(to, 1, [(group_zp(251), [value])])
+
+
+def _handshake_as(node, index):
+    """A raw socket that completed the handshake as party `index`."""
+    c = socket.create_connection(("127.0.0.1", node.port), timeout=5)
+    c.sendall(bytes([index]))
+    assert c.recv(1) == bytes([node.index])
+    return c
+
+
+class TestNodeThread:
+    def test_envelope_routed_by_handshake_peer(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=0.5)
+        try:
+            with _handshake_as(node, 2) as c:
+                payload = encode_elements([(group_zp(251), [7])])
+                c.sendall(frame(Envelope(4, 1, 77, 3, payload)))
+                # The envelope claims party 3 over party 2's connection.
+                with pytest.raises(PartyTimeout):
+                    node.run_program(_recv_one(3), 77, 4)
+                try:
+                    assert c.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            assert node._queues == {}
+        finally:
+            node.close()
+
+    def test_silent_dialler_does_not_block_handshakes(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=10)
+        peer = TcpNode(2, Endpoint("127.0.0.1", 0), timeout=1)
+        try:
+            with socket.create_connection(("127.0.0.1", node.port)):
+                peer.connect(1, Endpoint("127.0.0.1", node.port))
+                results, errors, _ = run_tcp_session(
+                    {1: node, 2: peer}, {1: _recv_one(2), 2: _send_one(1, 9)},
+                    session_id=5, protocol_id=4)
+                assert not errors
+                assert results[1] == 9
+        finally:
+            peer.close()
+            node.close()
+
+    def test_silent_dialler_is_closed_after_timeout(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=0.3)
+        try:
+            with socket.create_connection(("127.0.0.1", node.port)) as c:
+                c.settimeout(5)
+                try:
+                    assert c.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+        finally:
+            node.close()
+
+    def test_failing_session_is_logged_and_node_keeps_serving(self, caplog):
+        nodes = build_mesh([1, 2])
+
+        def program_for(session, protocol):
+            def failing():
+                yield from _recv_one(1)
+                raise ValueError("broken program")
+
+            def echo():
+                v = yield from _recv_one(1)
+                yield from _send_one(1, v + 1)
+            return failing() if session == 1 else echo()
+
+        try:
+            with caplog.at_level(logging.ERROR, logger="obfw.net.tcp"):
+                nodes[2].serve(program_for)
+                nodes[1].run_program(_send_one(2, 3), 1, 4)
+                deadline = time.monotonic() + 5
+                while not caplog.records and time.monotonic() < deadline:
+                    time.sleep(0.01)
+
+                def ask():
+                    yield from _send_one(2, 41)
+                    return (yield from _recv_one(2))
+                assert nodes[1].run_program(ask(), 2, 4)[0] == 42
+            (record,) = caplog.records
+            assert "session 1" in record.getMessage()
+            assert record.exc_info[0] is ValueError
+            assert nodes[2]._thread.is_alive()
+        finally:
+            for n in nodes.values():
+                n.close()
+
+    def test_send_waits_for_room(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=10)
+        try:
+            with _handshake_as(node, 2) as c:
+                node._conns[2].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                zp, count = group_zp(251), 20
+
+                def burst():
+                    for k in range(count):
+                        yield from send(2, 1, [(zp, [k] * 10_000)])
+
+                done = threading.Event()
+                t = threading.Thread(
+                    target=lambda: (node.run_program(burst(), 9, 4), done.set()))
+                t.start()
+                # 200 kB cannot all be in flight to a peer that does not read.
+                time.sleep(0.5)
+                assert not done.is_set()
+                buf, envs = bytearray(), []
+                while len(envs) < count:
+                    buf += c.recv(1 << 16)
+                    envs += take_frames(buf)
+                t.join(10)
+                assert done.is_set()
+                assert [decode_elements(e.payload, [(zp, 10_000)]) for e in envs] \
+                    == [[[k] * 10_000] for k in range(count)]
+        finally:
+            node.close()
+
+    def test_finished_sessions_are_remembered_boundedly(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=2)
+
+        def nothing():
+            return None
+            yield
+
+        try:
+            for sid in range(RECENT_SESSIONS + 50):
+                node.run_program(nothing(), sid, 4)
+            assert len(node._seen_sessions) == RECENT_SESSIONS
+            assert 49 not in node._seen_sessions
+            assert node._seen_sessions[RECENT_SESSIONS + 49] is False
+            # A late envelope for a finished session is dropped, not queued.
+            with _handshake_as(node, 2) as c:
+                payload = encode_elements([(group_zp(251), [7])])
+                c.sendall(frame(Envelope(4, 1, RECENT_SESSIONS + 49, 2, payload)))
+                c.sendall(frame(Envelope(4, 1, 10 ** 6, 2, payload)))
+                assert node.run_program(_recv_one(2), 10 ** 6, 4)[0] == 7
+            assert node._queues == {}
+        finally:
+            node.close()
+
+    def test_close_ends_node_thread_and_drops_callback(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0))
+        node.serve(lambda session, protocol: None)
+        thread = node._thread
+        t0 = time.monotonic()
+        node.close()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert time.monotonic() - t0 < TICK + 0.5
+        assert node._program_for is None

@@ -1,9 +1,12 @@
 """Daemons (gateway CHECK, admin UPDATE) and the CLI surface."""
+import gc
 import json
 import socket
 import subprocess
 import sys
+import threading
 import time
+import weakref
 
 import pytest
 
@@ -176,6 +179,101 @@ class TestSessionQueues:
             time.sleep(0.01)
         assert {i: sorted(node._queues) for i, node in nodes.items()
                 if node._queues} == {}
+
+
+def check_lines(port, addrs):
+    """CHECK each address in turn over one connection; the replies."""
+    with socket.create_connection(("127.0.0.1", port), timeout=15) as c:
+        rfh, wfh = c.makefile("r", newline="\n"), c.makefile("w", newline="\n")
+        replies = []
+        for addr in addrs:
+            wfh.write(f"CHECK {addr}\n")
+            wfh.flush()
+            replies.append(rfh.readline().strip())
+        return replies
+
+
+class TestServing:
+    @pytest.mark.parametrize("mesh_stack", [("shamir", 5, 2, "product")],
+                             indirect=True, ids=["product"])
+    def test_concurrent_product_clients(self, mesh_stack):
+        flt, _, gw = mesh_stack
+        addrs = [f"10.8.0.{i}" for i in range(8)] + \
+                [f"172.21.0.{i}" for i in range(8)]
+        want = {a: "BLOCK" if flt.query(parse_ipv4(a)) else "FORWARD"
+                for a in addrs}
+        got = {}
+
+        def client(k):
+            mine = addrs[k::4]
+            got[k] = dict(zip(mine, check_lines(gw.port, mine)))
+
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert {a: r for part in got.values() for a, r in part.items()} == want
+
+    @pytest.mark.parametrize("mesh_stack", [("additive", 3, 0, "sum")],
+                             indirect=True, ids=["sum"])
+    def test_thread_count_steady(self, mesh_stack):
+        flt, _, gw = mesh_stack
+        with socket.create_connection(("127.0.0.1", gw.port), timeout=15) as c:
+            rfh, wfh = c.makefile("r", newline="\n"), c.makefile("w", newline="\n")
+
+            def check(addr):
+                wfh.write(f"CHECK {addr}\n")
+                wfh.flush()
+                return rfh.readline().strip()
+
+            assert check("10.8.0.1") == "BLOCK"
+            before = threading.active_count()
+            for i in range(50):
+                want = "BLOCK" if flt.query(parse_ipv4(f"10.8.0.{i}")) else "FORWARD"
+                assert check(f"10.8.0.{i}") == want
+            deadline = time.monotonic() + 2.0
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() <= before
+
+    def test_gateway_restart(self, stack):
+        cfg, _, _, daemons, gw = stack
+        assert check_line(gw.port, "10.0.0.7") == "BLOCK"
+        gw.stop()
+        node = TcpNode(0, Endpoint("127.0.0.1", 0), timeout=2)
+        for i, d in enumerate(daemons, start=1):
+            node.connect(i, Endpoint("127.0.0.1", d.node.port))
+        again = GatewayDaemon(cfg, node, mode="sum")
+        again.start()
+        try:
+            assert check_line(again.port, "10.0.0.7") == "BLOCK"
+            assert check_line(again.port, "10.0.0.8") == "BLOCK"
+        finally:
+            again.stop()
+
+    def test_store_freed_after_stop(self):
+        cfg = FirewallConfig(scheme="additive", m=3, N=101,
+                             bloom=derive_params(20, 0.05))
+        flt, stores = fw_init(["10.9.0.1"], cfg, RandomSource(b"freed" + bytes(27)))
+        nodes = build_mesh([0, 1, 2, 3])
+        daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=b"psk", seed=i)
+                   for i in (1, 2, 3)]
+        for d in daemons:
+            d.start()
+        gw = GatewayDaemon(cfg, nodes[0], mode="sum")
+        gw.start()
+        try:
+            assert check_line(gw.port, "10.9.0.1") == "BLOCK"
+        finally:
+            gw.stop()
+            for d in daemons:
+                d.stop()
+        ref = weakref.ref(stores[0])
+        del stores, daemons, nodes
+        gc.collect()
+        assert ref() is None
 
 
 class TestPipelinedLines:
