@@ -56,17 +56,6 @@ def frame(env: Envelope) -> bytes:
     return FRAME_MAGIC + len(body).to_bytes(4, "little") + body
 
 
-def read_frame(read_exact) -> Envelope:
-    """Parse one length-prefixed record via a read_exact(n) callable."""
-    magic = read_exact(4)
-    if magic != FRAME_MAGIC:
-        raise FrameCorrupt(f"bad frame magic {magic!r}")
-    n = int.from_bytes(read_exact(4), "little")
-    if n > MAX_FRAME:
-        raise FrameCorrupt("frame length implausible")
-    return Envelope.decode(read_exact(n))
-
-
 def take_frames(buf: bytearray) -> list[Envelope]:
     """Remove every complete record from the front of `buf` and decode it.
 

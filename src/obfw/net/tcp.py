@@ -12,8 +12,8 @@ selectors loop over the listener, the peer sockets and the handshakes of
 peers that dialled in, parses frames from a buffer per connection and
 appends each envelope to its (session, sender) queue.  A party program
 driven from another thread (the gateway's connection threads,
-run_tcp_session, tests) waits for its envelopes on the node's lock; one
-driven on the node thread keeps reading the sockets while it waits.
+run_tcp_session, tests) waits for its envelopes on the node's condition;
+one driven on the node thread keeps reading the sockets while it waits.
 
 A serving node (see `serve`) runs each session that a peer starts on the
 node thread itself.  It starts a thread only for a session that arrives
@@ -47,9 +47,11 @@ def _log():
 # Longest the node thread sleeps in select before it looks at the clock
 # (handshake deadlines; a waiting session's deadline).
 TICK = 0.2
-# Finished session ids a node remembers, so that a late envelope for one is
-# dropped instead of queued or taken for a new session.
-RECENT_SESSIONS = 4096
+# How long, in node timeouts, a node remembers a finished session, so that a
+# late envelope for it is dropped instead of queued or taken for a new
+# session; also how long it holds the envelopes of a session that nothing
+# runs (a reply that came later still, or one sent before `serve`).
+FORGET_AFTER = 2
 
 # program_for(session_id, protocol_id) -> party program, or None to ignore.
 ProgramFor = Callable[[int, int], "Generator | None"]
@@ -85,17 +87,19 @@ class TcpNode:
         self._conns: dict[int, socket.socket] = {}
         self._send_locks: dict[int, threading.Lock] = {}
         self._closed = False
-        # Guarded by _lock: the received envelopes, the condition a thread
-        # waits on per (session, sender), the sessions this node knows (True
-        # while live, False once finished; the last RECENT_SESSIONS finished
-        # ones are kept, in _finished order), the sessions that arrived
-        # before serve(), the serving callback and the node thread's tasks.
+        # Guarded by _lock, which _cond wakes waiting readers on: the
+        # received envelopes; the live sessions; the finished ones, each
+        # with the time to forget it (and, in _forget_order, oldest first);
+        # the sessions that nothing runs yet, each with its protocol and
+        # the time to drop it; the serving callback; the node thread's tasks.
         self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        self._forget = FORGET_AFTER * timeout
         self._queues: dict[tuple[int, int], deque[Envelope]] = {}
-        self._waiters: dict[tuple[int, int], threading.Condition] = {}
-        self._seen_sessions: dict[int, bool] = {}
-        self._finished: deque[int] = deque()
-        self._unserved: dict[int, int] = {}
+        self._live: set[int] = set()
+        self._finished: dict[int, float] = {}
+        self._forget_order: deque[tuple[float, int]] = deque()
+        self._unserved: dict[int, tuple[int, float]] = {}
         self._program_for: ProgramFor | None = None
         self._tasks: list[Callable[[], None]] = []
         # Node thread only: accepted sockets awaiting their index byte, with
@@ -140,21 +144,23 @@ class TcpNode:
     def serve(self, program_for: ProgramFor) -> None:
         """Run every session a peer starts, `program_for` giving its program.
 
-        Sessions that arrived before this call start now.
+        Sessions that arrived before this call, and not longer ago than
+        FORGET_AFTER timeouts, start now.
         """
         with self._lock:
             self._program_for = program_for
             pending, self._unserved = self._unserved, {}
+            self._live.update(pending)
 
         def start_pending() -> None:
-            for session_id, protocol_id in pending.items():
+            for session_id, (protocol_id, _) in pending.items():
                 self._start(session_id, protocol_id)
         self._call_soon(start_pending)
 
     def mark_session(self, session_id: int) -> None:
         """Mark a locally started session live, so that it is not served."""
         with self._lock:
-            self._seen_sessions[session_id] = True
+            self._claim(session_id)
 
     def _install(self, peer: int, sock: socket.socket) -> None:
         # Non-blocking: reads wait in select and _send waits for room itself,
@@ -206,6 +212,16 @@ class TcpNode:
             for conn, deadline in list(self._handshakes.items()):
                 if deadline < now:
                     self._drop(conn, "no handshake")
+        if self._unserved:
+            now = time.monotonic()
+            with self._lock:
+                expired = []
+                for session_id, (_, drop_at) in self._unserved.items():
+                    if drop_at > now:
+                        break
+                    expired.append(session_id)
+                for session_id in expired:
+                    self._finish(session_id)
 
     def _run_tasks(self) -> None:
         try:
@@ -283,22 +299,20 @@ class TcpNode:
         sid = env.session_id
         key = (sid, env.sender)
         with self._lock:
-            state = self._seen_sessions.get(sid)
-            if state is False:
+            if sid in self._finished:
                 return      # the session finished here: a late envelope
             q = self._queues.get(key)
             if q is None:
                 q = self._queues[key] = deque()
             q.append(env)
-            waiter = self._waiters.get(key)
-            if waiter is not None:
-                waiter.notify()
-            if state is not None:
+            self._cond.notify_all()
+            if sid in self._live or sid in self._unserved:
                 return
-            self._seen_sessions[sid] = True
             if self._program_for is None:
-                self._unserved[sid] = env.protocol_id
+                self._unserved[sid] = (env.protocol_id,
+                                       time.monotonic() + self._forget)
                 return
+            self._live.add(sid)
         self._start(sid, env.protocol_id)
 
     def _start(self, session_id: int, protocol_id: int) -> None:
@@ -337,8 +351,7 @@ class TcpNode:
         with self._lock:
             self._program_for = None
             self._tasks.clear()
-            for waiter in self._waiters.values():
-                waiter.notify()
+            self._cond.notify_all()
         for key in list(self._sel.get_map().values()):
             key.fileobj.close()
         for sock in list(self._conns.values()):
@@ -357,8 +370,7 @@ class TcpNode:
         tr = transcript if transcript is not None else Transcript(
             session_id=session_id, protocol_id=protocol_id)
         with self._lock:
-            self._seen_sessions[session_id] = True
-            self._unserved.pop(session_id, None)
+            self._claim(session_id)
         resume = None
         try:
             while True:
@@ -440,29 +452,33 @@ class TcpNode:
                 # Keep reading the sockets, this session's included.
                 self._poll(min(remaining, TICK))
         with self._lock:
-            try:
-                while True:
-                    q = self._queues.get(key)
-                    if q:
-                        return q.popleft()
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._closed:
-                        return None
-                    waiter = self._waiters.get(key)
-                    if waiter is None:
-                        waiter = self._waiters[key] = threading.Condition(self._lock)
-                    waiter.wait(remaining)
-            finally:
-                self._waiters.pop(key, None)
+            while True:
+                q = self._queues.get(key)
+                if q:
+                    return q.popleft()
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._closed:
+                    return None
+                self._cond.wait(remaining)
+
+    def _claim(self, session_id: int) -> None:
+        """Mark a session live, whatever this node knew of it (under _lock)."""
+        self._live.add(session_id)
+        self._finished.pop(session_id, None)
+        self._unserved.pop(session_id, None)
 
     def _finish(self, session_id: int) -> None:
-        """Free a session's queues and remember it as finished (under _lock)."""
-        self._seen_sessions[session_id] = False
-        self._finished.append(session_id)
-        if len(self._finished) > RECENT_SESSIONS:
-            old = self._finished.popleft()
-            if self._seen_sessions.get(old) is False:
-                del self._seen_sessions[old]
+        """Free a session's queues and remember it as finished for a while,
+        forgetting those finished longer ago (under _lock)."""
+        self._live.discard(session_id)
+        self._unserved.pop(session_id, None)
+        now = time.monotonic()
+        self._finished[session_id] = now + self._forget
+        self._forget_order.append((now + self._forget, session_id))
+        while self._forget_order[0][0] < now:
+            forget_at, old = self._forget_order.popleft()
+            if self._finished.get(old) == forget_at:
+                del self._finished[old]
         for key in [k for k in self._queues if k[0] == session_id]:
             del self._queues[key]
 

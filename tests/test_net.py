@@ -33,8 +33,8 @@ from obfw.net import (
     run_tcp_session,
     send,
 )
-from obfw.net.envelope import frame, read_frame, take_frames, PROTO_SC_SEMI_HONEST
-from obfw.net.tcp import RECENT_SESSIONS, TICK
+from obfw.net.envelope import MAX_FRAME, frame, take_frames, PROTO_SC_SEMI_HONEST
+from obfw.net.tcp import FORGET_AFTER, TICK
 
 
 class TestCodec:
@@ -96,27 +96,16 @@ class TestEnvelope:
 
     def test_frame_round_trip(self):
         env = Envelope(9, 1, 5, 0, b"payload")
-        buf = frame(env)
-        pos = [0]
-
-        def read_exact(n):
-            out = buf[pos[0]:pos[0] + n]
-            pos[0] += n
-            return out
-
-        assert read_frame(read_exact) == env
+        buf = bytearray(frame(env))
+        assert take_frames(buf) == [env]
+        assert buf == bytearray()
 
     def test_bad_magic(self):
-        buf = b"XXXX" + bytes(8)
-        pos = [0]
-
-        def read_exact(n):
-            out = buf[pos[0]:pos[0] + n]
-            pos[0] += n
-            return out
-
         with pytest.raises(FrameCorrupt):
-            read_frame(read_exact)
+            take_frames(bytearray(b"XXXX" + bytes(8)))
+        # Raised as soon as the magic is in.
+        with pytest.raises(FrameCorrupt):
+            take_frames(bytearray(b"XXXX"))
 
     def test_take_frames_keeps_partial_record(self):
         a, b = Envelope(9, 1, 5, 0, b"x"), Envelope(9, 2, 5, 1, b"yz")
@@ -127,15 +116,19 @@ class TestEnvelope:
         assert got == [a, b]
         assert buf == bytearray()
 
-    def test_take_frames_bad_magic(self):
-        with pytest.raises(FrameCorrupt):
-            take_frames(bytearray(b"XXXX"))
-
     def test_bad_length(self):
         env = Envelope(9, 1, 5, 0, b"payload")
         raw = env.encode()
         with pytest.raises(FrameCorrupt):
             Envelope.decode(raw[:-1])
+        # A record whose length covers one byte less than its envelope.
+        short = frame(env)[:-1]
+        short = short[:4] + (len(raw) - 1).to_bytes(4, "little") + short[8:]
+        with pytest.raises(FrameCorrupt):
+            take_frames(bytearray(short))
+        # An implausible length is refused from the header alone.
+        with pytest.raises(FrameCorrupt):
+            take_frames(bytearray(b"OBF1" + (MAX_FRAME + 1).to_bytes(4, "little")))
 
 
 def _ping_pong(me, peer, payload):
@@ -425,26 +418,35 @@ class TestNodeThread:
         finally:
             node.close()
 
-    def test_finished_sessions_are_remembered_boundedly(self):
-        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=2)
+    def test_late_envelopes_leave_no_state(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=1)
+        forget = FORGET_AFTER * node.timeout
 
         def nothing():
             return None
             yield
 
         try:
-            for sid in range(RECENT_SESSIONS + 50):
+            # Far more sessions finish after session 0 than its timeout
+            # would see at the benchmark's CHECK rate.
+            for sid in range(5000):
                 node.run_program(nothing(), sid, 4)
-            assert len(node._seen_sessions) == RECENT_SESSIONS
-            assert 49 not in node._seen_sessions
-            assert node._seen_sessions[RECENT_SESSIONS + 49] is False
-            # A late envelope for a finished session is dropped, not queued.
             with _handshake_as(node, 2) as c:
                 payload = encode_elements([(group_zp(251), [7])])
-                c.sendall(frame(Envelope(4, 1, RECENT_SESSIONS + 49, 2, payload)))
-                c.sendall(frame(Envelope(4, 1, 10 ** 6, 2, payload)))
-                assert node.run_program(_recv_one(2), 10 ** 6, 4)[0] == 7
-            assert node._queues == {}
+                c.sendall(frame(Envelope(4, 1, 0, 2, payload)))        # late
+                c.sendall(frame(Envelope(4, 1, 10 ** 6, 2, payload)))  # unrun
+                # An envelope that comes before its session starts reaches it.
+                c.sendall(frame(Envelope(4, 1, 10 ** 6 + 1, 2, payload)))
+                assert node.run_program(_recv_one(2), 10 ** 6 + 1, 4)[0] == 7
+                # The late one was dropped; the unrun one is held, for now.
+                assert set(node._queues) == {(10 ** 6, 2)}
+                time.sleep(forget + 3 * TICK)
+                assert node._queues == {} and node._unserved == {}
+                assert 10 ** 6 in node._finished
+                node.run_program(nothing(), 5000, 4)
+                # Finished ids are forgotten by age.
+                assert set(node._finished) == {10 ** 6, 5000}
+                assert node._live == set()
         finally:
             node.close()
 
