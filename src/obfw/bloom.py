@@ -11,20 +11,10 @@ import math
 import struct
 from dataclasses import dataclass
 
+from .errors import BadParams, IoError
+
 MAGIC = b"OBFW1"
 _MASK = 0xFFFFFFFFFFFFFFFF
-
-
-class BloomError(Exception):
-    pass
-
-
-class BadParams(BloomError):
-    pass
-
-
-class IoError(BloomError):
-    pass
 
 
 def _rotl(x: int, b: int) -> int:

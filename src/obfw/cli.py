@@ -30,6 +30,7 @@ from .compare import (
     run_semi_honest,
     run_shared_inputs,
 )
+from .errors import IoError
 from .firewall import (
     FirewallConfig,
     ShareStore,
@@ -405,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except IoError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConnectFail as exc:
         print(f"transport failure: {exc}", file=sys.stderr)

@@ -9,75 +9,31 @@ constant-round primitive, so round counts are reported with that caveat.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from ..net import PROTO_SC_MALICIOUS, Transcript, run_session
 from ..rng import RandomSource
-from ..sharing import ShamirParams, ShamirShare, shamir_mult_party, shamir_reveal, shamir_share
+from ..sharing import (
+    ShamirParams,
+    ShamirShare,
+    mult_fanin_party,
+    shamir_mult_party,
+    shamir_reveal,
+    shamir_share,
+    tree_products,
+)
 from .params import ComparisonParams, bits_lsb
 from .semi_honest import TapRecorder
 
 
-class _StepCounter:
-    def __init__(self):
-        self.value = 0
-
-    def next(self) -> int:
-        self.value += 1
-        return self.value
-
-
 def _xor_batch(me: int, sp: ShamirParams, xs: Sequence[int], ys: Sequence[int],
-               rng: RandomSource, steps: _StepCounter) -> Generator:
+               rng: RandomSource, steps: Iterator[int]) -> Generator:
     """Element-wise xor of {0,1} sharings: x + y - 2xy, one mult round."""
     prods = yield from shamir_mult_party(me, sp, list(xs), list(ys), rng,
-                                         step=steps.next())
+                                         step=next(steps))
     return [(x + y - 2 * p) % sp.p for x, y, p in zip(xs, ys, prods)]
-
-
-def mult_fanin_party(me: int, sp: ShamirParams, values: Sequence[int],
-                     rng: RandomSource, steps: _StepCounter | None = None
-                     ) -> Generator:
-    """Product of k shared values via a pairwise tree, ceil(log2 k) rounds."""
-    steps = steps or _StepCounter()
-    layer = list(values)
-    while len(layer) > 1:
-        pairs = [(layer[i], layer[i + 1]) for i in range(0, len(layer) - 1, 2)]
-        odd = layer[-1] if len(layer) % 2 else None
-        prods = yield from shamir_mult_party(
-            me, sp, [a for a, _ in pairs], [b for _, b in pairs],
-            rng, step=steps.next())
-        layer = prods + ([odd] if odd is not None else [])
-    return layer[0]
-
-
-def _tree_products(me: int, sp: ShamirParams, columns: list[list[int]],
-                   rng: RandomSource, steps: _StepCounter) -> Generator:
-    """All column products advanced level-by-level so every tree level of
-    every column shares one communication round."""
-    layers = [list(col) for col in columns]
-    while any(len(l) > 1 for l in layers):
-        ax, bx, owners = [], [], []
-        for ci, layer in enumerate(layers):
-            for i in range(0, len(layer) - 1, 2):
-                ax.append(layer[i])
-                bx.append(layer[i + 1])
-                owners.append(ci)
-        prods = yield from shamir_mult_party(me, sp, ax, bx, rng,
-                                             step=steps.next())
-        pos = 0
-        new_layers = []
-        for ci, layer in enumerate(layers):
-            nxt = []
-            for i in range(0, len(layer) - 1, 2):
-                nxt.append(prods[pos])
-                pos += 1
-            if len(layer) % 2:
-                nxt.append(layer[-1])
-            new_layers.append(nxt)
-        layers = new_layers
-    return [l[0] for l in layers]
 
 
 def malicious_party(me: int, sp: ShamirParams, lbits: int,
@@ -87,7 +43,7 @@ def malicious_party(me: int, sp: ShamirParams, lbits: int,
     """One party's run; returns its Shamir share of the comparison bit."""
     p = sp.p
     W = lbits + 1
-    steps = _StepCounter()
+    steps = itertools.count(1)
 
     # Round 1 locals: alpha = 2a+1 and beta = 2b via an index shift; the
     # fresh low bits are public constants, shared as constant polynomials.
@@ -116,7 +72,7 @@ def malicious_party(me: int, sp: ShamirParams, lbits: int,
     # its product is 1 exactly at the most significant difference.
     columns = [[e[k]] + [E[(i, k)] for i in range(k + 1, W)]
                for k in range(W - 1)]
-    v_low = yield from _tree_products(me, sp, columns, rng.child("prod"), steps)
+    v_low = yield from tree_products(me, sp, columns, rng.child("prod"), steps)
     v = v_low + [e[W - 1]]
     if taps is not None:
         taps.put("v", me, v, p)

@@ -434,6 +434,5 @@ def run_output_check(duals: Sequence[DualShare], session_id: int = 0,
         for d in duals
     }
     net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_DUAL_OUTPUT_CHECK, adversary=adversary,
-                      check_deadlock=adversary is None)
+                      protocol_id=PROTO_DUAL_OUTPUT_CHECK, adversary=adversary)
     return net.results, net

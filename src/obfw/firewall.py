@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Generator, Sequence
 
 from .bloom import BloomFilter, BloomParams, SipHashFamily
+from .errors import IoError
 from .field import PrimeField, berlekamp_welch, interpolate_at_zero
 from .net import (
     PROTO_FW_EVAL_PRODUCT,
@@ -38,8 +39,7 @@ from .net import (
     send,
 )
 from .rng import RandomSource
-from .sharing import ShamirParams, additive_share, shamir_share
-from .compare.malicious import mult_fanin_party
+from .sharing import ShamirParams, additive_share, mult_fanin_party, shamir_share
 
 STORE_MAGIC = b"OBFW1"
 GATEWAY = 0
@@ -67,10 +67,6 @@ class DecodeFail(FirewallError):
 
 
 class AuthFail(FirewallError):
-    pass
-
-
-class IoError(FirewallError):
     pass
 
 
@@ -195,6 +191,8 @@ class ShareStore:
             raise IoError(str(exc)) from exc
         if blob[:5] != STORE_MAGIC:
             raise IoError("bad share-store magic")
+        if len(blob) < 23:
+            raise IoError("truncated share-store header")
         beta = int.from_bytes(blob[5:13], "little")
         kappa = int.from_bytes(blob[13:15], "little")
         scheme = "additive" if blob[15] == 0 else "shamir"
@@ -206,8 +204,13 @@ class ShareStore:
         keys = [blob[off + 16 * i: off + 16 * (i + 1)] for i in range(kappa)]
         off += 16 * kappa
         width = max(1, ((N - 1).bit_length() + 7) // 8)
+        if len(blob) != off + beta * width:
+            raise IoError(f"share store is {len(blob)} bytes, its header "
+                          f"says {off + beta * width}")
         vals = [int.from_bytes(blob[off + width * i: off + width * (i + 1)], "little")
                 for i in range(beta)]
+        if any(v >= N for v in vals):
+            raise IoError(f"share value outside [0, {N})")
         cfg = FirewallConfig(scheme=scheme, m=m, N=N, t=t,
                              bloom=BloomParams(beta=beta, kappa=kappa,
                                                eta=1, target_fp=0.5))

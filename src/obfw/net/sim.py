@@ -1,20 +1,20 @@
 """Deterministic in-process network simulator.
 
-Parties are registered as generator programs; the scheduler advances them
-in index order, delivering every sendable message of a step before the
-next step begins.  FIFO order holds per ordered party pair, the whole run
-is a pure function of the registered programs, and adversary hooks can
-drop, replace or delay envelopes in flight.
+Each registered party program runs under `kernel.drive`; the scheduler
+advances them in index order, delivering every sendable message of a
+step before the next step begins.  FIFO order holds per ordered party
+pair, the whole run is a pure function of the registered programs, and
+adversary hooks can drop, replace or delay envelopes in flight.
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable
 
 from .envelope import Envelope
-from .groups import decode_elements, encode_elements, segments_accounting_bits, segments_raw_bits
-from .kernel import PartyTimeout, Recv, Send
+from .kernel import PartyTimeout, Recv, drive
 from .transcript import Transcript
 
 
@@ -59,7 +59,7 @@ class SimNetwork:
             raise ValueError(f"party {index} registered twice")
         self._programs[index] = program
 
-    def _deliver(self, env: Envelope, to: int) -> None:
+    def _deliver(self, to: int, env: Envelope) -> None:
         if self.adversary is not None:
             action = self.adversary(env)
             if action == DROP:
@@ -82,107 +82,61 @@ class SimNetwork:
 
     def run(self) -> dict[int, object]:
         """Advance all parties to completion; returns per-party results."""
+        runners = {idx: drive(gen, idx, self.session_id, self.protocol_id,
+                              self.transcript, self._deliver,
+                              functools.partial(self._take, idx))
+                   for idx, gen in self._programs.items()}
+        # The Recv each party is blocked on; a party runs again only when
+        # an envelope from that peer is in its inbox.
         waiting: dict[int, Recv] = {}
-        pending = dict(self._programs)
-        resume: dict[int, object] = {p: None for p in pending}
 
-        while pending:
+        def resume(idx: int, exc: PartyTimeout | None = None) -> None:
+            """Run one party until it blocks, ends or fails."""
+            runner = runners[idx]
+            try:
+                waiting[idx] = next(runner) if exc is None else runner.throw(exc)
+                return
+            except StopIteration as stop:
+                self.results[idx] = stop.value
+            except PartyTimeout as err:
+                self.errors[idx] = err
+            del runners[idx]
+            waiting.pop(idx, None)
+
+        while runners:
             progressed = False
-            for idx in sorted(pending):
-                gen = pending[idx]
-                while True:
-                    if idx in waiting:
-                        want = waiting[idx]
-                        queue = self._inbox.get((want.frm, idx))
-                        if not queue:
-                            break
-                        env = queue.popleft()
-                        if env.step_id != want.step:
-                            err = PartyTimeout(
-                                f"party {idx} expected step {want.step} from "
-                                f"{want.frm}, got {env.step_id}")
-                            self._fail(idx, gen, err, pending, waiting)
-                            break
-                        vals = decode_elements(env.payload, want.schema)
-                        self.transcript.record_recv(idx, want.frm, env.step_id)
-                        del waiting[idx]
-                        resume[idx] = vals
-                        progressed = True
-                    try:
-                        cmd = gen.send(resume[idx])
-                        resume[idx] = None
-                    except StopIteration as stop:
-                        self.results[idx] = stop.value
-                        del pending[idx]
-                        progressed = True
-                        break
-                    except PartyTimeout as exc:
-                        self.errors[idx] = exc
-                        del pending[idx]
-                        progressed = True
-                        break
-                    if isinstance(cmd, Send):
-                        payload = encode_elements(cmd.segments)
-                        env = Envelope(self.protocol_id, cmd.step, self.session_id,
-                                       idx, payload)
-                        self.transcript.record_send(
-                            idx, cmd.to, cmd.step,
-                            segments_accounting_bits(cmd.segments),
-                            segments_raw_bits(cmd.segments),
-                            sum(len(v) for _, v in cmd.segments),
-                            payload=payload)
-                        self._deliver(env, cmd.to)
-                        progressed = True
-                    elif isinstance(cmd, Recv):
-                        waiting[idx] = cmd
-                        if not self._inbox.get((cmd.frm, idx)):
-                            break
-                    else:
-                        raise TypeError(f"party {idx} yielded {cmd!r}")
-            if not progressed:
-                if self._delayed:
-                    self._tick_delayed()
-                    continue
-                # Every remaining party is blocked and nothing is in flight.
-                blocked = sorted(pending)
-                for idx in blocked:
-                    self._fail(idx, pending[idx],
-                               PartyTimeout(f"party {idx} starved waiting for "
-                                            f"{waiting.get(idx)}"),
-                               pending, waiting, pop=False)
-                for idx in blocked:
-                    pending.pop(idx, None)
-                if not self.results and all(isinstance(e, PartyTimeout)
-                                            for e in self.errors.values()):
-                    pass  # timeouts recorded per party
-                break
+            for idx in sorted(runners):
+                want = waiting.get(idx)
+                if want is None or self._inbox.get((want.frm, idx)):
+                    resume(idx)
+                    progressed = True
+            if progressed:
+                continue
+            if self._delayed:
+                self._tick_delayed()
+                continue
+            # Every remaining party is blocked and nothing is in flight.
+            for idx in sorted(runners):
+                resume(idx, PartyTimeout(f"party {idx} starved waiting for "
+                                         f"{waiting.get(idx)}"))
         return self.results
 
-    def _fail(self, idx, gen, exc, pending, waiting, pop=True):
-        waiting.pop(idx, None)
-        try:
-            gen.throw(exc)
-        except StopIteration as stop:
-            self.results[idx] = stop.value
-        except PartyTimeout as e:
-            self.errors[idx] = e
-        except Exception as e:  # protocol chose to surface something else
-            self.errors[idx] = e
-        if pop:
-            pending.pop(idx, None)
+    def _take(self, to: int, frm: int) -> Envelope | None:
+        queue = self._inbox.get((frm, to))
+        return queue.popleft() if queue else None
 
 
 def run_session(programs: dict[int, Iterable], session_id: int = 0,
-                protocol_id: int = 0, adversary: AdversaryHook | None = None,
-                check_deadlock: bool = True) -> SimNetwork:
-    """Convenience wrapper: register, run, and surface deadlocks."""
+                protocol_id: int = 0, adversary: AdversaryHook | None = None
+                ) -> SimNetwork:
+    """Register, run, and raise Deadlock if no party completed and no
+    adversary is there to explain it."""
     net = SimNetwork(session_id=session_id, protocol_id=protocol_id,
                      adversary=adversary)
     for idx, prog in programs.items():
         net.add_party(idx, prog)
     net.run()
-    if check_deadlock and not net.results and net.errors:
-        if all(isinstance(e, PartyTimeout) for e in net.errors.values()) \
-                and adversary is None:
-            raise Deadlock(f"no party completed: {net.errors}")
+    if adversary is None and not net.results and net.errors \
+            and all(isinstance(e, PartyTimeout) for e in net.errors.values()):
+        raise Deadlock(f"no party completed: {net.errors}")
     return net

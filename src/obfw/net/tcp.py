@@ -10,10 +10,11 @@ connection.
 Each node has one reader thread, started with the node.  It runs a
 selectors loop over the listener, the peer sockets and the handshakes of
 peers that dialled in, parses frames from a buffer per connection and
-appends each envelope to its (session, sender) queue.  A party program
-driven from another thread (the gateway's connection threads,
-run_tcp_session, tests) waits for its envelopes on the node's condition;
-one driven on the node thread keeps reading the sockets while it waits.
+appends each envelope to its (session, sender) queue.  `run_program`
+runs a party program under `kernel.drive`.  One driven from another
+thread (the gateway's connection threads, run_tcp_session, tests) waits
+for its envelopes on the node's condition; one driven on the node thread
+keeps reading the sockets while it waits.
 
 A serving node (see `serve`) runs each session that a peer starts on the
 node thread itself.  It starts a thread only for a session that arrives
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator
 
 from .envelope import Envelope, FrameCorrupt, frame, take_frames
-from .groups import decode_elements, encode_elements, segments_accounting_bits, segments_raw_bits
-from .kernel import PartyTimeout, Recv, Send
+from .kernel import PartyTimeout, drive
 from .transcript import Transcript
 
 
@@ -361,68 +361,35 @@ class TcpNode:
 
     # -- session driving -------------------------------------------------
     def run_program(self, program: Generator, session_id: int,
-                    protocol_id: int, transcript: Transcript | None = None):
-        """Drive one party program over the socket mesh; returns its result.
+                    protocol_id: int):
+        """Drive one party program over the socket mesh.
 
-        The session's receive queues are freed when the program returns or
-        raises, and envelopes that arrive for it later are dropped.
+        Returns (result, transcript).  The session's receive queues are
+        freed when the program returns or raises, and envelopes that
+        arrive for it later are dropped.
         """
-        tr = transcript if transcript is not None else Transcript(
-            session_id=session_id, protocol_id=protocol_id)
+        tr = Transcript(session_id=session_id, protocol_id=protocol_id)
         with self._lock:
             self._claim(session_id)
-        resume = None
+        steps = drive(program, self.index, session_id, protocol_id, tr,
+                      self._send, lambda frm: self._take(session_id, frm))
         try:
             while True:
-                try:
-                    cmd = program.send(resume)
-                except StopIteration as stop:
-                    return stop.value, tr
-                resume = None
-                if isinstance(cmd, Send):
-                    payload = encode_elements(cmd.segments)
-                    env = Envelope(protocol_id, cmd.step, session_id,
-                                   self.index, payload)
-                    tr.record_send(self.index, cmd.to, cmd.step,
-                                   segments_accounting_bits(cmd.segments),
-                                   segments_raw_bits(cmd.segments),
-                                   sum(len(v) for _, v in cmd.segments),
-                                   payload=payload)
-                    self._send(cmd.to, frame(env))
-                elif isinstance(cmd, Recv):
-                    env = self._take(session_id, cmd.frm)
-                    if env is None:
-                        raise PartyTimeout(
-                            f"party {self.index} timed out waiting for "
-                            f"step {cmd.step} from {cmd.frm}")
-                    if env.step_id != cmd.step:
-                        raise PartyTimeout(
-                            f"party {self.index} expected step {cmd.step}, "
-                            f"got {env.step_id}")
-                    tr.record_recv(self.index, cmd.frm, env.step_id)
-                    resume = decode_elements(env.payload, cmd.schema)
-                else:
-                    raise TypeError(f"unknown command {cmd!r}")
-        except PartyTimeout as exc:
-            try:
-                program.throw(exc)
-            except StopIteration as stop:
-                return stop.value, tr
-            except PartyTimeout:
-                pass
-            raise
+                next(steps)     # never yields: _take waits itself
+        except StopIteration as stop:
+            return stop.value, tr
         finally:
             with self._lock:
                 self._finish(session_id)
 
-    def _send(self, to: int, data: bytes) -> None:
+    def _send(self, to: int, env: Envelope) -> None:
         sock = self._conns.get(to)
         if sock is None:
             raise PartyTimeout(f"party {self.index} has no connection to {to}")
         deadline = time.monotonic() + self.timeout
         try:
             with self._send_locks[to]:
-                view = memoryview(data)
+                view = memoryview(frame(env))
                 while view:
                     try:
                         view = view[sock.send(view):]
@@ -436,8 +403,9 @@ class TcpNode:
             raise PartyTimeout(
                 f"party {self.index} could not send to {to}: {exc}") from exc
 
-    def _take(self, session_id: int, frm: int) -> Envelope | None:
-        """The next envelope from `frm` in this session, or None at timeout."""
+    def _take(self, session_id: int, frm: int) -> Envelope:
+        """The next envelope from `frm` in this session; PartyTimeout if
+        none arrives within the node timeout."""
         key = (session_id, frm)
         deadline = time.monotonic() + self.timeout
         if threading.current_thread() is self._thread:
@@ -448,18 +416,21 @@ class TcpNode:
                         return q.popleft()
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._closed:
-                    return None
+                    break
                 # Keep reading the sockets, this session's included.
                 self._poll(min(remaining, TICK))
-        with self._lock:
-            while True:
-                q = self._queues.get(key)
-                if q:
-                    return q.popleft()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    return None
-                self._cond.wait(remaining)
+        else:
+            with self._lock:
+                while True:
+                    q = self._queues.get(key)
+                    if q:
+                        return q.popleft()
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0 or self._closed:
+                        break
+                    self._cond.wait(remaining)
+        raise PartyTimeout(f"party {self.index} timed out waiting for "
+                           f"party {frm} in session {session_id}")
 
     def _claim(self, session_id: int) -> None:
         """Mark a session live, whatever this node knew of it (under _lock)."""
@@ -527,7 +498,7 @@ def run_tcp_session(nodes: dict[int, TcpNode], programs: dict[int, Generator],
     errors: dict[int, BaseException] = {}
     transcripts: dict[int, Transcript] = {}
 
-    def drive(idx: int) -> None:
+    def run_party(idx: int) -> None:
         try:
             res, tr = nodes[idx].run_program(
                 programs[idx], session_id, protocol_id)
@@ -536,22 +507,12 @@ def run_tcp_session(nodes: dict[int, TcpNode], programs: dict[int, Generator],
         except BaseException as exc:  # noqa: BLE001 - surfaced to caller
             errors[idx] = exc
 
-    threads = [threading.Thread(target=drive, args=(i,)) for i in programs]
+    threads = [threading.Thread(target=run_party, args=(i,)) for i in programs]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     merged = Transcript(session_id=session_id, protocol_id=protocol_id)
     for tr in transcripts.values():
-        for step, bits in tr.step_acc_bits.items():
-            merged.step_acc_bits[step] += bits
-        for step, bits in tr.step_raw_bits.items():
-            merged.step_raw_bits[step] += bits
-        for step, n in tr.step_elements.items():
-            merged.step_elements[step] += n
-        for party, evs in tr.party_events.items():
-            merged.party_events[party].extend(evs)
-        for party, digest in tr.payload_digests.items():
-            merged.payload_digests[party] = digest
-        merged.messages += tr.messages
+        merged.merge(tr)
     return results, errors, merged

@@ -70,6 +70,20 @@ class Transcript:
     def record_recv(self, receiver: int, sender: int, step: int) -> None:
         self.party_events[receiver].append(_Event("R", sender, step, 0, 0))
 
+    def merge(self, other: "Transcript") -> None:
+        """Add the events of other parties of the same session, as recorded
+        by their own transcripts (one per TCP node)."""
+        for step, bits in other.step_acc_bits.items():
+            self.step_acc_bits[step] += bits
+        for step, bits in other.step_raw_bits.items():
+            self.step_raw_bits[step] += bits
+        for step, n in other.step_elements.items():
+            self.step_elements[step] += n
+        for party, evs in other.party_events.items():
+            self.party_events[party].extend(evs)
+        self.payload_digests.update(other.payload_digests)
+        self.messages += other.messages
+
     def accounting_total(self) -> int:
         return sum(self.step_acc_bits.values())
 

@@ -25,6 +25,7 @@ from .firewall import (
     EvalVerdict,
     FirewallConfig,
     AuthFail,
+    NoMajority,
     ServerTimeout,
     ShareStore,
     decide_product,
@@ -200,6 +201,10 @@ class GatewayDaemon:
                     if len(parts) != 2 or parts[0] != "CHECK":
                         raise ValueError("expected CHECK <dotted-quad>")
                     verdict = self.check(parts[1])
+                except NoMajority:
+                    # The reveals disagree with no majority: more servers
+                    # cheat than the analysis can place.
+                    verdict = EvalVerdict("alert")
                 except (ValueError, ServerTimeout) as exc:
                     fh.write(f"ERROR {exc}\n")
                     fh.flush()

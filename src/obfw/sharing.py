@@ -2,15 +2,18 @@
 
 Shamir (t, n)-threshold sharing and n-of-n additive sharing, each with
 share/reveal/add/add-const/cmul, plus the two interactive multiplication
-protocols: resharing-based degree reduction for Shamir and the three-party
-blinded-product protocol for additive shares.  Share constructors accept
-forced randomness so golden test vectors reproduce exactly.
+protocols: resharing-based degree reduction for Shamir (and the fan-in
+tree product built on it) and the three-party blinded-product protocol for
+additive shares.  Share constructors accept forced randomness so golden
+test vectors reproduce exactly.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from typing import Generator, Iterator, Sequence
 
+from .errors import BadParams
 from .field import (
     PrimeField,
     interpolate_at_zero,
@@ -22,10 +25,6 @@ from .rng import RandomSource
 
 
 class SharingError(Exception):
-    pass
-
-
-class BadParams(SharingError):
     pass
 
 
@@ -278,6 +277,35 @@ def run_shamir_mult(a_shares: Sequence[ShamirShare], b_shares: Sequence[ShamirSh
     net = run_session(programs, session_id=session_id, protocol_id=PROTO_SHAMIR_MULT)
     shares = [ShamirShare(i, net.results[i][0], params) for i in sorted(net.results)]
     return shares, net
+
+
+def tree_products(me: int, params: ShamirParams, columns: list[list[int]],
+                  rng: RandomSource, steps: Iterator[int]) -> Generator:
+    """Each column's product via a pairwise tree: every column advances one
+    level per round (an odd last value is carried up), so k values take
+    ceil(log2 k) rounds.  Each round takes its step id from `steps`."""
+    layers = [list(col) for col in columns]
+    while any(len(l) > 1 for l in layers):
+        ax, bx = [], []
+        for layer in layers:
+            ax += layer[0:len(layer) - 1:2]
+            bx += layer[1::2]
+        prods = yield from shamir_mult_party(me, params, ax, bx, rng,
+                                             step=next(steps))
+        pos = 0
+        for ci, layer in enumerate(layers):
+            half = len(layer) // 2
+            layers[ci] = prods[pos:pos + half] + layer[2 * half:]
+            pos += half
+    return [l[0] for l in layers]
+
+
+def mult_fanin_party(me: int, params: ShamirParams, values: Sequence[int],
+                     rng: RandomSource) -> Generator:
+    """Product of k shared values via a pairwise tree, ceil(log2 k) rounds."""
+    (product,) = yield from tree_products(me, params, [list(values)], rng,
+                                          itertools.count(1))
+    return product
 
 
 # ---------------------------------------------------------------------------

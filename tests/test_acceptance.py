@@ -530,6 +530,8 @@ def test_criterion_9_transport_equivalence():
                 assert norm(results) == norm(sim.results), name
                 assert tr.accounting_total() == sim.transcript.accounting_total(), name
                 assert tr.rounds() == sim.transcript.rounds(), name
+                assert tr.payload_digest() == sim.transcript.payload_digest(), name
+                assert dict(tr.step_acc_bits) == dict(sim.transcript.step_acc_bits), name
                 checked[name] = checked.get(name, 0) + 1
     finally:
         for mesh in meshes.values():
@@ -540,7 +542,8 @@ def test_criterion_9_transport_equivalence():
     elapsed = time.monotonic() - start
     assert elapsed < 120
     report(9, f"11 protocols x {sessions_per_protocol} sessions: identical "
-              f"outputs and accounting over sim and TCP ({elapsed:.1f}s)")
+              f"outputs, accounting and payloads over sim and TCP "
+              f"({elapsed:.1f}s)")
 
 
 def test_criterion_10_statistical_privacy():

@@ -9,6 +9,7 @@ from obfw.firewall import (
     BadConfig,
     EvalVerdict,
     FirewallConfig,
+    IoError,
     NoMajority,
     ServerTamper,
     ServerTimeout,
@@ -402,6 +403,18 @@ class TestStoreFile:
         assert back.config.t == 3 and back.config.m == 7
         assert back.config.N == 11
         assert back.instance_keys == stores[2].instance_keys
+
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "value-N"])
+    def test_damaged_file_rejected(self, tmp_path, damage):
+        _, _, stores = toy_stores()     # N = 11: one byte per share
+        path = tmp_path / "a.share"
+        stores[0].save(str(path))
+        blob = path.read_bytes()
+        blob = {"truncated": blob[:-1], "extended": blob + b"\0",
+                "value-N": blob[:-1] + bytes([11])}[damage]
+        path.write_bytes(blob)
+        with pytest.raises(IoError):
+            ShareStore.load(str(path))
 
     def test_header_layout(self, tmp_path):
         cfg, _, stores = toy_stores()

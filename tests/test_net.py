@@ -138,6 +138,32 @@ def _ping_pong(me, peer, payload):
     return got[0]
 
 
+def _bad_sender(me, peer, kind):
+    if kind == "wrong-step":
+        yield from send(peer, 2, [(group_zp(251), [7])])
+    else:   # 255 fits the 8-bit wire width but is not in Z_251
+        yield from send(peer, 1, [(group_zp(256), [255])])
+
+
+@pytest.mark.parametrize("kind", ["wrong-step", "undecodable"])
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+def test_bad_envelope_fails_the_receiver(transport, kind):
+    programs = {1: _bad_sender(1, 2, kind), 2: _ping_pong(2, 1, 20)}
+    if transport == "sim":
+        errors = run_session(programs).errors
+    else:
+        mesh = build_mesh([1, 2], timeout=2)
+        try:
+            _, errors, _ = run_tcp_session(mesh, programs, session_id=1,
+                                           protocol_id=1)
+        finally:
+            for node in mesh.values():
+                node.close()
+    assert list(errors) == [2]
+    assert isinstance(errors[2], PartyTimeout)
+    assert "party 1" in str(errors[2]) and "step 1" in str(errors[2])
+
+
 class TestSimulator:
     def test_round_trip_two_parties(self):
         net = run_session({1: _ping_pong(1, 2, 10), 2: _ping_pong(2, 1, 20)})
@@ -166,7 +192,7 @@ class TestSimulator:
             return DROP if env.sender == 1 else PASS
 
         net = run_session({1: _ping_pong(1, 2, 10), 2: _ping_pong(2, 1, 20)},
-                          adversary=adversary, check_deadlock=False)
+                          adversary=adversary)
         assert 1 in net.results  # party 1 still got its reply
         assert isinstance(net.errors[2], PartyTimeout)
 
@@ -185,7 +211,7 @@ class TestSimulator:
             return Delay(2) if env.sender == 1 else PASS
 
         net = run_session({1: _ping_pong(1, 2, 10), 2: _ping_pong(2, 1, 20)},
-                          adversary=adversary, check_deadlock=False)
+                          adversary=adversary)
         assert net.results == {1: 20, 2: 10}
 
     def test_transcript_counts_send_side_once(self):

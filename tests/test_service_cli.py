@@ -12,8 +12,15 @@ import pytest
 
 from obfw.bloom import derive_params
 from obfw.cli import EXIT_OK, EXIT_USAGE, main
-from obfw.firewall import FirewallConfig, fw_init, fw_update_pairs, parse_ipv4
-from obfw.net import Endpoint, TcpNode, build_mesh
+from obfw.firewall import (
+    FirewallConfig,
+    ServerTamper,
+    fw_init,
+    fw_update_pairs,
+    parse_ipv4,
+    server_product_program,
+)
+from obfw.net import Endpoint, TcpNode, build_mesh, group_addr32, group_zp, recv, send
 from obfw.rng import RandomSource
 from obfw.service import FirewallServerDaemon, GatewayDaemon, admin_push_update
 
@@ -276,6 +283,41 @@ class TestServing:
         assert ref() is None
 
 
+class TestGatewayAnswersEveryLine:
+    def test_undecodable_reply_is_an_error(self, stack):
+        _, _, _, daemons, gw = stack
+
+        def out_of_range(session_id, protocol_id):
+            # Z_11 and Z_16 both travel in 4 bits: the gateway gets 11.
+            yield from recv(0, 1, [(group_addr32(), 1)])
+            yield from send(0, 2, [(group_zp(16), [11])])
+
+        daemons[0].node.serve(out_of_range)
+        assert check_line(gw.port, "10.0.0.7").startswith("ERROR")
+
+    def test_no_majority_is_an_alert(self):
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
+                             bloom=derive_params(20, 0.05))
+        _, stores = fw_init(["10.8.0.1"], cfg,
+                            RandomSource(b"no-majority" + bytes(21)))
+        nodes = build_mesh(list(range(6)))
+        # Two of five servers add different offsets to their result share.
+        tampers = {1: ServerTamper(1), 2: ServerTamper(2)}
+        for i in range(1, 6):
+            nodes[i].serve(
+                lambda sid, proto, i=i: server_product_program(
+                    stores[i - 1], RandomSource(i).child(f"s/{sid}"),
+                    tampers.get(i)))
+        gw = GatewayDaemon(cfg, nodes[0], mode="product")
+        gw.start()
+        try:
+            assert check_line(gw.port, "10.8.0.1") == "ALERT"
+        finally:
+            gw.stop()
+            for node in nodes.values():
+                node.close()
+
+
 class TestPipelinedLines:
     def test_three_checks_in_one_write(self, stack):
         _, flt, _, _, gw = stack
@@ -409,6 +451,17 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"m": 3}))
         assert main(["--config", str(cfg_path), "run"]) == EXIT_USAGE
+
+    def test_missing_files_exit2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "party_index": 1, "m": 3, "N": 11,
+            "bloom": {"eta": 5, "target_fp": 0.1},
+            "store_prefix": str(tmp_path / "absent")}))
+        assert main(["--config", str(cfg_path), "serve"]) == EXIT_USAGE
+        assert main(["--config", str(cfg_path), "admin-update",
+                     "1.2.3.4"]) == EXIT_USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 2
 
     def test_console_script_subprocess(self):
         proc = subprocess.run(
