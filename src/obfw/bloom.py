@@ -2,14 +2,17 @@
 
 The hash family is SipHash-2-4 keyed per index: instance t gets a 128-bit
 key derived from the 16-byte master key by PRF calls on the index.  Index
-mapping is hash_t(item) mod beta.  Plaintext filters belong on the admin
-machine only; servers ever see secret shares of the bit array.
+mapping is hash_t(item) mod beta.  The kappa hashes of one item share the
+message, so SipHashFamily runs them side by side in packed integers;
+`siphash24` is the scalar reference.  Plaintext filters belong on the
+admin machine only; servers ever see secret shares of the bit array.
 """
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import BadParams, IoError
 
@@ -63,20 +66,99 @@ def derive_instance_key(master: bytes, t: int) -> bytes:
     return struct.pack("<QQ", lo, hi)
 
 
+def _sipround(v0: int, v1: int, v2: int, v3: int, mask: int
+              ) -> tuple[int, int, int, int]:
+    """One SipRound on every lane of the packed state at once.
+
+    A lane is 64 state bits followed by a 64-bit gap.  The gap takes an
+    addition's carry and the bits a left shift pushes out; `y | y >> 64`
+    brings those back as the rotation's low bits, and `mask` clears the
+    gaps after each step.
+    """
+    v0 = (v0 + v1) & mask
+    y = v1 << 13
+    v1 = ((y | y >> 64) & mask) ^ v0
+    y = v0 << 32
+    v0 = (y | y >> 64) & mask
+    v2 = (v2 + v3) & mask
+    y = v3 << 16
+    v3 = ((y | y >> 64) & mask) ^ v2
+    v0 = (v0 + v3) & mask
+    y = v3 << 21
+    v3 = ((y | y >> 64) & mask) ^ v0
+    v2 = (v2 + v1) & mask
+    y = v1 << 17
+    v1 = ((y | y >> 64) & mask) ^ v2
+    y = v2 << 32
+    v2 = (y | y >> 64) & mask
+    return v0, v1, v2, v3
+
+
 class SipHashFamily:
-    """kappa keyed SipHash instances; index = hash_t(item) mod beta."""
+    """kappa keyed SipHash instances; index = hash_t(item) mod beta.
+
+    All kappa instances hash an item together.  Each of the four state
+    words of every key is packed into one int, key j's word in bits
+    [128j, 128j + 64), so one big-int operation advances every instance.
+    The packed initial state depends only on the keys and is built once.
+    """
 
     def __init__(self, master_key: bytes, kappa: int):
         if len(master_key) != 16:
             raise BadParams("master key must be 16 bytes")
         if not 1 <= kappa <= 64:
             raise BadParams("hash count must be in [1, 64]")
-        self.master_key = master_key
-        self.kappa = kappa
-        self._keys = [derive_instance_key(master_key, t) for t in range(1, kappa + 1)]
+        self._pack([derive_instance_key(master_key, t)
+                    for t in range(1, kappa + 1)])
+
+    @classmethod
+    def from_keys(cls, keys: Sequence[bytes]) -> "SipHashFamily":
+        """The family over already derived instance keys."""
+        family = cls.__new__(cls)
+        family._pack(keys)
+        return family
+
+    def _pack(self, keys: Sequence[bytes]) -> None:
+        if not 1 <= len(keys) <= 64:
+            raise BadParams("hash count must be in [1, 64]")
+        if any(len(k) != 16 for k in keys):
+            raise BadParams("SipHash key must be 16 bytes")
+        self.keys = tuple(keys)
+        self.kappa = len(keys)
+        words = [struct.unpack("<QQ", k) for k in keys]
+
+        def packed(lane_words) -> int:
+            return sum(w << (128 * j) for j, w in enumerate(lane_words))
+
+        # `_ones` has a 1 at the bottom of every lane: multiplying a 64-bit
+        # word by it copies the word into each lane.
+        self._ones = packed([1] * self.kappa)
+        self._mask = _MASK * self._ones
+        self._v = (packed(k0 ^ 0x736F6D6570736575 for k0, _ in words),
+                   packed(k1 ^ 0x646F72616E646F6D for _, k1 in words),
+                   packed(k0 ^ 0x6C7967656E657261 for k0, _ in words),
+                   packed(k1 ^ 0x7465646279746573 for _, k1 in words))
+        self._lanes = struct.Struct("<" + "Q8x" * self.kappa)
+
+    def hashes(self, data: bytes) -> tuple[int, ...]:
+        """siphash24(key, data) for every key, in key order."""
+        mask, ones = self._mask, self._ones
+        v0, v1, v2, v3 = self._v
+        padded = data + b"\x00" * (7 - len(data) % 8) + bytes([len(data) % 256])
+        for (m,) in struct.iter_unpack("<Q", padded):
+            m *= ones
+            v3 ^= m
+            v0, v1, v2, v3 = _sipround(v0, v1, v2, v3, mask)
+            v0, v1, v2, v3 = _sipround(v0, v1, v2, v3, mask)
+            v0 ^= m
+        v2 ^= 0xFF * ones
+        for _ in range(4):
+            v0, v1, v2, v3 = _sipround(v0, v1, v2, v3, mask)
+        h = v0 ^ v1 ^ v2 ^ v3
+        return self._lanes.unpack(h.to_bytes(self._lanes.size, "little"))
 
     def indices(self, item: bytes, beta: int) -> list[int]:
-        return [siphash24(k, item) % beta for k in self._keys]
+        return [h % beta for h in self.hashes(item)]
 
 
 class FixedHashFamily:
@@ -100,10 +182,6 @@ class BloomParams:
     def __post_init__(self):
         if self.kappa < 1 or self.beta < self.kappa:
             raise BadParams("need kappa >= 1 and beta >= kappa")
-
-    def fp_estimate(self) -> float:
-        # (1 - e^(-kappa*eta/beta))^kappa
-        return (1.0 - math.exp(-self.kappa * self.eta / self.beta)) ** self.kappa
 
 
 def derive_params(eta: int, target_fp: float) -> BloomParams:

@@ -117,10 +117,6 @@ class MaliciousOutcome:
     transcript: Transcript
     taps: TapRecorder | None = None
 
-    @property
-    def a_ge_b(self) -> bool:
-        return self.f == 1
-
 
 def run_malicious(a: int, b: int, lbits: int, t: int = 1, seed=0,
                   with_taps: bool = False, session_id: int = 0,

@@ -435,10 +435,6 @@ class CompareOutcome:
     transcript: Transcript
     taps: TapRecorder | None = None
 
-    @property
-    def a_ge_b(self) -> bool:
-        return self.f == 1
-
 
 def build_programs(a: int, b: int, params: ComparisonParams, seed,
                    variant: str = "alg4", force_pi: int | None = None,

@@ -100,9 +100,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -112,9 +109,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -123,10 +117,6 @@ class PrimeField:
 
     def uniform(self, rng: RandomSource) -> int:
         return rng.randbelow(self.p)
-
-    def uniform_nonzero(self, rng: RandomSource) -> int:
-        return 1 + rng.randbelow(self.p - 1)
-
 
 class Polynomial:
     """Dense polynomial over a prime field, coefficients ascending."""

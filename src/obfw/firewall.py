@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Generator, Sequence
 
 from .bloom import BloomFilter, BloomParams, SipHashFamily
-from .errors import IoError
+from .errors import BadParams, IoError
 from .field import PrimeField, berlekamp_welch, interpolate_at_zero
 from .net import (
     PROTO_FW_EVAL_PRODUCT,
@@ -130,9 +130,13 @@ class ShareStore:
     instance_keys: list[bytes]
     values: list[int]
     _lock: threading.Lock = dc_field(default_factory=threading.Lock, repr=False)
-    # Hash family that replaces SipHash over `instance_keys` (a stub family
-    # in tests); not saved with the store.
+    # Hash family over `instance_keys`, built here unless given (a stub
+    # family in tests); not saved with the store.
     family: object = dc_field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.family is None:
+            self.family = SipHashFamily.from_keys(self.instance_keys)
 
     def read(self, positions: Sequence[int]) -> list[int]:
         with self._lock:
@@ -155,11 +159,7 @@ class ShareStore:
                 values[idx] = val
 
     def hash_indices(self, addr: bytes) -> list[int]:
-        if self.family is not None:
-            return self.family.indices(addr, self.config.bloom.beta)
-        from .bloom import siphash24
-        return [siphash24(k, addr) % self.config.bloom.beta
-                for k in self.instance_keys]
+        return self.family.indices(addr, self.config.bloom.beta)
 
     # -- file format: header as the filter file plus scheme tag/index ------
     def save(self, path: str) -> None:
@@ -195,7 +195,9 @@ class ShareStore:
             raise IoError("truncated share-store header")
         beta = int.from_bytes(blob[5:13], "little")
         kappa = int.from_bytes(blob[13:15], "little")
-        scheme = "additive" if blob[15] == 0 else "shamir"
+        if blob[15] not in (0, 1):
+            raise IoError(f"unknown sharing scheme tag {blob[15]}")
+        scheme = ("additive", "shamir")[blob[15]]
         party = blob[16]
         t = blob[17]
         m = blob[18]
@@ -203,6 +205,15 @@ class ShareStore:
         off = 23
         keys = [blob[off + 16 * i: off + 16 * (i + 1)] for i in range(kappa)]
         off += 16 * kappa
+        try:
+            cfg = FirewallConfig(scheme=scheme, m=m, N=N, t=t,
+                                 bloom=BloomParams(beta=beta, kappa=kappa,
+                                                   eta=1, target_fp=0.5))
+            family = SipHashFamily.from_keys(keys)
+        except (BadConfig, BadParams) as exc:
+            raise IoError(f"share-store header: {exc}") from exc
+        if not 1 <= party <= m:
+            raise IoError(f"party index {party} outside [1, {m}]")
         width = max(1, ((N - 1).bit_length() + 7) // 8)
         if len(blob) != off + beta * width:
             raise IoError(f"share store is {len(blob)} bytes, its header "
@@ -211,10 +222,8 @@ class ShareStore:
                 for i in range(beta)]
         if any(v >= N for v in vals):
             raise IoError(f"share value outside [0, {N})")
-        cfg = FirewallConfig(scheme=scheme, m=m, N=N, t=t,
-                             bloom=BloomParams(beta=beta, kappa=kappa,
-                                               eta=1, target_fp=0.5))
-        return cls(config=cfg, party_index=party, instance_keys=keys, values=vals)
+        return cls(config=cfg, party_index=party, instance_keys=keys,
+                   values=vals, family=family)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +246,11 @@ def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
     for line in blacklist:
         flt.insert(parse_ipv4(line))
     if isinstance(flt.family, SipHashFamily):
-        keys = list(flt.family._keys)
+        keys = list(flt.family.keys)
     else:
         keys = [bytes(16)] * cfg.bloom.kappa  # stub family: keys unused
     stores = [ShareStore(config=cfg, party_index=i + 1, instance_keys=keys,
-                         values=[0] * cfg.bloom.beta, family=family)
+                         values=[0] * cfg.bloom.beta, family=flt.family)
               for i in range(cfg.m)]
     for pos in range(cfg.bloom.beta):
         shares = _share_position(flt.bit(pos), cfg, rng.child(f"pos/{pos}"))
@@ -400,7 +409,11 @@ def decide_sum(cfg: FirewallConfig, responses: dict[int, int]) -> EvalVerdict:
                 f"need {cfg.reveal_size} responses, got {len(responses)}")
         pts = sorted(responses.items())[:cfg.reveal_size]
         sigma = interpolate_at_zero(cfg.field(), pts)
-    decision = "block" if sigma == cfg.bloom.kappa % cfg.N else "forward"
+    if sigma > cfg.bloom.kappa:
+        # Honest stores count at most kappa set positions: the stores
+        # disagree.
+        return EvalVerdict("alert", value=sigma)
+    decision = "block" if sigma == cfg.bloom.kappa else "forward"
     return EvalVerdict(decision, value=sigma)
 
 

@@ -116,16 +116,18 @@ class FirewallServerDaemon:
                     parts = line.split()
                     if len(parts) != 3 or parts[0] != "UPDATE":
                         raise AuthFail("malformed admin command")
-                    parse_ipv4(parts[1])  # validates the address
+                    addr = parse_ipv4(parts[1])
                     values = [int(v) % self.store.config.N
                               for v in parts[2].split(",")]
-                    indices = self.store.hash_indices(parse_ipv4(parts[1]))
+                    indices = self.store.hash_indices(addr)
                     pairs = list(zip(sorted(set(indices)), values))
                     if len(pairs) != len(values):
                         raise AuthFail("value count does not match index count")
                     self.store.apply_update(pairs)
                     fh.write("OK\n")
-                except AuthFail:
+                except (AuthFail, ValueError):
+                    # A bad MAC, or a MAC'd line with a bad address or a
+                    # value that is no integer: nothing was applied.
                     fh.write("AUTHFAIL\n")
                 fh.flush()
 

@@ -58,6 +58,37 @@ class TestSipHash:
         assert fam.indices(b"anything", 1) == [0, 0, 0]
 
 
+class TestSipHashLanes:
+    """SipHashFamily hashes under all keys at once; siphash24 is the
+    reference it must equal lane for lane."""
+
+    @pytest.mark.parametrize("kappa", [1, 7, 64])
+    def test_lanes_equal_scalar(self, kappa):
+        # Lengths 0-40 cover every tail length and up to six blocks.
+        fam = SipHashFamily(b"lane-test-master", kappa)
+        assert len(fam.keys) == kappa
+        for n in range(41):
+            msg = bytes((7 * i + n) % 256 for i in range(n))
+            assert fam.hashes(msg) == tuple(siphash24(k, msg) for k in fam.keys)
+
+    def test_reference_vectors_in_every_lane(self):
+        other = bytes(range(16, 32))
+        for pos in range(3):
+            keys = [other, other, other]
+            keys[pos] = SIPHASH_KEY
+            fam = SipHashFamily.from_keys(keys)
+            for n, expected in enumerate(SIPHASH_VECTORS):
+                assert fam.hashes(bytes(range(n)))[pos] == expected
+
+    def test_from_keys_validates(self):
+        with pytest.raises(BadParams):
+            SipHashFamily.from_keys([])
+        with pytest.raises(BadParams):
+            SipHashFamily.from_keys([bytes(16), b"short"])
+        with pytest.raises(BadParams):
+            SipHashFamily.from_keys([bytes(16)] * 65)
+
+
 class TestDeriveParams:
     def test_million_entry_example(self):
         p = derive_params(10 ** 6, 0.001)

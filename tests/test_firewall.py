@@ -123,6 +123,22 @@ class TestEvalSum:
             v, _ = run_eval_sum(stores, addr)
             assert (v.decision == "block") == flt.query(addr)
 
+    @pytest.mark.parametrize("scheme,m,t", [("additive", 3, 0),
+                                            ("shamir", 5, 3)])
+    def test_sum_outside_count_range_alerts(self, scheme, m, t):
+        # Honest stores count at most kappa set positions; a tampered
+        # share moves sigma out of [0, kappa].
+        cfg = FirewallConfig(scheme=scheme, m=m, t=t, N=2 ** 31 - 1,
+                             bloom=derive_params(50, 0.01))
+        _, stores = fw_init(["10.0.0.1"], cfg, RandomSource(7))
+        tamper = {1: ServerTamper(result_offset=1000)}
+        for addr in ("10.0.0.1", "10.0.0.2"):
+            honest, _ = run_eval_sum(stores, parse_ipv4(addr))
+            assert honest.decision in ("block", "forward")
+            v, _ = run_eval_sum(stores, parse_ipv4(addr), tampers=tamper)
+            assert v.decision == "alert"
+            assert v.value > cfg.bloom.kappa
+
 
 class TestEvalProduct:
     def test_blacklisted_blocks(self):
@@ -415,6 +431,36 @@ class TestStoreFile:
         path.write_bytes(blob)
         with pytest.raises(IoError):
             ShareStore.load(str(path))
+
+    @pytest.mark.parametrize("scheme,m,t,offset,byte", [
+        ("additive", 3, 0, 15, 2),      # scheme tag neither 0 nor 1
+        ("additive", 3, 0, 16, 9),      # party index above m
+        ("additive", 3, 0, 16, 0),      # party index 0
+        ("additive", 3, 0, 18, 1),      # a single server
+        ("additive", 3, 0, 19, 2),      # modulus not above kappa
+        ("shamir", 7, 3, 17, 9),        # reveal size above m
+    ])
+    def test_damaged_header_rejected(self, tmp_path, scheme, m, t, offset,
+                                     byte):
+        _, _, stores = toy_stores(scheme=scheme, m=m, t=t)
+        path = tmp_path / "a.share"
+        stores[0].save(str(path))
+        blob = bytearray(path.read_bytes())
+        blob[offset] = byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IoError):
+            ShareStore.load(str(path))
+
+    def test_loaded_store_hashes_like_admin_filter(self, tmp_path):
+        cfg = FirewallConfig(scheme="additive", m=3, N=2 ** 31 - 1,
+                             bloom=derive_params(200, 0.01))
+        flt, stores = fw_init([], cfg, RandomSource(5))
+        path = str(tmp_path / "s.share")
+        stores[1].save(path)
+        back = ShareStore.load(path)
+        for i in range(1000):
+            addr = bytes([198, 51, i >> 8, i & 0xFF])
+            assert back.hash_indices(addr) == flt.hash_indices(addr)
 
     def test_header_layout(self, tmp_path):
         cfg, _, stores = toy_stores()

@@ -347,6 +347,28 @@ class TestPipelinedLines:
             replies = [fh.readline().strip() for _ in range(2)]
         assert replies == ["OK", "OK"]
 
+    def test_malformed_authenticated_update_keeps_connection(self, stack):
+        cfg, flt, stores, daemons, _ = stack
+        from obfw.firewall import admin_mac
+        addr = "44.33.22.11"
+        pairs = fw_update_pairs(flt, cfg, parse_ipv4(addr), RandomSource(1))
+        good = f"UPDATE {addr} " + ",".join(str(v) for _, v in pairs[0])
+        before = list(stores[0].values)
+        with socket.create_connection(("127.0.0.1", daemons[0].admin_port),
+                                      timeout=5) as c:
+            fh = c.makefile("r", newline="\n")
+
+            def push(line):
+                c.sendall(f"{line}\nHMAC {admin_mac(b'pskpsk', line)}\n"
+                          .encode())
+                return fh.readline().strip()
+
+            assert push(f"UPDATE {addr} 1,x,3") == "AUTHFAIL"
+            assert push("UPDATE 10.0.0.999 1,2,3") == "AUTHFAIL"
+            assert stores[0].values == before
+            assert push(good) == "OK"
+        assert stores[0].values != before
+
 
 class TestCli:
     def test_compare_prints_verdict(self, capsys):
@@ -462,6 +484,24 @@ class TestCli:
         assert main(["--config", str(cfg_path), "admin-update",
                      "1.2.3.4"]) == EXIT_USAGE
         assert len(capsys.readouterr().err.splitlines()) == 2
+
+    def test_damaged_store_header_exit2(self, tmp_path, capsys):
+        cfg = FirewallConfig(scheme="additive", m=3, N=11,
+                             bloom=derive_params(5, 0.1))
+        _, stores = fw_init([], cfg, RandomSource(1))
+        path = tmp_path / "s1.share"
+        stores[0].save(str(path))
+        blob = bytearray(path.read_bytes())
+        blob[18] = 1                    # server count m = 1
+        path.write_bytes(bytes(blob))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "party_index": 1, "m": 3, "N": 11,
+            "bloom": {"eta": 5, "target_fp": 0.1},
+            "store_path": str(path)}))
+        assert main(["--config", str(cfg_path), "serve"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("file error:")
 
     def test_console_script_subprocess(self):
         proc = subprocess.run(
