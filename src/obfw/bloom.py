@@ -268,6 +268,10 @@ class BloomFilter:
         bits = blob[31:]
         if len(bits) != (beta + 7) // 8:
             raise IoError("truncated bit array")
-        flt = cls(BloomParams(beta=beta, kappa=kappa, eta=eta, target_fp=target_fp), key)
+        try:
+            flt = cls(BloomParams(beta=beta, kappa=kappa, eta=eta,
+                                  target_fp=target_fp), key)
+        except BadParams as exc:
+            raise IoError(f"filter header: {exc}") from exc
         flt.bits = bytearray(bits)
         return flt

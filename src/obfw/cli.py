@@ -30,8 +30,10 @@ from .compare import (
     run_semi_honest,
     run_shared_inputs,
 )
-from .errors import IoError
+from .errors import BadParams, IoError
 from .firewall import (
+    MAX_MODULUS,
+    BadConfig,
     FirewallConfig,
     ShareStore,
     fw_init,
@@ -69,7 +71,7 @@ CONFIG_SCHEMA = {
         "scheme": {"enum": ["additive", "shamir"]},
         "m": {"type": "integer", "minimum": 2},
         "t": {"type": "integer", "minimum": 0},
-        "N": {"type": "integer", "minimum": 2},
+        "N": {"type": "integer", "minimum": 2, "maximum": MAX_MODULUS},
         "p": {"type": "integer", "minimum": 2},
         "n": {"type": "integer", "minimum": 2},
         "lbits": {"type": "integer", "minimum": 4},
@@ -129,9 +131,12 @@ def _bloom_params(cfg: dict) -> BloomParams:
 
 
 def _firewall_config(cfg: dict) -> FirewallConfig:
-    return FirewallConfig(scheme=cfg.get("scheme", "additive"),
-                          m=cfg["m"], N=cfg.get("N", 11),
-                          t=cfg.get("t", 0), bloom=_bloom_params(cfg))
+    try:
+        return FirewallConfig(scheme=cfg.get("scheme", "additive"),
+                              m=cfg["m"], N=cfg.get("N", 11),
+                              t=cfg.get("t", 0), bloom=_bloom_params(cfg))
+    except (BadConfig, BadParams) as exc:
+        raise ConfigError(f"firewall config invalid: {exc}") from exc
 
 
 def _store_path(cfg: dict, index: int) -> str:

@@ -18,13 +18,15 @@ import hmac as hmac_mod
 import hashlib
 import itertools
 import math
+import operator
 import threading
+from array import array
 from dataclasses import dataclass, field as dc_field
-from typing import Generator, Sequence
+from typing import Generator, Iterable, Sequence
 
 from .bloom import BloomFilter, BloomParams, SipHashFamily
 from .errors import BadParams, IoError
-from .field import PrimeField, berlekamp_welch, interpolate_at_zero
+from .field import NotPrime, PrimeField, berlekamp_welch, interpolate_at_zero
 from .net import (
     PROTO_FW_EVAL_PRODUCT,
     PROTO_FW_EVAL_SUM,
@@ -39,9 +41,13 @@ from .net import (
     send,
 )
 from .rng import RandomSource
-from .sharing import ShamirParams, additive_share, mult_fanin_party, shamir_share
+from .sharing import ShamirParams, mult_fanin_party
 
 STORE_MAGIC = b"OBFW1"
+# Share columns are unsigned 32-bit arrays: 4 bytes a share, so N < 2^32
+# (the store header keeps N in 4 bytes as well).
+SHARE_TYPECODE = "I"
+MAX_MODULUS = (1 << 32) - 1
 GATEWAY = 0
 RESULT_STEP = 100
 
@@ -95,9 +101,15 @@ class FirewallConfig:
             raise BadConfig("scheme must be additive or shamir")
         if self.N <= self.bloom.kappa:
             raise BadConfig("modulus must exceed the hash count")
+        if self.N > MAX_MODULUS:
+            raise BadConfig(f"modulus must be below 2^32, got {self.N}")
         if self.scheme == "shamir":
             if not 2 <= self.t <= self.m:
                 raise BadConfig("need 2 <= t <= m for Shamir mode")
+            try:
+                self.shamir_params().field()
+            except (BadParams, NotPrime) as exc:
+                raise BadConfig(f"Shamir mode needs a prime N above m: {exc}") from exc
         if self.m < 2:
             raise BadConfig("need at least two servers")
 
@@ -122,19 +134,23 @@ class FirewallConfig:
 class ShareStore:
     """One server's view: its share of every filter position.
 
-    An evaluation reads its positions, and an update writes its positions,
-    under one lock, so an evaluation sees all of an update or none of it.
+    `values` is a packed array; a list given to the constructor becomes
+    one.  An evaluation reads its positions, and an update writes its
+    positions, under one lock, so an evaluation sees all of an update or
+    none of it.
     """
     config: FirewallConfig
     party_index: int
     instance_keys: list[bytes]
-    values: list[int]
+    values: array
     _lock: threading.Lock = dc_field(default_factory=threading.Lock, repr=False)
     # Hash family over `instance_keys`, built here unless given (a stub
     # family in tests); not saved with the store.
     family: object = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.values, array):
+            self.values = array(SHARE_TYPECODE, self.values)
         if self.family is None:
             self.family = SipHashFamily.from_keys(self.instance_keys)
 
@@ -177,8 +193,8 @@ class ShareStore:
                 fh.write(cfg.N.to_bytes(4, "little"))
                 for k in self.instance_keys:
                     fh.write(k)
-                for v in self.values:
-                    fh.write(v.to_bytes(width, "little"))
+                fh.write(b"".join(v.to_bytes(width, "little")
+                                  for v in self.values))
         except OSError as exc:
             raise IoError(str(exc)) from exc
 
@@ -218,9 +234,9 @@ class ShareStore:
         if len(blob) != off + beta * width:
             raise IoError(f"share store is {len(blob)} bytes, its header "
                           f"says {off + beta * width}")
-        vals = [int.from_bytes(blob[off + width * i: off + width * (i + 1)], "little")
-                for i in range(beta)]
-        if any(v >= N for v in vals):
+        vals = array(SHARE_TYPECODE, (int.from_bytes(blob[i:i + width], "little")
+                                      for i in range(off, len(blob), width)))
+        if max(vals, default=0) >= N:
             raise IoError(f"share value outside [0, {N})")
         return cls(config=cfg, party_index=party, instance_keys=keys,
                    values=vals, family=family)
@@ -230,11 +246,35 @@ class ShareStore:
 # Initialization and updates (admin side)
 # ---------------------------------------------------------------------------
 
-def _share_position(bit: int, cfg: FirewallConfig, rng: RandomSource) -> list[int]:
+def _deal(bits: Iterable[int], cfg: FirewallConfig,
+          rngs: Iterable[RandomSource]) -> list[array]:
+    """Share each bit with its own stream; one packed column per server.
+
+    Draws as `additive_share` and `shamir_share` do, so the columns hold
+    exactly their share values: additive takes m-1 uniform shares and
+    closes the sum with the last; Shamir takes t-1 coefficients, lowest
+    power first, and evaluates at x = 1..m.
+    """
+    N, m = cfg.N, cfg.m
+    cols = [array(SHARE_TYPECODE) for _ in range(m)]
+    appends = [c.append for c in cols]
     if cfg.scheme == "additive":
-        from .sharing import AdditiveParams
-        return [s.value for s in additive_share(bit, AdditiveParams(cfg.N, cfg.m), rng)]
-    return [s.value for s in shamir_share(bit, cfg.shamir_params(), rng)]
+        head, last = appends[:-1], appends[-1]
+        for bit, rng in zip(bits, rngs):
+            draws = rng.randbelow_many(N, m - 1)
+            for append, v in zip(head, draws):
+                append(v)
+            last((bit - sum(draws)) % N)
+        return cols
+    degree = cfg.t - 1
+    powers = [[pow(x, j, N) for j in range(1, degree + 1)]
+              for x in range(1, m + 1)]
+    pairs = list(zip(appends, powers))
+    for bit, rng in zip(bits, rngs):
+        coeffs = rng.randbelow_many(N, degree)
+        for append, pw in pairs:
+            append((bit + sum(map(operator.mul, coeffs, pw))) % N)
+    return cols
 
 
 def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
@@ -249,13 +289,12 @@ def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
         keys = list(flt.family.keys)
     else:
         keys = [bytes(16)] * cfg.bloom.kappa  # stub family: keys unused
+    beta = cfg.bloom.beta
+    cols = _deal(map(flt.bit, range(beta)), cfg,
+                 (rng.child(f"pos/{pos}") for pos in range(beta)))
     stores = [ShareStore(config=cfg, party_index=i + 1, instance_keys=keys,
-                         values=[0] * cfg.bloom.beta, family=flt.family)
-              for i in range(cfg.m)]
-    for pos in range(cfg.bloom.beta):
-        shares = _share_position(flt.bit(pos), cfg, rng.child(f"pos/{pos}"))
-        for i, store in enumerate(stores):
-            store.values[pos] = shares[i]
+                         values=col, family=flt.family)
+              for i, col in enumerate(cols)]
     return flt, stores
 
 
@@ -268,13 +307,10 @@ def fw_update_pairs(flt: BloomFilter, cfg: FirewallConfig, addr: bytes,
     of 1 (idempotent at the plaintext level, re-randomizing at the share
     level).
     """
-    indices = flt.hash_indices(addr)
-    per_server: list[list[tuple[int, int]]] = [[] for _ in range(cfg.m)]
-    for pos in sorted(set(indices)):
-        shares = _share_position(1, cfg, rng.child(f"upd/{pos}"))
-        for i in range(cfg.m):
-            per_server[i].append((pos, shares[i]))
-    return per_server
+    positions = sorted(set(flt.hash_indices(addr)))
+    cols = _deal([1] * len(positions), cfg,
+                 (rng.child(f"upd/{pos}") for pos in positions))
+    return [list(zip(positions, col)) for col in cols]
 
 
 def reveal_position(stores: Sequence[ShareStore], pos: int) -> int:

@@ -80,8 +80,32 @@ def group_index(limit: int) -> Group:
 Segment = tuple[Group, list[int]]
 
 
+# Values are packed into, and read from, ints of about this many bits;
+# bigger payloads are built from such chunks, so the work stays linear.
+_CHUNK_BITS = 1024
+
+
+def _merge(parts: list[int], widths: list[int]) -> int:
+    """parts[0] | parts[1] << widths[0] | ..., merged pairwise.
+
+    Each level halves the list and copies every bit once, so the merge
+    costs O(bits · log parts), where one growing int would copy the whole
+    payload once per part.
+    """
+    while len(parts) > 1:
+        if len(parts) & 1:
+            parts.append(0)
+            widths.append(0)
+        lw = widths[0::2]
+        parts = [a | b << w for a, b, w in zip(parts[0::2], parts[1::2], lw)]
+        widths = [w + v for w, v in zip(lw, widths[1::2])]
+    return parts[0]
+
+
 def encode_elements(segments: list[Segment]) -> bytes:
     """Pack segment values into bytes, LSB-first, zero pad bits."""
+    parts: list[int] = []
+    widths: list[int] = []
     acc = 0
     nbits = 0
     for group, values in segments:
@@ -90,26 +114,43 @@ def encode_elements(segments: list[Segment]) -> bytes:
             group.check(v)
             acc |= v << nbits
             nbits += w
+            if nbits >= _CHUNK_BITS:
+                parts.append(acc)
+                widths.append(nbits)
+                acc = nbits = 0
+    if parts:
+        parts.append(acc)
+        widths.append(nbits)
+        acc, nbits = _merge(parts, widths), sum(widths)
     return acc.to_bytes((nbits + 7) // 8, "little") if nbits else b""
 
 
 def decode_elements(payload: bytes, schema: list[tuple[Group, int]]) -> list[list[int]]:
-    """Inverse of encode_elements given the declared (group, count) list."""
+    """Inverse of encode_elements given the declared (group, count) list.
+
+    Values are read from a window of about _CHUNK_BITS that slides along
+    the payload, so decoding is linear in the payload.
+    """
     total_bits = sum(g.raw_bits * n for g, n in schema)
     if len(payload) != (total_bits + 7) // 8:
         raise TruncatedPayload(
             f"payload {len(payload)}B does not match schema {(total_bits + 7) // 8}B")
-    acc = int.from_bytes(payload, "little")
-    if total_bits and acc >> total_bits:
+    if total_bits % 8 and payload[-1] >> (total_bits % 8):
         raise TruncatedPayload("nonzero padding bits")
     out = []
-    pos = 0
+    window = window_bits = base = pos = 0     # window holds bits from byte `base`
     for group, count in schema:
         w = group.raw_bits
         mask = (1 << w) - 1
+        nbytes = (_CHUNK_BITS + w + 7) // 8    # holds w bits at any offset
         vals = []
         for _ in range(count):
-            v = (acc >> pos) & mask
+            if pos + w > window_bits:
+                base += pos >> 3
+                pos &= 7
+                window = int.from_bytes(payload[base:base + nbytes], "little")
+                window_bits = nbytes * 8
+            v = (window >> pos) & mask
             group.check(v)
             vals.append(v)
             pos += w

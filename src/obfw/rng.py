@@ -40,6 +40,12 @@ class RandomSource:
         self.counter += 1
 
     def bytes(self, k: int) -> bytes:
+        if k and self._pos == len(self._buf):
+            self._refill()
+        pos = self._pos
+        if pos + k <= len(self._buf):
+            self._pos = pos + k
+            return self._buf[pos:pos + k]
         out = bytearray()
         while len(out) < k:
             if self._pos >= len(self._buf):
@@ -63,3 +69,23 @@ class RandomSource:
             v = self.randbits(k)
             if v < n:
                 return v
+
+    def randbelow_many(self, n: int, count: int) -> list[int]:
+        """`count` calls to randbelow(n): the same bytes in the same order.
+
+        Each attempt reads whole bytes, so the accepted values are the first
+        `count` in-range chunks of the stream; a rejection redraws only the
+        shortfall.
+        """
+        if n <= 0:
+            raise ValueError("randbelow needs n >= 1")
+        k = (n - 1).bit_length() or 1
+        width = (k + 7) // 8
+        shift = width * 8 - k
+        out: list[int] = []
+        while len(out) < count:
+            blob = self.bytes((count - len(out)) * width)
+            draws = (int.from_bytes(blob[i:i + width], "little") >> shift
+                     for i in range(0, len(blob), width))
+            out += [v for v in draws if v < n]
+        return out

@@ -11,6 +11,7 @@ from obfw.bloom import (
     derive_params,
     siphash24,
 )
+from obfw.errors import IoError
 from obfw.rng import RandomSource
 
 # Reference vectors from the SipHash-2-4 specification: key 000102..0f,
@@ -186,6 +187,20 @@ class TestFilterFile:
         assert back.params.kappa == params.kappa
         assert back.master_key == flt.master_key
         assert all(back.query(i.to_bytes(4, "little")) for i in range(50))
+
+    @pytest.mark.parametrize("offset,value", [(13, 0), (13, 65), (5, 0)],
+                             ids=["kappa-zero", "kappa-above-64", "beta-zero"])
+    def test_damaged_header_is_a_file_error(self, tmp_path, offset, value):
+        params = BloomParams(beta=16, kappa=2, eta=1, target_fp=0.5)
+        path = str(tmp_path / "d.filter")
+        BloomFilter(params, bytes(range(16))).save(path)
+        blob = bytearray(open(path, "rb").read())
+        blob[offset] = value
+        if offset == 5:                     # beta = 0 with no bit array
+            blob = blob[:31]
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(IoError):
+            BloomFilter.load(path)
 
     def test_magic_layout(self, tmp_path):
         params = BloomParams(beta=16, kappa=2, eta=1, target_fp=0.5)

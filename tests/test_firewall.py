@@ -1,6 +1,7 @@
 """Firewall: initialization, evaluation variants, detection, updates."""
 import itertools
 import math
+from array import array
 
 import pytest
 
@@ -18,6 +19,7 @@ from obfw.firewall import (
     deduce_from_products,
     deduce_from_sums,
     fw_init,
+    fw_update_pairs,
     influence_bound,
     majority_vote,
     parse_ipv4,
@@ -31,6 +33,7 @@ from obfw.firewall import (
 )
 from obfw.field import PrimeField
 from obfw.rng import RandomSource
+from obfw.sharing import AdditiveParams, additive_share, shamir_share
 
 TOY_BP = BloomParams(beta=8, kappa=3, eta=1, target_fp=0.5)
 
@@ -82,6 +85,70 @@ class TestInit:
                            bloom=BloomParams(beta=8, kappa=3, eta=1, target_fp=0.5))
         with pytest.raises(BadConfig):
             FirewallConfig(scheme="shamir", m=3, N=11, t=0, bloom=TOY_BP)
+        for N, m in ((12, 3), (11, 11)):    # composite N; m not below N
+            with pytest.raises(BadConfig):
+                FirewallConfig(scheme="shamir", m=m, N=N, t=2, bloom=TOY_BP)
+
+    def test_modulus_must_fit_a_share_column(self):
+        FirewallConfig(scheme="additive", m=3, N=2 ** 32 - 1, bloom=TOY_BP)
+        for N in (2 ** 32, 4294967311):
+            with pytest.raises(BadConfig):
+                FirewallConfig(scheme="additive", m=3, N=N, bloom=TOY_BP)
+
+
+DEAL_MODULI = [11, 257, 65537, 2 ** 31 - 1, 4294967291]
+DEAL_SHAPES = [("additive", 2, 0), ("additive", 3, 0), ("additive", 12, 0),
+               ("shamir", 3, 2), ("shamir", 3, 3), ("shamir", 12, 2),
+               ("shamir", 12, 12)]
+
+
+def reference_shares(cfg, rng, label, bits):
+    """Per-position sharings through the protocol share functions."""
+    out = []
+    for pos, bit in bits:
+        child = rng.child(f"{label}/{pos}")
+        if cfg.scheme == "additive":
+            shares = additive_share(bit, AdditiveParams(cfg.N, cfg.m), child)
+        else:
+            shares = shamir_share(bit, cfg.shamir_params(), child)
+        out.append([s.value for s in shares])
+    return out
+
+
+class TestDeal:
+    """fw_init and fw_update_pairs deal what additive_share and
+    shamir_share would, position by position."""
+
+    @pytest.mark.parametrize("N", DEAL_MODULI)
+    @pytest.mark.parametrize("scheme,m,t", DEAL_SHAPES)
+    def test_columns_match_per_position_sharing(self, N, scheme, m, t,
+                                                tmp_path):
+        if scheme == "shamir":
+            m = min(m, N - 1)               # Shamir needs m < N
+            t = min(t, m)
+        cfg = FirewallConfig(scheme=scheme, m=m, N=N, t=t,
+                             bloom=derive_params(12, 0.1))
+        seed = f"deal/{scheme}/{m}/{t}/{N}"
+        blacklist = [f"10.1.{i}.{i * 7}" for i in range(12)]
+        flt, stores = fw_init(blacklist, cfg, RandomSource(seed))
+        beta = cfg.bloom.beta
+        expected = reference_shares(
+            cfg, RandomSource(seed), "pos",
+            [(pos, flt.bit(pos)) for pos in range(beta)])
+        for i, store in enumerate(stores):
+            assert type(store.values) is array and store.values.typecode == "I"
+            assert list(store.values) == [row[i] for row in expected]
+        stores[-1].save(str(tmp_path / "last.share"))
+        back = ShareStore.load(str(tmp_path / "last.share"))
+        assert type(back.values) is array and back.values == stores[-1].values
+
+        addr = parse_ipv4("192.0.2.77")
+        per_server = fw_update_pairs(flt, cfg, addr, RandomSource(seed + "/u"))
+        positions = sorted(set(flt.hash_indices(addr)))
+        expected = reference_shares(cfg, RandomSource(seed + "/u"), "upd",
+                                    [(pos, 1) for pos in positions])
+        for i, pairs in enumerate(per_server):
+            assert pairs == [(pos, row[i]) for pos, row in zip(positions, expected)]
 
 
 class TestEvalSum:
@@ -397,7 +464,7 @@ class TestStoreUpdate:
         before = list(stores[0].values)
         with pytest.raises(IndexError):
             stores[0].apply_update([(0, before[0] + 1), (bad, 1)])
-        assert stores[0].values == before
+        assert list(stores[0].values) == before
 
     def test_update_writes_in_place(self):
         _, _, stores = toy_stores()
@@ -414,6 +481,7 @@ class TestStoreFile:
         stores[2].save(path)
         back = ShareStore.load(path)
         assert back.party_index == 3
+        assert type(back.values) is array and back.values.typecode == "I"
         assert back.values == stores[2].values
         assert back.config.scheme == "shamir"
         assert back.config.t == 3 and back.config.m == 7

@@ -23,6 +23,8 @@ from obfw.net import (
     build_mesh,
     decode_elements,
     encode_elements,
+    group_addr32,
+    group_index,
     group_shift,
     group_z2,
     group_zn2,
@@ -35,6 +37,7 @@ from obfw.net import (
 )
 from obfw.net.envelope import MAX_FRAME, frame, take_frames, PROTO_SC_SEMI_HONEST
 from obfw.net.tcp import FORGET_AFTER, TICK
+from obfw.rng import RandomSource
 
 
 class TestCodec:
@@ -79,6 +82,29 @@ class TestCodec:
         payload = encode_elements(segs)
         decoded = decode_elements(payload, [(g, len(v)) for g, v in segs])
         assert decoded == [v for _, v in segs]
+
+    def test_large_mixed_widths_round_trip(self):
+        # 8 * 10^4 elements at widths 1 to 32, odd segment lengths: the
+        # bytes equal a bit-string packing, and decoding gives them back.
+        rng = RandomSource("codec")
+        groups = [group_z2(), group_zn2(17, 8), group_zn_compare(257, 8),
+                  group_shift(8), group_zp(251), group_zp(2 ** 31 - 1),
+                  group_addr32(), group_index(95850)]
+        sizes = [16001, 9999, 10000, 10001, 8000, 9003, 7777, 9219]
+        assert sum(sizes) == 80000
+        segs = [(g, rng.randbelow_many(g.modulus, n)) for g, n in zip(groups, sizes)]
+        bits = "".join(format(v, f"0{g.raw_bits}b")[::-1]
+                       for g, vals in segs for v in vals)
+        bits += "0" * (-len(bits) % 8)
+        expected = int(bits[::-1], 2).to_bytes(len(bits) // 8, "little")
+        payload = encode_elements(segs)
+        assert payload == expected
+        assert decode_elements(payload, [(g, len(v)) for g, v in segs]) == \
+            [v for _, v in segs]
+
+    def test_decode_rejects_value_outside_group(self):
+        with pytest.raises(OutOfRange):
+            decode_elements(bytes([250, 251]), [(group_zp(251), 2)])
 
 
 class TestEnvelope:

@@ -365,9 +365,9 @@ class TestPipelinedLines:
 
             assert push(f"UPDATE {addr} 1,x,3") == "AUTHFAIL"
             assert push("UPDATE 10.0.0.999 1,2,3") == "AUTHFAIL"
-            assert stores[0].values == before
+            assert list(stores[0].values) == before
             assert push(good) == "OK"
-        assert stores[0].values != before
+        assert list(stores[0].values) != before
 
 
 class TestCli:
@@ -441,6 +441,25 @@ class TestCli:
         assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_USAGE
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fw", [
+        {"scheme": "additive", "m": 3, "N": 4294967311},
+        {"scheme": "shamir", "m": 3, "t": 7, "N": 2 ** 31 - 1},
+        {"scheme": "shamir", "m": 5, "t": 2, "N": 1000},
+    ], ids=["modulus-above-32-bits", "shamir-t-above-m",
+            "shamir-composite-modulus"])
+    def test_bad_firewall_config_exit2_writes_nothing(self, tmp_path, capsys,
+                                                      fw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            **fw, "bloom": {"eta": 5, "target_fp": 0.1},
+            "store_prefix": str(tmp_path / "fw")}))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "cfg.json"]
+
     def test_config_schema_rejects_unknown_key(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
@@ -500,6 +519,25 @@ class TestCli:
             "bloom": {"eta": 5, "target_fp": 0.1},
             "store_path": str(path)}))
         assert main(["--config", str(cfg_path), "serve"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("file error:")
+
+    def test_damaged_filter_header_exit2(self, tmp_path, capsys):
+        cfg = {"scheme": "additive", "m": 3, "N": 11,
+               "bloom": {"eta": 5, "target_fp": 0.1},
+               "store_prefix": str(tmp_path / "fw")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        path = tmp_path / "fw.filter"
+        blob = bytearray(path.read_bytes())
+        blob[13:15] = b"\x00\x00"           # kappa = 0
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "admin-update",
+                     "1.2.3.4"]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("file error:")
 
