@@ -6,11 +6,10 @@ gateway over TCP on 127.0.0.1, then exercises CHECK and an authenticated
 UPDATE through the public line protocols.
 """
 import socket
-import time
 
 from obfw.bloom import derive_params
 from obfw.firewall import FirewallConfig, fw_init, fw_update_pairs, parse_ipv4
-from obfw.net import Endpoint, TcpNode
+from obfw.net import build_mesh
 from obfw.rng import RandomSource
 from obfw.service import FirewallServerDaemon, GatewayDaemon, admin_push_update
 
@@ -33,21 +32,13 @@ def main():
           f"scheme={cfg.scheme} m={cfg.m}")
     flt, stores = fw_init(blacklist, cfg, RandomSource(b"demo" + bytes(28)))
 
-    nodes = {i: TcpNode(i, Endpoint("127.0.0.1", 0)) for i in (1, 2, 3)}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i < j:
-                nodes[i].connect(j, Endpoint("127.0.0.1", nodes[j].port))
+    nodes = build_mesh([0, 1, 2, 3])
     daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=PSK, seed=i)
                for i in (1, 2, 3)]
     for d in daemons:
         d.start()
-    gw_node = TcpNode(0, Endpoint("127.0.0.1", 0))
-    for i in (1, 2, 3):
-        gw_node.connect(i, Endpoint("127.0.0.1", nodes[i].port))
-    gw = GatewayDaemon(cfg, gw_node, mode="sum")
+    gw = GatewayDaemon(cfg, nodes[0], mode="sum")
     gw.start()
-    time.sleep(0.1)
     print(f"servers on eval ports {[nodes[i].port for i in (1, 2, 3)]}, "
           f"gateway on {gw.port}")
 

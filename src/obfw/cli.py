@@ -33,9 +33,11 @@ from .compare import (
 from .errors import BadParams, IoError
 from .firewall import (
     MAX_MODULUS,
+    AuthFail,
     BadConfig,
     FirewallConfig,
     ShareStore,
+    check_product_config,
     fw_init,
     fw_update_pairs,
     parse_ipv4,
@@ -49,19 +51,19 @@ EXIT_PROTOCOL = 1
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
+_ENDPOINT = {"type": "object",
+             "properties": {"host": {"type": "string"},
+                            "port": {"type": "integer"}},
+             "required": ["host", "port"]}
+_HEX = {"type": "string", "pattern": "^([0-9a-fA-F]{2})+$"}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
         "role": {"enum": ["party", "gateway", "admin"]},
         "party_index": {"type": "integer", "minimum": 1},
-        "listen": {"type": "object",
-                   "properties": {"host": {"type": "string"},
-                                  "port": {"type": "integer"}},
-                   "required": ["host", "port"]},
-        "admin_listen": {"type": "object",
-                         "properties": {"host": {"type": "string"},
-                                        "port": {"type": "integer"}},
-                         "required": ["host", "port"]},
+        "listen": _ENDPOINT,
+        "admin_listen": _ENDPOINT,
         "peers": {"type": "array", "items": {
             "type": "object",
             "properties": {"index": {"type": "integer"},
@@ -81,12 +83,12 @@ CONFIG_SCHEMA = {
                                  "target_fp": {"type": "number"},
                                  "beta": {"type": "integer", "minimum": 1},
                                  "kappa": {"type": "integer", "minimum": 1}}},
-        "psk": {"type": "string"},
+        "psk": _HEX,
         "store_path": {"type": "string"},
         "filter_path": {"type": "string"},
         "store_prefix": {"type": "string"},
         "test_mode": {"type": "boolean"},
-        "seed": {"type": "string"},
+        "seed": _HEX,
         "transcript": {"type": "string"},
     },
     "additionalProperties": False,
@@ -97,8 +99,10 @@ class ConfigError(Exception):
     pass
 
 
-def load_config(path: str | None) -> dict:
-    path = path or os.environ.get("OBFW_CONFIG")
+def load_config(args) -> dict:
+    """The run config that `args.config` or $OBFW_CONFIG names, validated;
+    a seed, in the config or from `args.seed`, needs test_mode."""
+    path = args.config or os.environ.get("OBFW_CONFIG")
     if not path:
         raise ConfigError("no config: pass --config or set OBFW_CONFIG")
     try:
@@ -110,16 +114,15 @@ def load_config(path: str | None) -> dict:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config invalid: {exc.message}") from exc
-    if cfg.get("seed") and not cfg.get("test_mode"):
+    if (args.seed is not None or "seed" in cfg) and not cfg.get("test_mode"):
         raise ConfigError("seed is only allowed with test_mode: true")
     return cfg
 
 
-def _seed_from(cfg: dict, override: str | None) -> bytes:
-    hexseed = override or cfg.get("seed")
-    if hexseed:
-        return bytes.fromhex(hexseed)
-    return os.urandom(32)
+def _seed_from(cfg: dict, override: bytes | None) -> bytes:
+    if override:
+        return override
+    return bytes.fromhex(cfg["seed"]) if "seed" in cfg else os.urandom(32)
 
 
 def _bloom_params(cfg: dict) -> BloomParams:
@@ -132,11 +135,14 @@ def _bloom_params(cfg: dict) -> BloomParams:
 
 def _firewall_config(cfg: dict) -> FirewallConfig:
     try:
-        return FirewallConfig(scheme=cfg.get("scheme", "additive"),
-                              m=cfg["m"], N=cfg.get("N", 11),
-                              t=cfg.get("t", 0), bloom=_bloom_params(cfg))
+        fw_cfg = FirewallConfig(scheme=cfg.get("scheme", "additive"),
+                                m=cfg["m"], N=cfg.get("N", 11),
+                                t=cfg.get("t", 0), bloom=_bloom_params(cfg))
+        if cfg.get("eval_mode") == "product":
+            check_product_config(fw_cfg)
     except (BadConfig, BadParams) as exc:
         raise ConfigError(f"firewall config invalid: {exc}") from exc
+    return fw_cfg
 
 
 def _store_path(cfg: dict, index: int) -> str:
@@ -144,12 +150,21 @@ def _store_path(cfg: dict, index: int) -> str:
     return f"{prefix}.server{index}.share"
 
 
+def _filter_path(cfg: dict) -> str:
+    return cfg.get("filter_path", cfg.get("store_prefix", "obfw") + ".filter")
+
+
+def _endpoint(cfg: dict, key: str) -> Endpoint:
+    ep = cfg.get(key, {"host": "127.0.0.1", "port": 0})
+    return Endpoint(ep["host"], ep["port"])
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_fw_init(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     fw_cfg = _firewall_config(cfg)
     rng = RandomSource(_seed_from(cfg, args.seed))
     blacklist = []
@@ -169,8 +184,7 @@ def cmd_fw_init(args) -> int:
         print(f"cannot read blacklist: {exc}", file=sys.stderr)
         return EXIT_USAGE
     flt, stores = fw_init(blacklist, fw_cfg, rng)
-    filter_path = cfg.get("filter_path", cfg.get("store_prefix", "obfw") + ".filter")
-    flt.save(filter_path)
+    flt.save(_filter_path(cfg))
     for store in stores:
         store.save(_store_path(cfg, store.party_index))
     print(f"initialized {len(blacklist)} addresses into beta={fw_cfg.bloom.beta} "
@@ -178,81 +192,71 @@ def cmd_fw_init(args) -> int:
     return EXIT_OK
 
 
-def _connect_peers(node: TcpNode, peers: list[dict], retries: int = 50) -> None:
-    for peer in peers:
-        if peer["index"] == node.index:
-            continue
-        if peer["index"] > node.index:
-            continue  # lower index dials higher; higher accepts
-        for attempt in range(retries):
-            try:
-                node.connect(peer["index"], Endpoint(peer["host"], peer["port"]))
-                break
-            except ConnectFail:
-                if attempt == retries - 1:
-                    raise
-                time.sleep(0.1)
+def _node(index: int, listen: Endpoint, peers: list[dict]) -> TcpNode:
+    """A TcpNode on `listen` that has dialled `peers`, retrying each for
+    up to 5 s while it is not up yet."""
+    try:
+        node = TcpNode(index, listen)
+        for peer in peers:
+            for attempt in range(50):
+                try:
+                    node.connect(peer["index"], Endpoint(peer["host"], peer["port"]))
+                    break
+                except ConnectFail:
+                    if attempt == 49:
+                        raise
+                    time.sleep(0.1)
+    except OSError as exc:
+        raise ConnectFail(f"party {index}: {exc}") from exc
+    return node
+
+
+def _serve_until_interrupted(daemon, banner: str) -> int:
+    daemon.start()
+    print(banner)
+    try:
+        while True:
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        daemon.stop()
+    return EXIT_OK
 
 
 def cmd_serve(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     index = cfg["party_index"]
     store = ShareStore.load(cfg.get("store_path") or _store_path(cfg, index))
-    listen = cfg.get("listen", {"host": "127.0.0.1", "port": 0})
-    admin = cfg.get("admin_listen", {"host": "127.0.0.1", "port": 0})
-    try:
-        node = TcpNode(index, Endpoint(listen["host"], listen["port"]))
-        _connect_peers(node, cfg.get("peers", []))
-    except (ConnectFail, OSError) as exc:
-        print(f"transport failure: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
+    # A server dials the peers with a lower index and accepts the others;
+    # the gateway dials every server.
+    node = _node(index, _endpoint(cfg, "listen"),
+                 [p for p in cfg.get("peers", []) if p["index"] < index])
     daemon = FirewallServerDaemon(
         store, node, psk=bytes.fromhex(cfg.get("psk", "00")),
-        admin_listen=Endpoint(admin["host"], admin["port"]),
+        admin_listen=_endpoint(cfg, "admin_listen"),
         seed=_seed_from(cfg, args.seed))
-    daemon.start()
-    print(f"server {index} on eval port {node.port}, admin port {daemon.admin_port}")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        daemon.stop()
-    return EXIT_OK
+    return _serve_until_interrupted(
+        daemon, f"server {index} on eval port {node.port}, "
+                f"admin port {daemon.admin_port}")
 
 
 def cmd_gateway(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     fw_cfg = _firewall_config(cfg)
-    listen = cfg.get("listen", {"host": "127.0.0.1", "port": 0})
-    try:
-        node = TcpNode(0, Endpoint("127.0.0.1", 0))
-        for peer in cfg.get("peers", []):
-            node.connect(peer["index"], Endpoint(peer["host"], peer["port"]))
-    except (ConnectFail, OSError) as exc:
-        print(f"transport failure: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    daemon = GatewayDaemon(fw_cfg, node,
-                           listen=Endpoint(listen["host"], listen["port"]),
+    node = _node(0, Endpoint("127.0.0.1", 0), cfg.get("peers", []))
+    daemon = GatewayDaemon(fw_cfg, node, listen=_endpoint(cfg, "listen"),
                            mode=cfg.get("eval_mode", "sum"))
-    daemon.start()
-    print(f"gateway on port {daemon.port}")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        daemon.stop()
-    return EXIT_OK
+    return _serve_until_interrupted(daemon, f"gateway on port {daemon.port}")
 
 
 def cmd_admin_update(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     fw_cfg = _firewall_config(cfg)
     try:
         addr = parse_ipv4(args.address)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    filter_path = cfg.get("filter_path", cfg.get("store_prefix", "obfw") + ".filter")
+    filter_path = _filter_path(cfg)
     flt = BloomFilter.load(filter_path)
     rng = RandomSource(_seed_from(cfg, args.seed))
     per_server = fw_update_pairs(flt, fw_cfg, addr, rng)
@@ -267,24 +271,35 @@ def cmd_admin_update(args) -> int:
     except OSError as exc:
         print(f"transport failure: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except AuthFail as exc:
+        print(f"update refused: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
     print(f"updated {args.address} on {fw_cfg.m} servers")
     return EXIT_OK
 
 
+# variant -> (run(a, b, l, m, seed), closed-form bits(l, m) or None,
+#             closed-form rounds or None, bench note(l, m))
 _VARIANTS = {
-    "alg4": lambda a, b, l, seed: run_semi_honest(a, b, l, seed=seed),
-    "alg5": lambda a, b, l, seed: run_semi_honest(a, b, l, seed=seed, variant="alg5"),
-    "alg6": lambda a, b, l, seed: run_shared_inputs(a, b, l, m=3, seed=seed),
-    "alg7": lambda a, b, l, seed: run_malicious(a, b, l, t=1, seed=seed),
+    "alg4": (lambda a, b, l, m, seed: run_semi_honest(a, b, l, seed=seed),
+             lambda l, m: alg4_total(l), ROUNDS["alg4"],
+             lambda l, m: f"online formula {alg4_online(l)}"),
+    "alg5": (lambda a, b, l, m, seed: run_semi_honest(a, b, l, seed=seed,
+                                                      variant="alg5"),
+             lambda l, m: alg5_total(l), ROUNDS["alg5"],
+             lambda l, m: f"online formula {alg5_online(l)}"),
+    "alg6": (lambda a, b, l, m, seed: run_shared_inputs(a, b, l, m=m, seed=seed),
+             alg6_total, ROUNDS["alg6"], lambda l, m: f"m={m}"),
+    "alg7": (lambda a, b, l, m, seed: run_malicious(a, b, l, t=1, seed=seed),
+             None, None,
+             lambda l, m: (f"tree-based rounds; constant-round fan-in figure "
+                           f"{alg7_constant_round_total(l)} bits (informational)")),
 }
 
 
 def cmd_compare(args) -> int:
-    if args.variant not in _VARIANTS:
-        print(f"unknown variant {args.variant}", file=sys.stderr)
-        return EXIT_USAGE
-    seed = bytes.fromhex(args.seed) if args.seed else os.urandom(32)
-    out = _VARIANTS[args.variant](args.a, args.b, args.l, seed)
+    run = _VARIANTS[args.variant][0]
+    out = run(args.a, args.b, args.l, 3, args.seed or os.urandom(32))
     print(f"a {'>=' if out.f == 1 else '<'} b")
     if args.transcript:
         with open(args.transcript, "w") as fh:
@@ -293,31 +308,11 @@ def cmd_compare(args) -> int:
 
 
 def _bench_rows(variant: str, lvalues: list[int], m: int, seed: bytes) -> list[dict]:
+    run, bits, rounds, note = _VARIANTS[variant]
     rows = []
     for l in lvalues:
-        if variant == "alg4":
-            out = run_semi_honest(3, 5, l, seed=seed)
-            formula = alg4_total(l)
-            frounds = ROUNDS["alg4"]
-            note = f"online formula {alg4_online(l)}"
-        elif variant == "alg5":
-            out = run_semi_honest(3, 5, l, seed=seed, variant="alg5")
-            formula = alg5_total(l)
-            frounds = ROUNDS["alg5"]
-            note = f"online formula {alg5_online(l)}"
-        elif variant == "alg6":
-            out = run_shared_inputs(3, 5, l, m=m, seed=seed)
-            formula = alg6_total(l, m)
-            frounds = ROUNDS["alg6"]
-            note = f"m={m}"
-        elif variant == "alg7":
-            out = run_malicious(3, 5, l, t=1, seed=seed)
-            formula = None
-            frounds = None
-            note = (f"tree-based rounds; constant-round fan-in figure "
-                    f"{alg7_constant_round_total(l)} bits (informational)")
-        else:
-            raise ValueError(variant)
+        out = run(3, 5, l, m, seed)
+        formula = bits(l, m) if bits else None
         measured = out.transcript.accounting_total()
         rows.append({
             "variant": variant, "l": l,
@@ -325,16 +320,15 @@ def _bench_rows(variant: str, lvalues: list[int], m: int, seed: bytes) -> list[d
             "formula_bits": formula if formula is not None else "",
             "bits_match": "" if formula is None else ("yes" if measured == formula else "NO"),
             "measured_rounds": out.transcript.rounds(),
-            "formula_rounds": frounds if frounds is not None else "",
-            "note": note,
+            "formula_rounds": rounds if rounds is not None else "",
+            "note": note(l, m),
         })
     return rows
 
 
 def cmd_bench(args) -> int:
     lvalues = [int(x) for x in args.l.split(",")]
-    seed = bytes.fromhex(args.seed) if args.seed else bytes(32)
-    rows = _bench_rows(args.variant, lvalues, args.m, seed)
+    rows = _bench_rows(args.variant, lvalues, args.m, args.seed or bytes(32))
     cols = ["variant", "l", "measured_bits", "formula_bits", "bits_match",
             "measured_rounds", "formula_rounds", "note"]
     if args.format == "csv":
@@ -351,7 +345,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     role = args.role or cfg.get("role")
     if role == "party":
         return cmd_serve(args)
@@ -367,7 +361,8 @@ def cmd_run(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="obfw")
     ap.add_argument("--config", help="JSON run config (or $OBFW_CONFIG)")
-    ap.add_argument("--seed", help="hex seed, test mode only")
+    ap.add_argument("--seed", type=bytes.fromhex,
+                    help="hex seed; with a config, test mode only")
     ap.add_argument("--transcript", help="write the session transcript JSON here")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

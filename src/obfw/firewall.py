@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import math
 import operator
+import os
 import threading
 from array import array
 from dataclasses import dataclass, field as dc_field
@@ -56,7 +57,7 @@ class FirewallError(Exception):
     pass
 
 
-class BadConfig(FirewallError):
+class BadConfig(FirewallError, ValueError):
     pass
 
 
@@ -137,7 +138,8 @@ class ShareStore:
     `values` is a packed array; a list given to the constructor becomes
     one.  An evaluation reads its positions, and an update writes its
     positions, under one lock, so an evaluation sees all of an update or
-    none of it.
+    none of it.  A store loaded from a file keeps its `path`, and each
+    update reaches that file before it reaches memory.
     """
     config: FirewallConfig
     party_index: int
@@ -147,6 +149,11 @@ class ShareStore:
     # Hash family over `instance_keys`, built here unless given (a stub
     # family in tests); not saved with the store.
     family: object = dc_field(default=None, repr=False, compare=False)
+    path: str | None = dc_field(default=None, compare=False)
+    # Held from an update's file write to its in-memory write, so that
+    # the file never goes back to an older state.
+    _update_lock: threading.Lock = dc_field(default_factory=threading.Lock,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.values, array):
@@ -162,27 +169,42 @@ class ShareStore:
     def apply_update(self, pairs: Sequence[tuple[int, int]]) -> None:
         """Write each (position, value) pair in place.
 
-        Every pair is checked first, so a bad position changes nothing.
+        Every pair is checked first, so a bad position changes nothing.  A
+        store with a `path` saves the updated values there first; if that
+        fails it raises IoError and memory is unchanged.
         """
         beta = len(self.values)
         fresh = [(idx, val % self.config.N) for idx, val in pairs]
         for idx, _ in fresh:
             if not 0 <= idx < beta:
                 raise IndexError(f"position {idx} outside [0, {beta})")
-        with self._lock:
-            values = self.values
-            for idx, val in fresh:
-                values[idx] = val
+        with self._update_lock:
+            if self.path is not None:
+                # Only updates write the values, and they hold this lock.
+                updated = array(SHARE_TYPECODE, self.values)
+                for idx, val in fresh:
+                    updated[idx] = val
+                self._write(self.path, updated)
+            with self._lock:
+                values = self.values
+                for idx, val in fresh:
+                    values[idx] = val
 
     def hash_indices(self, addr: bytes) -> list[int]:
         return self.family.indices(addr, self.config.bloom.beta)
 
     # -- file format: header as the filter file plus scheme tag/index ------
     def save(self, path: str) -> None:
+        """Write the store to `path`, atomically: a crash leaves the old
+        file or the new one, never a truncated one."""
+        self._write(path, self.values)
+
+    def _write(self, path: str, values: array) -> None:
         cfg = self.config
         width = max(1, ((cfg.N - 1).bit_length() + 7) // 8)
+        tmp = path + ".tmp"     # same directory, so os.replace is a rename
         try:
-            with open(path, "wb") as fh:
+            with open(tmp, "wb") as fh:
                 fh.write(STORE_MAGIC)
                 fh.write(cfg.bloom.beta.to_bytes(8, "little"))
                 fh.write(cfg.bloom.kappa.to_bytes(2, "little"))
@@ -194,8 +216,15 @@ class ShareStore:
                 for k in self.instance_keys:
                     fh.write(k)
                 fh.write(b"".join(v.to_bytes(width, "little")
-                                  for v in self.values))
+                                  for v in values))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
         except OSError as exc:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
             raise IoError(str(exc)) from exc
 
     @classmethod
@@ -239,7 +268,7 @@ class ShareStore:
         if max(vals, default=0) >= N:
             raise IoError(f"share value outside [0, {N})")
         return cls(config=cfg, party_index=party, instance_keys=keys,
-                   values=vals, family=family)
+                   values=vals, family=family, path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +574,21 @@ def _run_product_session(stores: Sequence[ShareStore], addr: bytes, seed,
     return run_session(programs, session_id=session_id, protocol_id=protocol_id)
 
 
-def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
-                     tampers: dict[int, ServerTamper] | None = None,
-                     session_id: int = 0):
-    cfg = stores[0].config
+def check_product_config(cfg: FirewallConfig) -> None:
+    """Raise BadConfig unless product evaluation supports `cfg`."""
     if cfg.scheme != "shamir":
         if cfg.m != 3:
             raise BadConfig("additive product evaluation needs exactly 3 servers")
         raise BadConfig("product evaluation is implemented for Shamir stores")
     if cfg.m < 2 * cfg.t + 1:
         raise BadConfig("product evaluation needs m >= 2t+1 servers")
+
+
+def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
+                     tampers: dict[int, ServerTamper] | None = None,
+                     session_id: int = 0):
+    cfg = stores[0].config
+    check_product_config(cfg)
     net = _run_product_session(stores, addr, seed, tampers, session_id,
                                PROTO_FW_EVAL_PRODUCT)
     verdict = decide_product(cfg, net.results[GATEWAY])

@@ -157,11 +157,6 @@ class TcpNode:
                 self._start(session_id, protocol_id)
         self._call_soon(start_pending)
 
-    def mark_session(self, session_id: int) -> None:
-        """Mark a locally started session live, so that it is not served."""
-        with self._lock:
-            self._claim(session_id)
-
     def _install(self, peer: int, sock: socket.socket) -> None:
         # Non-blocking: reads wait in select and _send waits for room itself,
         # where a socket with a timeout would poll before every call.

@@ -5,7 +5,8 @@ Wire surfaces:
   * gateway public port  -- "CHECK <dotted-quad>\n" ->
         "BLOCK\n" | "FORWARD\n" | "ALERT <suspects>\n"
   * server admin port    -- "UPDATE <dotted-quad> <v1,v2,...>\n" then
-        "HMAC <hex over the UPDATE line>\n" -> "OK\n" | "AUTHFAIL\n"
+        "HMAC <hex over the UPDATE line>\n" -> "OK\n" | "AUTHFAIL\n" |
+        "ERROR <why>\n" (the store file could not be written)
   * server eval port     -- envelope protocol (ids 9/10) with the gateway
         and the other servers.
 
@@ -19,8 +20,9 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from dataclasses import dataclass
+from typing import Callable, TextIO
 
+from .errors import IoError
 from .firewall import (
     EvalVerdict,
     FirewallConfig,
@@ -28,6 +30,7 @@ from .firewall import (
     NoMajority,
     ServerTimeout,
     ShareStore,
+    check_product_config,
     decide_product,
     decide_sum,
     gateway_product_program,
@@ -41,12 +44,65 @@ from .net import PROTO_FW_EVAL_PRODUCT, PROTO_FW_EVAL_SUM, Endpoint, PartyTimeou
 from .rng import RandomSource
 
 
-@dataclass
-class ServerEndpoints:
-    index: int
-    host: str
-    eval_port: int
-    admin_port: int
+class _LineServer:
+    """A text port: one accept thread, and one thread per connection that
+    writes `answer(line, reader)` for each line, in the order the lines
+    came; `answer` may read further lines of its request from `reader`."""
+
+    def __init__(self, listen: Endpoint, answer: Callable[[str, TextIO], str]):
+        self._answer = answer
+        self._sock = socket.create_server((listen.host, listen.port))
+        self.port = self._sock.getsockname()[1]
+        # The listener and the connections still open; None once stopped.
+        self._lock = threading.Lock()
+        self._open: set[socket.socket] | None = {self._sock}
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def stop(self) -> None:
+        """Close the port and every open connection.  A connection's thread
+        ends once the answer it is computing, if any, returns."""
+        with self._lock:
+            socks, self._open = self._open or set(), None
+        for sock in socks:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)     # wakes accept() and reads
+            except OSError:
+                pass
+        if self._thread.is_alive():
+            self._thread.join()
+        self._sock.close()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return                              # stop() shut it down
+            with self._lock:
+                if self._open is None:
+                    conn.close()
+                    return
+                self._open.add(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        # Separate reader and writer: a write through a shared "rw" text file
+        # discards the reader's buffered input, which holds pipelined lines.
+        try:
+            with conn, conn.makefile("r", newline="\n") as rfh, \
+                    conn.makefile("w", newline="\n") as wfh:
+                for line in iter(rfh.readline, ""):
+                    wfh.write(self._answer(line, rfh))
+                    wfh.flush()
+        except (OSError, UnicodeDecodeError):
+            pass    # the client left or sent no text, or stop() closed it
+        finally:
+            with self._lock:
+                if self._open is not None:
+                    self._open.discard(conn)
 
 
 class FirewallServerDaemon:
@@ -59,26 +115,16 @@ class FirewallServerDaemon:
         self.node = node
         self.psk = psk
         self.rng = RandomSource(seed)
-        self._stop = threading.Event()
-        self._admin_srv = socket.create_server((admin_listen.host, admin_listen.port))
-        self._admin_srv.settimeout(0.2)
-        self.admin_port = self._admin_srv.getsockname()[1]
-        self._admin_thread = threading.Thread(target=self._admin_loop, daemon=True)
+        self._admin = _LineServer(admin_listen, self._answer)
+        self.admin_port = self._admin.port
 
     def start(self) -> None:
         self.node.serve(self._program_for)
-        self._admin_thread.start()
+        self._admin.start()
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._admin_srv.shutdown(socket.SHUT_RDWR)  # wakes accept() now
-        except OSError:
-            pass
-        self._admin_srv.close()
+        self._admin.stop()
         self.node.close()
-        if self._admin_thread.is_alive():
-            self._admin_thread.join(1.0)
 
     # -- envelope sessions -------------------------------------------------
     def _program_for(self, session_id: int, protocol_id: int):
@@ -90,46 +136,29 @@ class FirewallServerDaemon:
         return None
 
     # -- admin text protocol -------------------------------------------------
-    def _admin_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._admin_srv.accept()
-            except (socket.timeout, OSError):
-                continue
-            threading.Thread(target=self._admin_conn, args=(conn,),
-                             daemon=True).start()
-
-    def _admin_conn(self, conn: socket.socket) -> None:
-        # Separate reader and writer: a write through a shared "rw" text file
-        # discards the reader's buffered input, which holds pipelined lines.
-        with conn, conn.makefile("r", newline="\n") as rfh, \
-                conn.makefile("w", newline="\n") as fh:
-            while not self._stop.is_set():
-                line = rfh.readline()
-                if not line:
-                    return
-                mac_line = rfh.readline()
-                try:
-                    if not mac_line.startswith("HMAC "):
-                        raise AuthFail("missing HMAC line")
-                    verify_admin_mac(self.psk, line.rstrip("\n"), mac_line[5:])
-                    parts = line.split()
-                    if len(parts) != 3 or parts[0] != "UPDATE":
-                        raise AuthFail("malformed admin command")
-                    addr = parse_ipv4(parts[1])
-                    values = [int(v) % self.store.config.N
-                              for v in parts[2].split(",")]
-                    indices = self.store.hash_indices(addr)
-                    pairs = list(zip(sorted(set(indices)), values))
-                    if len(pairs) != len(values):
-                        raise AuthFail("value count does not match index count")
-                    self.store.apply_update(pairs)
-                    fh.write("OK\n")
-                except (AuthFail, ValueError):
-                    # A bad MAC, or a MAC'd line with a bad address or a
-                    # value that is no integer: nothing was applied.
-                    fh.write("AUTHFAIL\n")
-                fh.flush()
+    def _answer(self, line: str, reader: TextIO) -> str:
+        mac_line = reader.readline()
+        try:
+            if not mac_line.startswith("HMAC "):
+                raise AuthFail("missing HMAC line")
+            verify_admin_mac(self.psk, line.rstrip("\n"), mac_line[5:])
+            parts = line.split()
+            if len(parts) != 3 or parts[0] != "UPDATE":
+                raise AuthFail("malformed admin command")
+            addr = parse_ipv4(parts[1])
+            values = [int(v) % self.store.config.N for v in parts[2].split(",")]
+            indices = self.store.hash_indices(addr)
+            pairs = list(zip(sorted(set(indices)), values))
+            if len(pairs) != len(values):
+                raise AuthFail("value count does not match index count")
+            self.store.apply_update(pairs)
+        except (AuthFail, ValueError):
+            # A bad MAC, or a MAC'd line with a bad address or a value that
+            # is no integer: nothing was applied.
+            return "AUTHFAIL\n"
+        except IoError as exc:
+            return f"ERROR {exc}\n"     # the store file kept the old values
+        return "OK\n"
 
 
 class GatewayDaemon:
@@ -138,8 +167,8 @@ class GatewayDaemon:
     def __init__(self, cfg: FirewallConfig, node: TcpNode,
                  listen: Endpoint = Endpoint("127.0.0.1", 0),
                  mode: str = "sum"):
-        if mode == "product" and cfg.scheme != "shamir":
-            raise ValueError("product evaluation needs Shamir share stores")
+        if mode == "product":
+            check_product_config(cfg)
         self.cfg = cfg
         self.node = node
         self.mode = mode
@@ -147,18 +176,14 @@ class GatewayDaemon:
         # does not reuse the ids that the servers remember as finished.
         self._session_counter = int.from_bytes(os.urandom(8), "little")
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._srv = socket.create_server((listen.host, listen.port))
-        self._srv.settimeout(0.2)
-        self.port = self._srv.getsockname()[1]
-        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._lines = _LineServer(listen, self._answer)
+        self.port = self._lines.port
 
     def start(self) -> None:
-        self._thread.start()
+        self._lines.start()
 
     def stop(self) -> None:
-        self._stop.set()
-        self._srv.close()
+        self._lines.stop()
         self.node.close()
 
     def check(self, addr_text: str) -> EvalVerdict:
@@ -166,7 +191,6 @@ class GatewayDaemon:
         with self._lock:
             self._session_counter = (self._session_counter + 1) % 2 ** 64
             session = self._session_counter
-        self.node.mark_session(session)
         if self.mode == "product":
             program = gateway_product_program(self.cfg, addr)
             proto = PROTO_FW_EVAL_PRODUCT
@@ -182,43 +206,23 @@ class GatewayDaemon:
             return decide_product(self.cfg, responses)
         return decide_sum(self.cfg, responses)
 
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._srv.accept()
-            except (socket.timeout, OSError):
-                continue
-            threading.Thread(target=self._conn, args=(conn,), daemon=True).start()
-
-    def _conn(self, conn: socket.socket) -> None:
-        # Separate reader and writer, as in _admin_conn.
-        with conn, conn.makefile("r", newline="\n") as rfh, \
-                conn.makefile("w", newline="\n") as fh:
-            while not self._stop.is_set():
-                line = rfh.readline()
-                if not line:
-                    return
-                parts = line.split()
-                try:
-                    if len(parts) != 2 or parts[0] != "CHECK":
-                        raise ValueError("expected CHECK <dotted-quad>")
-                    verdict = self.check(parts[1])
-                except NoMajority:
-                    # The reveals disagree with no majority: more servers
-                    # cheat than the analysis can place.
-                    verdict = EvalVerdict("alert")
-                except (ValueError, ServerTimeout) as exc:
-                    fh.write(f"ERROR {exc}\n")
-                    fh.flush()
-                    continue
-                if verdict.decision == "block":
-                    fh.write("BLOCK\n")
-                elif verdict.decision == "forward":
-                    fh.write("FORWARD\n")
-                else:
-                    suspects = ",".join(str(s) for s in sorted(verdict.suspects))
-                    fh.write(f"ALERT {suspects}\n")
-                fh.flush()
+    def _answer(self, line: str, _reader: TextIO) -> str:
+        parts = line.split()
+        try:
+            if len(parts) != 2 or parts[0] != "CHECK":
+                raise ValueError("expected CHECK <dotted-quad>")
+            verdict = self.check(parts[1])
+        except NoMajority:
+            # The reveals disagree with no majority: more servers cheat
+            # than the analysis can place.
+            verdict = EvalVerdict("alert")
+        except (ValueError, ServerTimeout) as exc:
+            return f"ERROR {exc}\n"
+        if verdict.decision == "block":
+            return "BLOCK\n"
+        if verdict.decision == "forward":
+            return "FORWARD\n"
+        return f"ALERT {','.join(str(s) for s in sorted(verdict.suspects))}\n"
 
 
 def admin_push_update(host: str, port: int, psk: bytes, addr_text: str,

@@ -11,13 +11,16 @@ import weakref
 import pytest
 
 from obfw.bloom import derive_params
-from obfw.cli import EXIT_OK, EXIT_USAGE, main
+from obfw.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main
 from obfw.firewall import (
+    AuthFail,
     FirewallConfig,
     ServerTamper,
+    ShareStore,
     fw_init,
     fw_update_pairs,
     parse_ipv4,
+    run_eval_sum,
     server_product_program,
 )
 from obfw.net import Endpoint, TcpNode, build_mesh, group_addr32, group_zp, recv, send
@@ -33,22 +36,13 @@ def stack():
     rng = RandomSource(b"stack" + bytes(27))
     blacklist = [f"10.0.0.{i}" for i in range(1, 31)]
     flt, stores = fw_init(blacklist, cfg, rng)
-
-    nodes = {i: TcpNode(i, Endpoint("127.0.0.1", 0)) for i in (1, 2, 3)}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i < j:
-                nodes[i].connect(j, Endpoint("127.0.0.1", nodes[j].port))
+    nodes = build_mesh([0, 1, 2, 3])
     daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=b"pskpsk",
                                     seed=i) for i in (1, 2, 3)]
     for d in daemons:
         d.start()
-    gw_node = TcpNode(0, Endpoint("127.0.0.1", 0))
-    for i in (1, 2, 3):
-        gw_node.connect(i, Endpoint("127.0.0.1", nodes[i].port))
-    gw = GatewayDaemon(cfg, gw_node, mode="sum")
+    gw = GatewayDaemon(cfg, nodes[0], mode="sum")
     gw.start()
-    time.sleep(0.05)
     yield cfg, flt, stores, daemons, gw
     gw.stop()
     for d in daemons:
@@ -108,25 +102,17 @@ class TestProductModeDaemons:
         rng = RandomSource(b"product-stack" + bytes(19))
         blacklist = [f"10.5.0.{i}" for i in range(1, 21)]
         flt, stores = fw_init(blacklist, cfg, rng)
-        nodes = {i: TcpNode(i, Endpoint("127.0.0.1", 0)) for i in range(1, 8)}
+        nodes = build_mesh(list(range(8)))
         daemons = []
         gw = None
         try:
-            for i in nodes:
-                for j in nodes:
-                    if i < j:
-                        nodes[i].connect(j, Endpoint("127.0.0.1", nodes[j].port))
             daemons = [FirewallServerDaemon(stores[i - 1], nodes[i],
                                             psk=b"psk", seed=i)
                        for i in range(1, 8)]
             for d in daemons:
                 d.start()
-            gw_node = TcpNode(0, Endpoint("127.0.0.1", 0))
-            for i in nodes:
-                gw_node.connect(i, Endpoint("127.0.0.1", nodes[i].port))
-            gw = GatewayDaemon(cfg, gw_node, mode="product")
+            gw = GatewayDaemon(cfg, nodes[0], mode="product")
             gw.start()
-            time.sleep(0.05)
             assert check_line(gw.port, "10.5.0.3") == "BLOCK"
             reply = check_line(gw.port, "172.31.0.9")
             assert reply in ("FORWARD", "BLOCK")  # fp possible, never an error
@@ -370,6 +356,97 @@ class TestPipelinedLines:
         assert list(stores[0].values) != before
 
 
+class TestStop:
+    def test_stop_closes_client_connections(self):
+        before = threading.active_count()
+        cfg = FirewallConfig(scheme="additive", m=3, N=101,
+                             bloom=derive_params(20, 0.05))
+        _, stores = fw_init(["10.9.0.1"], cfg, RandomSource(b"stop" + bytes(28)))
+        nodes = build_mesh([0, 1, 2, 3])
+        daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=b"psk",
+                                        seed=i) for i in (1, 2, 3)]
+        for d in daemons:
+            d.start()
+        gw = GatewayDaemon(cfg, nodes[0], mode="sum")
+        gw.start()
+        with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as gc_, \
+                socket.create_connection(("127.0.0.1", daemons[0].admin_port),
+                                         timeout=5) as ac:
+            # One request on each, so that both connections are being served.
+            gc_.sendall(b"CHECK 10.9.0.1\n")
+            assert gc_.makefile("r").readline() == "BLOCK\n"
+            ac.sendall(b"UPDATE 10.9.0.1 1\nHMAC 00\n")
+            assert ac.makefile("r").readline() == "AUTHFAIL\n"
+            gw.stop()
+            for d in daemons:
+                d.stop()
+            for conn in (gc_, ac):
+                conn.settimeout(1.0)
+                assert conn.recv(1) == b""
+        deadline = time.monotonic() + 1.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= before
+
+
+def saved_stores(tmp_path, cfg, blacklist):
+    """fw_init's stores, saved and loaded back, so that each has a path."""
+    flt, stores = fw_init(blacklist, cfg, RandomSource(b"durable" + bytes(25)))
+    paths = [str(tmp_path / f"s{s.party_index}.share") for s in stores]
+    for store, path in zip(stores, paths):
+        store.save(path)
+    return flt, [ShareStore.load(path) for path in paths], paths
+
+
+class TestDurableUpdates:
+    def test_update_survives_restart(self, tmp_path):
+        cfg = FirewallConfig(scheme="additive", m=3, N=2 ** 31 - 1,
+                             bloom=derive_params(50, 0.01))
+        flt, stores, paths = saved_stores(
+            tmp_path, cfg, [f"10.7.0.{i}" for i in range(20)])
+        addr = "198.51.100.9"
+        assert not flt.query(parse_ipv4(addr))
+        per_server = fw_update_pairs(flt, cfg, parse_ipv4(addr), RandomSource(9))
+        nodes = build_mesh([1, 2, 3])
+        daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=b"psk",
+                                        seed=i) for i in (1, 2, 3)]
+        for d in daemons:
+            d.start()
+        try:
+            for d, pairs in zip(daemons, per_server):
+                assert admin_push_update("127.0.0.1", d.admin_port, b"psk", addr,
+                                         [v for _, v in pairs]) == "OK"
+        finally:
+            for d in daemons:
+                d.stop()
+        reloaded = [ShareStore.load(path) for path in paths]
+        verdict, _ = run_eval_sum(reloaded, parse_ipv4(addr))
+        assert verdict.decision == "block"
+
+    def test_failed_write_is_an_error_and_changes_nothing(self, tmp_path):
+        cfg = FirewallConfig(scheme="additive", m=3, N=101,
+                             bloom=derive_params(20, 0.05))
+        flt, stores, _ = saved_stores(tmp_path, cfg, ["10.7.0.1"])
+        on_disk = (tmp_path / "s1.share").read_bytes()
+        in_memory = stores[0].values.tobytes()
+        stores[0].path = str(tmp_path / "gone" / "s1.share")
+        addr = "198.51.100.9"
+        pairs = fw_update_pairs(flt, cfg, parse_ipv4(addr), RandomSource(9))[0]
+        daemon = FirewallServerDaemon(stores[0], TcpNode(1, Endpoint("127.0.0.1", 0)),
+                                      psk=b"psk")
+        daemon.start()
+        try:
+            with pytest.raises(AuthFail, match="replied .ERROR "):
+                admin_push_update("127.0.0.1", daemon.admin_port, b"psk", addr,
+                                  [v for _, v in pairs])
+        finally:
+            daemon.stop()
+        assert stores[0].values.tobytes() == in_memory
+        assert (tmp_path / "s1.share").read_bytes() == on_disk
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["s1.share", "s2.share", "s3.share"]
+
+
 class TestCli:
     def test_compare_prints_verdict(self, capsys):
         assert main(["compare", "alg4", "15", "13", "--l", "5"]) == EXIT_OK
@@ -469,6 +546,88 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"m": 3, "seed": "00" * 32}))
         assert main(["--config", str(cfg_path), "fw-init", "x"]) == EXIT_USAGE
+
+    def test_seed_flag_requires_test_mode(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"m": 3, "N": 11,
+                                        "bloom": {"eta": 5, "target_fp": 0.1},
+                                        "store_prefix": str(tmp_path / "fw")}))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "--seed", "ab" * 32,
+                     "fw-init", str(bl)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "cfg.json"]
+
+    @pytest.mark.parametrize("argv", [["fw-init", "b.txt"],
+                                      ["compare", "alg4", "9", "4"]],
+                             ids=["fw-init", "compare"])
+    def test_non_hex_seed_flag_exit2(self, tmp_path, argv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"m": 3, "test_mode": True,
+                                        "store_prefix": str(tmp_path / "fw")}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--seed", "zz", *argv])
+        assert exc.value.code == EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_non_hex_psk_exit2_keeps_filter(self, tmp_path, capsys):
+        cfg = {"m": 3, "N": 11, "bloom": {"eta": 5, "target_fp": 0.1},
+               "store_prefix": str(tmp_path / "fw")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        filter_bytes = (tmp_path / "fw.filter").read_bytes()
+        cfg_path.write_text(json.dumps({**cfg, "psk": "nothex"}))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "admin-update",
+                     "1.2.3.4"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert (tmp_path / "fw.filter").read_bytes() == filter_bytes
+
+    def test_refused_update_exit1(self, tmp_path, capsys):
+        cfg = {"m": 3, "N": 11, "bloom": {"eta": 5, "target_fp": 0.1},
+               "store_prefix": str(tmp_path / "fw"), "psk": "0011"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        store = ShareStore.load(str(tmp_path / "fw.server1.share"))
+        daemon = FirewallServerDaemon(store, TcpNode(1, Endpoint("127.0.0.1", 0)),
+                                      psk=b"other")
+        daemon.start()
+        try:
+            cfg_path.write_text(json.dumps({**cfg, "peers": [
+                {"index": 1, "host": "127.0.0.1", "port": daemon.admin_port}]}))
+            capsys.readouterr()
+            assert main(["--config", str(cfg_path), "admin-update",
+                         "1.2.3.4"]) == EXIT_PROTOCOL
+        finally:
+            daemon.stop()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["update refused: server replied 'AUTHFAIL'"]
+
+    @pytest.mark.parametrize("fw", [
+        {"scheme": "additive", "m": 3},
+        {"scheme": "shamir", "m": 3, "t": 2, "N": 101},
+    ], ids=["additive", "shamir-m-below-2t+1"])
+    def test_gateway_product_mode_checked_before_dialing(self, tmp_path, capsys,
+                                                         fw):
+        with socket.socket() as unused:
+            unused.bind(("127.0.0.1", 0))
+            port = unused.getsockname()[1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            **fw, "eval_mode": "product", "bloom": {"eta": 5, "target_fp": 0.1},
+            "peers": [{"index": 1, "host": "127.0.0.1", "port": port}]}))
+        assert main(["--config", str(cfg_path), "gateway"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     def test_missing_config_uses_env(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
