@@ -6,10 +6,15 @@ mapping is hash_t(item) mod beta.  The kappa hashes of one item share the
 message, so SipHashFamily runs them side by side in packed integers;
 `siphash24` is the scalar reference.  Plaintext filters belong on the
 admin machine only; servers ever see secret shares of the bit array.
+
+The filter file and the servers' share stores open with the same header
+(magic, beta, kappa); `read_obfw_file` and `write_obfw_file` are the one
+reader and the one writer of both.
 """
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,6 +22,7 @@ from typing import Sequence
 from .errors import BadParams, IoError
 
 MAGIC = b"OBFW1"
+_HEADER = struct.Struct("<5sQH")    # magic, beta, kappa
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
@@ -243,35 +249,54 @@ class BloomFilter:
 
     # -- admin-side file format ---------------------------------------------
     def save(self, path: str) -> None:
-        try:
-            with open(path, "wb") as fh:
-                fh.write(MAGIC)
-                fh.write(self.params.beta.to_bytes(8, "little"))
-                fh.write(self.params.kappa.to_bytes(2, "little"))
-                fh.write(self.master_key)
-                fh.write(bytes(self.bits))
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        write_obfw_file(path, self.params.beta, self.params.kappa,
+                        self.master_key, self.bits)
 
     @classmethod
-    def load(cls, path: str, eta: int = 1, target_fp: float = 0.5) -> "BloomFilter":
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
-        if blob[:5] != MAGIC:
-            raise IoError("bad filter magic")
-        beta = int.from_bytes(blob[5:13], "little")
-        kappa = int.from_bytes(blob[13:15], "little")
-        key = blob[15:31]
-        bits = blob[31:]
-        if len(bits) != (beta + 7) // 8:
+    def load(cls, path: str) -> "BloomFilter":
+        beta, kappa, body = read_obfw_file(path)
+        if len(body) != 16 + (beta + 7) // 8:
             raise IoError("truncated bit array")
         try:
-            flt = cls(BloomParams(beta=beta, kappa=kappa, eta=eta,
-                                  target_fp=target_fp), key)
+            flt = cls(BloomParams(beta=beta, kappa=kappa, eta=1,
+                                  target_fp=0.5), body[:16])
         except BadParams as exc:
             raise IoError(f"filter header: {exc}") from exc
-        flt.bits = bytearray(bits)
+        flt.bits = bytearray(body[16:])
         return flt
+
+
+def read_obfw_file(path: str) -> tuple[int, int, bytes]:
+    """(beta, kappa, the bytes after the header) of the file at `path`; a
+    file that cannot be read or does not open with the header is an
+    IoError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    if len(blob) < _HEADER.size or not blob.startswith(MAGIC):
+        raise IoError(f"no {MAGIC.decode()} header in {path}")
+    _, beta, kappa = _HEADER.unpack_from(blob)
+    return beta, kappa, blob[_HEADER.size:]
+
+
+def write_obfw_file(path: str, beta: int, kappa: int, *body: bytes) -> None:
+    """Write the header and `body` to `<path>.tmp`, fsync it and rename it
+    over `path`, so a crash or a failed write leaves the old file or the
+    new one, never a truncated one.  A failure is an IoError."""
+    tmp = path + ".tmp"     # same directory, so os.replace is a rename
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, beta, kappa))
+            for part in body:
+                fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise IoError(str(exc)) from exc

@@ -74,9 +74,6 @@ CONFIG_SCHEMA = {
         "m": {"type": "integer", "minimum": 2},
         "t": {"type": "integer", "minimum": 0},
         "N": {"type": "integer", "minimum": 2, "maximum": MAX_MODULUS},
-        "p": {"type": "integer", "minimum": 2},
-        "n": {"type": "integer", "minimum": 2},
-        "lbits": {"type": "integer", "minimum": 4},
         "eval_mode": {"enum": ["sum", "product"]},
         "bloom": {"type": "object",
                   "properties": {"eta": {"type": "integer", "minimum": 1},
@@ -89,7 +86,6 @@ CONFIG_SCHEMA = {
         "store_prefix": {"type": "string"},
         "test_mode": {"type": "boolean"},
         "seed": _HEX,
-        "transcript": {"type": "string"},
     },
     "additionalProperties": False,
 }
@@ -260,8 +256,6 @@ def cmd_admin_update(args) -> int:
     flt = BloomFilter.load(filter_path)
     rng = RandomSource(_seed_from(cfg, args.seed))
     per_server = fw_update_pairs(flt, fw_cfg, addr, rng)
-    flt.insert(addr)
-    flt.save(filter_path)
     psk = bytes.fromhex(cfg.get("psk", "00"))
     try:
         for peer in cfg.get("peers", []):
@@ -274,6 +268,9 @@ def cmd_admin_update(args) -> int:
     except AuthFail as exc:
         print(f"update refused: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
+    # Every server holds the update: only now does the filter take it.
+    flt.insert(addr)
+    flt.save(filter_path)
     print(f"updated {args.address} on {fw_cfg.m} servers")
     return EXIT_OK
 

@@ -109,7 +109,7 @@ def dual_add(a: DualShare, b: DualShare) -> DualShare:
 
 def dual_add_const(a: DualShare, c: int) -> DualShare:
     return DualShare(shamir_add_const(a.shamir, c),
-                     additive_add_const(a.additive, c, designated=1))
+                     additive_add_const(a.additive, c))
 
 
 def dual_cmul(a: DualShare, c: int) -> DualShare:

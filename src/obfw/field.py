@@ -39,8 +39,8 @@ class NotPrime(FieldError):
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin with `rounds` random bases (deterministic for small n)."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with 40 random bases (deterministic for small n)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -54,7 +54,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         d //= 2
         r += 1
     rng = RandomSource(n)
-    for _ in range(rounds):
+    for _ in range(40):
         a = 2 + rng.randbelow(n - 3)
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -19,13 +19,14 @@ import hashlib
 import itertools
 import math
 import operator
-import os
+import struct
 import threading
 from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import Generator, Iterable, Sequence
 
-from .bloom import BloomFilter, BloomParams, SipHashFamily
+from .bloom import (BloomFilter, BloomParams, SipHashFamily, read_obfw_file,
+                    write_obfw_file)
 from .errors import BadParams, IoError
 from .field import NotPrime, PrimeField, berlekamp_welch, interpolate_at_zero
 from .net import (
@@ -44,11 +45,12 @@ from .net import (
 from .rng import RandomSource
 from .sharing import ShamirParams, mult_fanin_party
 
-STORE_MAGIC = b"OBFW1"
 # Share columns are unsigned 32-bit arrays: 4 bytes a share, so N < 2^32
 # (the store header keeps N in 4 bytes as well).
 SHARE_TYPECODE = "I"
 MAX_MODULUS = (1 << 32) - 1
+# After the filter file's header fields: scheme tag, party index, t, m, N.
+_STORE_HEADER = struct.Struct("<BBBBI")
 GATEWAY = 0
 RESULT_STEP = 100
 
@@ -126,6 +128,11 @@ class FirewallConfig:
     def reveal_size(self) -> int:
         return self.t
 
+    @property
+    def share_width(self) -> int:
+        """Bytes a share takes in a store file: the fewest that hold N-1."""
+        return max(1, ((self.N - 1).bit_length() + 7) // 8)
+
 
 # ---------------------------------------------------------------------------
 # Share store
@@ -195,74 +202,43 @@ class ShareStore:
 
     # -- file format: header as the filter file plus scheme tag/index ------
     def save(self, path: str) -> None:
-        """Write the store to `path`, atomically: a crash leaves the old
-        file or the new one, never a truncated one."""
+        """Write the store to `path` atomically, as `write_obfw_file` does."""
         self._write(path, self.values)
 
     def _write(self, path: str, values: array) -> None:
         cfg = self.config
-        width = max(1, ((cfg.N - 1).bit_length() + 7) // 8)
-        tmp = path + ".tmp"     # same directory, so os.replace is a rename
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(STORE_MAGIC)
-                fh.write(cfg.bloom.beta.to_bytes(8, "little"))
-                fh.write(cfg.bloom.kappa.to_bytes(2, "little"))
-                fh.write(bytes([0 if cfg.scheme == "additive" else 1]))
-                fh.write(bytes([self.party_index]))
-                fh.write(bytes([cfg.t]))
-                fh.write(bytes([cfg.m]))
-                fh.write(cfg.N.to_bytes(4, "little"))
-                for k in self.instance_keys:
-                    fh.write(k)
-                fh.write(b"".join(v.to_bytes(width, "little")
-                                  for v in values))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise IoError(str(exc)) from exc
+        width = cfg.share_width
+        write_obfw_file(
+            path, cfg.bloom.beta, cfg.bloom.kappa,
+            _STORE_HEADER.pack(0 if cfg.scheme == "additive" else 1,
+                               self.party_index, cfg.t, cfg.m, cfg.N),
+            *self.instance_keys,
+            b"".join(v.to_bytes(width, "little") for v in values))
 
     @classmethod
     def load(cls, path: str) -> "ShareStore":
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
-        if blob[:5] != STORE_MAGIC:
-            raise IoError("bad share-store magic")
-        if len(blob) < 23:
+        beta, kappa, blob = read_obfw_file(path)
+        if len(blob) < _STORE_HEADER.size:
             raise IoError("truncated share-store header")
-        beta = int.from_bytes(blob[5:13], "little")
-        kappa = int.from_bytes(blob[13:15], "little")
-        if blob[15] not in (0, 1):
-            raise IoError(f"unknown sharing scheme tag {blob[15]}")
-        scheme = ("additive", "shamir")[blob[15]]
-        party = blob[16]
-        t = blob[17]
-        m = blob[18]
-        N = int.from_bytes(blob[19:23], "little")
-        off = 23
+        tag, party, t, m, N = _STORE_HEADER.unpack_from(blob)
+        if tag not in (0, 1):
+            raise IoError(f"unknown sharing scheme tag {tag}")
+        off = _STORE_HEADER.size
         keys = [blob[off + 16 * i: off + 16 * (i + 1)] for i in range(kappa)]
         off += 16 * kappa
         try:
-            cfg = FirewallConfig(scheme=scheme, m=m, N=N, t=t,
-                                 bloom=BloomParams(beta=beta, kappa=kappa,
-                                                   eta=1, target_fp=0.5))
+            cfg = FirewallConfig(scheme=("additive", "shamir")[tag], m=m, N=N,
+                                 t=t, bloom=BloomParams(beta=beta, kappa=kappa,
+                                                        eta=1, target_fp=0.5))
             family = SipHashFamily.from_keys(keys)
         except (BadConfig, BadParams) as exc:
             raise IoError(f"share-store header: {exc}") from exc
         if not 1 <= party <= m:
             raise IoError(f"party index {party} outside [1, {m}]")
-        width = max(1, ((N - 1).bit_length() + 7) // 8)
+        width = cfg.share_width
         if len(blob) != off + beta * width:
-            raise IoError(f"share store is {len(blob)} bytes, its header "
-                          f"says {off + beta * width}")
+            raise IoError(f"share store holds {len(blob) - off} bytes of "
+                          f"shares, its header says {beta * width}")
         vals = array(SHARE_TYPECODE, (int.from_bytes(blob[i:i + width], "little")
                                       for i in range(off, len(blob), width)))
         if max(vals, default=0) >= N:
@@ -307,11 +283,9 @@ def _deal(bits: Iterable[int], cfg: FirewallConfig,
 
 
 def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
-            master_key: bytes | None = None, family=None
-            ) -> tuple[BloomFilter, list[ShareStore]]:
+            family=None) -> tuple[BloomFilter, list[ShareStore]]:
     """Trusted initialization: build, share and package the filter."""
-    master = master_key if master_key is not None else rng.bytes(16)
-    flt = BloomFilter(cfg.bloom, master, family=family)
+    flt = BloomFilter(cfg.bloom, rng.bytes(16), family=family)
     for line in blacklist:
         flt.insert(parse_ipv4(line))
     if isinstance(flt.family, SipHashFamily):

@@ -77,9 +77,7 @@ def drive(program: Generator, me: int, session_id: int, protocol_id: int,
                 transcript.record_send(
                     me, cmd.to, cmd.step,
                     segments_accounting_bits(cmd.segments),
-                    segments_raw_bits(cmd.segments),
-                    sum(len(v) for _, v in cmd.segments),
-                    payload=payload)
+                    segments_raw_bits(cmd.segments), payload=payload)
                 post(cmd.to, Envelope(protocol_id, cmd.step, session_id, me,
                                       payload))
             elif isinstance(cmd, Recv):

@@ -1,4 +1,4 @@
-"""Per-session transcript: element counts, accounting bits and rounds.
+"""Per-session transcript: accounting bits, raw bits and rounds.
 
 Transmitted bits are tallied once, at the sender, in the ledger convention
 (group accounting widths; framing excluded).  Rounds follow the
@@ -20,7 +20,6 @@ class _Event:
     peer: int
     step: int
     accounting_bits: int
-    raw_bits: int
 
 
 def _pack_rounds(events: list[_Event]) -> int:
@@ -47,7 +46,6 @@ class Transcript:
     protocol_id: int = 0
     step_acc_bits: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     step_raw_bits: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    step_elements: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     party_events: dict[int, list[_Event]] = field(default_factory=lambda: defaultdict(list))
     messages: int = 0
     # Rolling digest over every sent payload, keyed per sender so the value
@@ -57,18 +55,16 @@ class Transcript:
         default_factory=lambda: defaultdict(lambda: hashlib.sha256()))
 
     def record_send(self, sender: int, receiver: int, step: int,
-                    acc_bits: int, raw_bits: int, n_elements: int,
-                    payload: bytes = b"") -> None:
+                    acc_bits: int, raw_bits: int, payload: bytes = b"") -> None:
         self.step_acc_bits[step] += acc_bits
         self.step_raw_bits[step] += raw_bits
-        self.step_elements[step] += n_elements
-        self.party_events[sender].append(_Event("S", receiver, step, acc_bits, raw_bits))
+        self.party_events[sender].append(_Event("S", receiver, step, acc_bits))
         self.payload_digests[sender].update(
             bytes([receiver & 0xFF, step & 0xFF]) + payload)
         self.messages += 1
 
     def record_recv(self, receiver: int, sender: int, step: int) -> None:
-        self.party_events[receiver].append(_Event("R", sender, step, 0, 0))
+        self.party_events[receiver].append(_Event("R", sender, step, 0))
 
     def merge(self, other: "Transcript") -> None:
         """Add the events of other parties of the same session, as recorded
@@ -77,8 +73,6 @@ class Transcript:
             self.step_acc_bits[step] += bits
         for step, bits in other.step_raw_bits.items():
             self.step_raw_bits[step] += bits
-        for step, n in other.step_elements.items():
-            self.step_elements[step] += n
         for party, evs in other.party_events.items():
             self.party_events[party].extend(evs)
         self.payload_digests.update(other.payload_digests)

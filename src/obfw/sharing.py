@@ -179,9 +179,9 @@ def additive_add(a: AdditiveShare, b: AdditiveShare) -> AdditiveShare:
     return AdditiveShare(a.index, (a.value + b.value) % a.params.modulus, a.params)
 
 
-def additive_add_const(a: AdditiveShare, c: int, designated: int = 1) -> AdditiveShare:
-    # Exactly one party absorbs the constant or the sum would gain m*c.
-    if a.index != designated:
+def additive_add_const(a: AdditiveShare, c: int) -> AdditiveShare:
+    # Party 1 alone absorbs the constant, or the sum would gain m*c.
+    if a.index != 1:
         return a
     return AdditiveShare(a.index, (a.value + c) % a.params.modulus, a.params)
 

@@ -192,22 +192,22 @@ class TestFilterFile:
                              ids=["kappa-zero", "kappa-above-64", "beta-zero"])
     def test_damaged_header_is_a_file_error(self, tmp_path, offset, value):
         params = BloomParams(beta=16, kappa=2, eta=1, target_fp=0.5)
-        path = str(tmp_path / "d.filter")
-        BloomFilter(params, bytes(range(16))).save(path)
-        blob = bytearray(open(path, "rb").read())
+        path = tmp_path / "d.filter"
+        BloomFilter(params, bytes(range(16))).save(str(path))
+        blob = bytearray(path.read_bytes())
         blob[offset] = value
         if offset == 5:                     # beta = 0 with no bit array
             blob = blob[:31]
-        open(path, "wb").write(bytes(blob))
+        path.write_bytes(bytes(blob))
         with pytest.raises(IoError):
-            BloomFilter.load(path)
+            BloomFilter.load(str(path))
 
     def test_magic_layout(self, tmp_path):
         params = BloomParams(beta=16, kappa=2, eta=1, target_fp=0.5)
         flt = BloomFilter(params, bytes(range(16)))
-        path = str(tmp_path / "m.filter")
-        flt.save(path)
-        blob = open(path, "rb").read()
+        path = tmp_path / "m.filter"
+        flt.save(str(path))
+        blob = path.read_bytes()
         assert blob[:5] == b"OBFW1"
         assert int.from_bytes(blob[5:13], "little") == 16
         assert int.from_bytes(blob[13:15], "little") == 2

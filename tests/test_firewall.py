@@ -1,10 +1,15 @@
 """Firewall: initialization, evaluation variants, detection, updates."""
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from array import array
 
 import pytest
 
+import obfw
 from obfw.bloom import BloomFilter, BloomParams, FixedHashFamily, derive_params
 from obfw.firewall import (
     BadConfig,
@@ -532,11 +537,87 @@ class TestStoreFile:
 
     def test_header_layout(self, tmp_path):
         cfg, _, stores = toy_stores()
-        path = str(tmp_path / "a.share")
-        stores[0].save(path)
-        blob = open(path, "rb").read()
+        path = tmp_path / "a.share"
+        stores[0].save(str(path))
+        blob = path.read_bytes()
         assert blob[:5] == b"OBFW1"
         assert int.from_bytes(blob[5:13], "little") == 8    # beta
         assert int.from_bytes(blob[13:15], "little") == 3   # kappa
         assert blob[15] == 0                                # additive tag
         assert blob[16] == 1                                # party index
+
+
+# sha256 of the filter file and of each share store that fw_init writes for
+# a fixed seed, recorded before the filter and the stores shared one writer.
+PINNED_FILES = {
+    "additive": (
+        FirewallConfig(scheme="additive", m=3, N=2 ** 31 - 1,
+                       bloom=BloomParams(beta=200, kappa=5, eta=20,
+                                         target_fp=0.01)),
+        ["4796846827b4b4c0ffbdff0749c0b1c8136ba16502a5f07d7c6206056908cc71",
+         "b066ed0ac0f3789d51e9428a0cefb4d1cc99ede5f94fd21500c78be09c865f1e",
+         "3ccfa92c792e876928d6a8fdc5e3c22b5085a16790e34ce0aa0bea783bec29b6",
+         "42278633519b7e0f3bb0ac6183359903489bdf2956d8d225d3fc09b5558a77e1"]),
+    "shamir": (
+        FirewallConfig(scheme="shamir", m=5, t=2, N=2 ** 31 - 1,
+                       bloom=BloomParams(beta=150, kappa=4, eta=20,
+                                         target_fp=0.01)),
+        ["39eb32300abfbfca182ca554647b7f3db860e83c3be39bf4d9422cc84222e6ec",
+         "51105363912879e711e6cf38874f2010444f96cb9ce7e06a24f7c2c04292d387",
+         "9df00ede3b9ba27cb490b965d90a7bd416d5adc2a23f001d3d73b03977d9ea07",
+         "dad3a5466276a0abd0c30f7282237b6d1593eedc874fc340bbe0383b3107b7e7",
+         "cc452e6d9d1e3a4f76902d2dd7d3a1db8cee92c87c832c12418d69f9e38a6fbb",
+         "4250fb7aaaae495c20748f0b4584dbc010e54d2d971176221f55b3d1697c4e7c"]),
+}
+
+# Loads the file named by argv[1] and saves it back with the file size
+# limit at argv[2] bytes; exits 0 if the save raised IoError.  SIGXFSZ is
+# ignored, so a write past the limit fails with EFBIG as on a full disk.
+FAILING_SAVE = """
+import resource, signal, sys
+from obfw.bloom import BloomFilter
+from obfw.errors import IoError
+from obfw.firewall import ShareStore
+path, limit = sys.argv[1], int(sys.argv[2])
+loaded = (BloomFilter if path.endswith(".filter") else ShareStore).load(path)
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    loaded.save(path)
+except IoError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+class TestFileLayer:
+    @pytest.mark.parametrize("scheme", sorted(PINNED_FILES))
+    def test_files_are_byte_identical(self, tmp_path, scheme):
+        cfg, digests = PINNED_FILES[scheme]
+        flt, stores = fw_init([f"10.0.0.{i}" for i in range(12)], cfg,
+                              RandomSource(b"pin-" + scheme.encode()))
+        paths = [tmp_path / "f.filter"] + [tmp_path / f"s{s.party_index}.share"
+                                           for s in stores]
+        for obj, path in zip([flt, *stores], paths):
+            obj.save(str(path))
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in paths] == digests
+
+    @pytest.mark.parametrize("name", ["f.filter", "s.share"])
+    def test_failed_save_keeps_old_file(self, tmp_path, name):
+        cfg = FirewallConfig(scheme="additive", m=3, N=2 ** 31 - 1,
+                             bloom=derive_params(1000, 0.01))
+        flt, stores = fw_init(["10.0.0.1"], cfg, RandomSource(3))
+        path = tmp_path / name
+        (flt if name.endswith(".filter") else stores[0]).save(str(path))
+        before = path.read_bytes()
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(obfw.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-c", FAILING_SAVE, str(path),
+             str(len(before) // 2)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]

@@ -249,17 +249,17 @@ class TestRoundPacking:
     def test_request_response_pairs(self):
         from obfw.net.transcript import Transcript
         tr = Transcript()
-        tr.record_send(1, 2, 1, 8, 8, 1)
+        tr.record_send(1, 2, 1, 8, 8)
         tr.record_recv(1, 2, 2)
-        tr.record_send(1, 2, 3, 8, 8, 1)
+        tr.record_send(1, 2, 3, 8, 8)
         tr.record_recv(1, 2, 4)
         assert tr.rounds() == 2
 
     def test_send_blocks_merge(self):
         from obfw.net.transcript import Transcript
         tr = Transcript()
-        tr.record_send(1, 2, 1, 8, 8, 1)
-        tr.record_send(1, 3, 1, 8, 8, 1)
+        tr.record_send(1, 2, 1, 8, 8)
+        tr.record_send(1, 3, 1, 8, 8)
         tr.record_recv(1, 2, 2)
         tr.record_recv(1, 3, 2)
         assert tr.rounds() == 1

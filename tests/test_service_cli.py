@@ -11,7 +11,7 @@ import weakref
 import pytest
 
 from obfw.bloom import derive_params
-from obfw.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main
+from obfw.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, EXIT_USAGE, main
 from obfw.firewall import (
     AuthFail,
     FirewallConfig,
@@ -542,6 +542,21 @@ class TestCli:
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert main(["--config", str(cfg_path), "fw-init", "x"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("key,value", [("p", 11), ("n", 3), ("lbits", 8),
+                                           ("transcript", "t.json")])
+    def test_config_schema_rejects_unread_key(self, tmp_path, capsys, key,
+                                              value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "m": 3, "N": 11, "bloom": {"eta": 5, "target_fp": 0.1},
+            "store_prefix": str(tmp_path / "fw"), key: value}))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "cfg.json"]
+
     def test_seed_requires_test_mode(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"m": 3, "seed": "00" * 32}))
@@ -597,6 +612,7 @@ class TestCli:
         bl = tmp_path / "b.txt"
         bl.write_text("8.8.8.8\n")
         assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        filter_bytes = (tmp_path / "fw.filter").read_bytes()
         store = ShareStore.load(str(tmp_path / "fw.server1.share"))
         daemon = FirewallServerDaemon(store, TcpNode(1, Endpoint("127.0.0.1", 0)),
                                       psk=b"other")
@@ -611,6 +627,28 @@ class TestCli:
             daemon.stop()
         err = capsys.readouterr().err.splitlines()
         assert err == ["update refused: server replied 'AUTHFAIL'"]
+        assert (tmp_path / "fw.filter").read_bytes() == filter_bytes
+
+    def test_unreachable_peer_exit3_keeps_filter(self, tmp_path, capsys):
+        with socket.socket() as unused:
+            unused.bind(("127.0.0.1", 0))
+            port = unused.getsockname()[1]
+        cfg = {"m": 3, "N": 11, "bloom": {"eta": 5, "target_fp": 0.1},
+               "store_prefix": str(tmp_path / "fw")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        filter_bytes = (tmp_path / "fw.filter").read_bytes()
+        cfg_path.write_text(json.dumps({**cfg, "peers": [
+            {"index": 1, "host": "127.0.0.1", "port": port}]}))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "admin-update",
+                     "1.2.3.4"]) == EXIT_TRANSPORT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("transport failure:")
+        assert (tmp_path / "fw.filter").read_bytes() == filter_bytes
 
     @pytest.mark.parametrize("fw", [
         {"scheme": "additive", "m": 3},
