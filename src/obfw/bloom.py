@@ -282,9 +282,11 @@ def read_obfw_file(path: str) -> tuple[int, int, bytes]:
 
 
 def write_obfw_file(path: str, beta: int, kappa: int, *body: bytes) -> None:
-    """Write the header and `body` to `<path>.tmp`, fsync it and rename it
-    over `path`, so a crash or a failed write leaves the old file or the
-    new one, never a truncated one.  A failure is an IoError."""
+    """Write the header and `body` to `<path>.tmp`, fsync it, rename it
+    over `path` and fsync the directory, so a crash or a failed write
+    leaves the old file or the new one, never a truncated one, and a
+    power cut after the return keeps the new one.  A failure is an
+    IoError."""
     tmp = path + ".tmp"     # same directory, so os.replace is a rename
     try:
         with open(tmp, "wb") as fh:
@@ -294,6 +296,11 @@ def write_obfw_file(path: str, beta: int, kappa: int, *body: bytes) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except OSError as exc:
         try:
             os.unlink(tmp)

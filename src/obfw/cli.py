@@ -255,11 +255,18 @@ def cmd_admin_update(args) -> int:
     filter_path = _filter_path(cfg)
     flt = BloomFilter.load(filter_path)
     rng = RandomSource(_seed_from(cfg, args.seed))
-    per_server = fw_update_pairs(flt, fw_cfg, addr, rng)
     psk = bytes.fromhex(cfg.get("psk", "00"))
+    peers = sorted(cfg.get("peers", []), key=lambda peer: peer["index"])
+    indices = [peer["index"] for peer in peers]
+    if indices != list(range(1, fw_cfg.m + 1)):
+        # A server left out would never get the update that the filter
+        # then records.
+        raise ConfigError(f"admin-update needs one peer for each server "
+                          f"1..{fw_cfg.m}, got indices {indices}")
+    per_server = fw_update_pairs(flt, fw_cfg, addr, rng)
     try:
-        for peer in cfg.get("peers", []):
-            values = [v for _, v in per_server[peer["index"] - 1]]
+        for peer, pairs in zip(peers, per_server):
+            values = [v for _, v in pairs]
             admin_push_update(peer["host"], peer["port"], psk,
                               args.address, values)
     except OSError as exc:

@@ -18,7 +18,6 @@ import hmac as hmac_mod
 import hashlib
 import itertools
 import math
-import operator
 import struct
 import threading
 from array import array
@@ -251,35 +250,51 @@ class ShareStore:
 # Initialization and updates (admin side)
 # ---------------------------------------------------------------------------
 
-def _deal(bits: Iterable[int], cfg: FirewallConfig,
-          rngs: Iterable[RandomSource]) -> list[array]:
-    """Share each bit with its own stream; one packed column per server.
+# Positions dealt per batch: bounds the labels, draws and bits held at once.
+# At 4096 and above the process's peak RSS grew by about 1 MB; at 512 it
+# stays at the per-position dealer's, and dealing is as fast.
+_DEAL_CHUNK = 512
+# The eight bits of each byte value, lowest first, as BloomFilter stores them.
+_BYTE_BITS = [tuple((b >> i) & 1 for i in range(8)) for b in range(256)]
+
+
+def _deal(bits: Iterable[int], cfg: FirewallConfig, rng: RandomSource,
+          prefix: str, labels: Iterable[int]) -> list[array]:
+    """Share each bit with the stream `rng.child(f"{prefix}{label}")`; one
+    packed column per server.
 
     Draws as `additive_share` and `shamir_share` do, so the columns hold
     exactly their share values: additive takes m-1 uniform shares and
     closes the sum with the last; Shamir takes t-1 coefficients, lowest
-    power first, and evaluates at x = 1..m.
+    power first, and evaluates at x = 1..m.  Positions go in chunks of
+    `_DEAL_CHUNK`, each chunk's streams drawn in one batch.
     """
     N, m = cfg.N, cfg.m
     cols = [array(SHARE_TYPECODE) for _ in range(m)]
-    appends = [c.append for c in cols]
-    if cfg.scheme == "additive":
-        head, last = appends[:-1], appends[-1]
-        for bit, rng in zip(bits, rngs):
-            draws = rng.randbelow_many(N, m - 1)
-            for append, v in zip(head, draws):
-                append(v)
-            last((bit - sum(draws)) % N)
-        return cols
+    additive = cfg.scheme == "additive"
     degree = cfg.t - 1
     powers = [[pow(x, j, N) for j in range(1, degree + 1)]
               for x in range(1, m + 1)]
-    pairs = list(zip(appends, powers))
-    for bit, rng in zip(bits, rngs):
-        coeffs = rng.randbelow_many(N, degree)
-        for append, pw in pairs:
-            append((bit + sum(map(operator.mul, coeffs, pw))) % N)
-    return cols
+    bits, labels = iter(bits), iter(labels)
+    while True:
+        chunk = [f"{prefix}{label}" for label in
+                 itertools.islice(labels, _DEAL_CHUNK)]
+        if not chunk:
+            return cols
+        chunk_bits = list(itertools.islice(bits, len(chunk)))
+        if additive:
+            draws = rng.child_draws(chunk, N, m - 1)
+            for col, column in zip(cols, draws):
+                col.extend(column)
+            cols[-1].extend([(bit - total) % N for bit, total in
+                             zip(chunk_bits, map(sum, zip(*draws)))])
+            continue
+        coeffs = rng.child_draws(chunk, N, degree)
+        for col, pw in zip(cols, powers):
+            acc = chunk_bits
+            for column, p in zip(coeffs, pw):
+                acc = [a + p * c for a, c in zip(acc, column)]
+            col.extend([a % N for a in acc])
 
 
 def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
@@ -293,8 +308,8 @@ def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
     else:
         keys = [bytes(16)] * cfg.bloom.kappa  # stub family: keys unused
     beta = cfg.bloom.beta
-    cols = _deal(map(flt.bit, range(beta)), cfg,
-                 (rng.child(f"pos/{pos}") for pos in range(beta)))
+    bits = itertools.chain.from_iterable(map(_BYTE_BITS.__getitem__, flt.bits))
+    cols = _deal(bits, cfg, rng, "pos/", range(beta))
     stores = [ShareStore(config=cfg, party_index=i + 1, instance_keys=keys,
                          values=col, family=flt.family)
               for i, col in enumerate(cols)]
@@ -311,8 +326,7 @@ def fw_update_pairs(flt: BloomFilter, cfg: FirewallConfig, addr: bytes,
     level).
     """
     positions = sorted(set(flt.hash_indices(addr)))
-    cols = _deal([1] * len(positions), cfg,
-                 (rng.child(f"upd/{pos}") for pos in positions))
+    cols = _deal([1] * len(positions), cfg, rng, "upd/", positions)
     return [list(zip(positions, col)) for col in cols]
 
 

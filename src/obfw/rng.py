@@ -9,6 +9,17 @@ which is portable across Python versions (unlike the Mersenne state of
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
+from typing import Sequence
+
+# array typecodes that unpack little-endian draws of 1, 2 and 4 bytes; a
+# 3-byte draw goes through int.from_bytes.
+_DRAW_TYPECODES = {1: "B", 2: "H", 4: "I"}
+
+
+def _label_tag(label: int | str) -> bytes:
+    return label.to_bytes(8, "little") if isinstance(label, int) else label.encode()
 
 
 class RandomSource:
@@ -30,8 +41,51 @@ class RandomSource:
 
     def child(self, label: int | str) -> "RandomSource":
         """Derive an independent stream; used to give each party its own."""
-        tag = label.to_bytes(8, "little") if isinstance(label, int) else label.encode()
+        tag = _label_tag(label)
         return RandomSource(hashlib.sha256(self.seed + b"/" + tag).digest())
+
+    def child_draws(self, labels: Sequence[int | str], n: int,
+                    count: int) -> list[list[int]]:
+        """`count` columns: column j holds `self.child(l).randbelow_many(n,
+        count)[j]` for every label l, in label order.
+
+        Every child seed and its counter blocks are hashed in one pass and
+        unpacked column by column.  A row with an out-of-range draw is
+        redrawn from its own stream, so every value is the exact one.
+        """
+        if n <= 0:
+            raise ValueError("randbelow needs n >= 1")
+        k = (n - 1).bit_length() or 1
+        width = (k + 7) // 8
+        shift = width * 8 - k
+        sha256 = hashlib.sha256
+        prefix = self.seed + b"/"
+        seeds = [sha256(prefix + _label_tag(label)).digest() for label in labels]
+        # Each row is the child's first blocks, enough for count draws; the
+        # draws of one row are contiguous in it, whatever the width.
+        ctrs = [c.to_bytes(8, "little")
+                for c in range((count * width + 31) // 32)]
+        blob = b"".join([sha256(seed + ctr).digest()
+                         for seed in seeds for ctr in ctrs])
+        row = 32 * len(ctrs)
+        if width in _DRAW_TYPECODES:
+            flat = array(_DRAW_TYPECODES[width], blob)
+            if sys.byteorder == "big":
+                flat.byteswap()
+            stride = row // width
+            cols = [flat[j::stride] for j in range(count)]
+        else:
+            cols = [[int.from_bytes(blob[i:i + width], "little")
+                     for i in range(j * width, len(blob), row)]
+                    for j in range(count)]
+        cols = [[v >> shift for v in col] if shift else list(col) for col in cols]
+        if any(max(col, default=0) >= n for col in cols):
+            rejected = {i for col in cols for i, v in enumerate(col) if v >= n}
+            for i in rejected:
+                row = RandomSource(seeds[i]).randbelow_many(n, count)
+                for col, v in zip(cols, row):
+                    col[i] = v
+        return cols
 
     def _refill(self) -> None:
         block = self.counter.to_bytes(8, "little")

@@ -1,7 +1,12 @@
 """Bloom filter, SipHash family, parameter derivation, file format."""
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import obfw
 from obfw.bloom import (
     BadParams,
     BloomFilter,
@@ -172,7 +177,41 @@ class TestFilterOps:
         assert 0.45 < measured < 0.55
 
 
+# Writes the file argv[1] under an audit hook and prints, in order, each
+# path opened and each rename, one event a line.
+AUDITED_WRITE = """
+import sys
+from obfw.bloom import write_obfw_file
+events = []
+def hook(event, args):
+    if event == "open":
+        events.append(f"open {args[0]}")
+    elif event == "os.rename":
+        events.append(f"rename {args[0]} {args[1]}")
+sys.addaudithook(hook)
+write_obfw_file(sys.argv[1], 16, 2, bytes(18))
+print("\\n".join(events))
+"""
+
+
 class TestFilterFile:
+    def test_directory_synced_after_rename(self, tmp_path):
+        # A rename is durable only once its directory is: the writer opens
+        # the directory (to fsync it) after it opened and renamed the
+        # temporary file.
+        path = str(tmp_path / "a.filter")
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(obfw.__file__))}
+        proc = subprocess.run([sys.executable, "-c", AUDITED_WRITE, path],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        events = proc.stdout.splitlines()
+        tmp_open = events.index(f"open {path}.tmp")
+        rename = events.index(f"rename {path}.tmp {path}")
+        dir_open = events.index(f"open {tmp_path}")
+        assert tmp_open < rename < dir_open
+
     def test_round_trip(self, tmp_path):
         rng = RandomSource(b"file" + bytes(28))
         params = derive_params(50, 0.05)

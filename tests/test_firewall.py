@@ -10,6 +10,7 @@ from array import array
 import pytest
 
 import obfw
+from obfw import firewall
 from obfw.bloom import BloomFilter, BloomParams, FixedHashFamily, derive_params
 from obfw.firewall import (
     BadConfig,
@@ -154,6 +155,22 @@ class TestDeal:
                                     [(pos, 1) for pos in positions])
         for i, pairs in enumerate(per_server):
             assert pairs == [(pos, row[i]) for pos, row in zip(positions, expected)]
+
+    @pytest.mark.parametrize("scheme,m,t", [("additive", 3, 0),
+                                            ("shamir", 5, 2)])
+    def test_columns_match_across_chunks(self, scheme, m, t):
+        cfg = FirewallConfig(scheme=scheme, m=m, N=2 ** 31 - 1, t=t,
+                             bloom=derive_params(1000, 0.01))
+        beta = cfg.bloom.beta
+        assert beta > 2 * firewall._DEAL_CHUNK
+        seed = f"chunks/{scheme}"
+        flt, stores = fw_init([f"10.2.{i}.1" for i in range(200)], cfg,
+                              RandomSource(seed))
+        expected = reference_shares(
+            cfg, RandomSource(seed), "pos",
+            [(pos, flt.bit(pos)) for pos in range(beta)])
+        for i, store in enumerate(stores):
+            assert list(store.values) == [row[i] for row in expected]
 
 
 class TestEvalSum:
@@ -603,6 +620,24 @@ class TestFileLayer:
             obj.save(str(path))
         assert [hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in paths] == digests
+
+    def test_sum_tcp_sized_stores_are_byte_identical(self, tmp_path):
+        # The benchmark's sum-tcp shape: additive m = 3, eta = 10^4,
+        # beta = 95 850; digests recorded before positions were dealt in
+        # batches.
+        cfg = FirewallConfig(scheme="additive", m=3, N=2 ** 31 - 1,
+                             bloom=derive_params(10_000, 0.01))
+        _, stores = fw_init([f"10.{i >> 8}.{i & 255}.1" for i in range(10_000)],
+                            cfg, RandomSource(b"pin-sum-tcp"))
+        digests = []
+        for store in stores:
+            path = tmp_path / f"s{store.party_index}.share"
+            store.save(str(path))
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests == [
+            "f0ef05fc2088d4fdf5f255f4d53b7f74c349fe171f37e58230de8992a2d85818",
+            "5eb8e02ce95f8a923e487a553e3aa591b6009d0d799aadc13a9a9e6e0eb71186",
+            "f41efda5775653b2f53355edd67478c45a9fd1b1f0809e9573fad1629b94655d"]
 
     @pytest.mark.parametrize("name", ["f.filter", "s.share"])
     def test_failed_save_keeps_old_file(self, tmp_path, name):

@@ -36,3 +36,26 @@ def test_bytes_splits_like_one_read(k):
     # whether the first read ends inside a 32-byte block or on its edge.
     a, b = RandomSource("split"), RandomSource("split")
     assert a.bytes(k) + a.bytes(200 - k) == b.bytes(200)
+
+
+# Widths 1-4 bytes; at n = 257 and n = 65537 about half the draws are
+# rejected and their rows redrawn from the child's own stream.
+CHILD_MODULI = [2, 11, 257, 65537, 2 ** 31 - 1, 4294967291]
+
+
+@pytest.mark.parametrize("n", CHILD_MODULI)
+@pytest.mark.parametrize("count", [0, 1, 2, 8, 11])
+@pytest.mark.parametrize("labels", [
+    [f"pos/{i}" for i in range(30)] + [0, 1, 2 ** 40], []],
+    ids=["str-and-int", "empty"])
+def test_child_draws_equal_per_child_draws(n, count, labels):
+    # 11 draws of 4 bytes need a second 32-byte counter block.
+    rng = RandomSource(b"children")
+    rows = [rng.child(label).randbelow_many(n, count) for label in labels]
+    assert rng.child_draws(labels, n, count) == [
+        [row[j] for row in rows] for j in range(count)]
+
+
+def test_child_draws_rejects_empty_range():
+    with pytest.raises(ValueError):
+        RandomSource(0).child_draws(["a"], 0, 3)

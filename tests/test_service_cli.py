@@ -618,8 +618,10 @@ class TestCli:
                                       psk=b"other")
         daemon.start()
         try:
+            # Server 1 refuses; the push stops there, before servers 2, 3.
             cfg_path.write_text(json.dumps({**cfg, "peers": [
-                {"index": 1, "host": "127.0.0.1", "port": daemon.admin_port}]}))
+                {"index": i, "host": "127.0.0.1", "port": daemon.admin_port}
+                for i in (1, 2, 3)]}))
             capsys.readouterr()
             assert main(["--config", str(cfg_path), "admin-update",
                          "1.2.3.4"]) == EXIT_PROTOCOL
@@ -642,12 +644,41 @@ class TestCli:
         assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
         filter_bytes = (tmp_path / "fw.filter").read_bytes()
         cfg_path.write_text(json.dumps({**cfg, "peers": [
-            {"index": 1, "host": "127.0.0.1", "port": port}]}))
+            {"index": i, "host": "127.0.0.1", "port": port} for i in (1, 2, 3)]}))
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "admin-update",
                      "1.2.3.4"]) == EXIT_TRANSPORT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("transport failure:")
+        assert (tmp_path / "fw.filter").read_bytes() == filter_bytes
+
+    @pytest.mark.parametrize("indices", [[], [1, 2], [1, 2, 2, 3], [0, 1, 2]],
+                             ids=["no-peers", "server-missing",
+                                  "duplicate-index", "index-zero"])
+    def test_update_needs_every_server_exit2_keeps_filter(self, tmp_path,
+                                                          capsys, indices):
+        # Every peer port refuses connections: a push to any of them would
+        # exit 3, and with no peers at all the update would "succeed".
+        with socket.socket() as unused:
+            unused.bind(("127.0.0.1", 0))
+            port = unused.getsockname()[1]
+        cfg = {"m": 3, "N": 11, "bloom": {"eta": 5, "target_fp": 0.1},
+               "store_prefix": str(tmp_path / "fw")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        filter_bytes = (tmp_path / "fw.filter").read_bytes()
+        cfg_path.write_text(json.dumps({**cfg, "peers": [
+            {"index": i, "host": "127.0.0.1", "port": port} for i in indices]}))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "admin-update",
+                     "1.2.3.4"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
         assert (tmp_path / "fw.filter").read_bytes() == filter_bytes
 
     @pytest.mark.parametrize("fw", [
