@@ -21,7 +21,7 @@ from ..sharing import (
     mult_fanin_party,
     shamir_mult_party,
     shamir_reveal,
-    shamir_share,
+    share_columns,
     tree_products,
 )
 from .params import ComparisonParams, bits_lsb
@@ -129,17 +129,14 @@ def run_malicious(a: int, b: int, lbits: int, t: int = 1, seed=0,
     rng = RandomSource(seed)
     taps = TapRecorder() if with_taps else None
 
-    a_bits = bits_lsb(a, lbits)
-    b_bits = bits_lsb(b, lbits)
-    a_shared = [shamir_share(bit, sp, rng.child(f"a/{i}")) for i, bit in enumerate(a_bits)]
-    b_shared = [shamir_share(bit, sp, rng.child(f"b/{i}")) for i, bit in enumerate(b_bits)]
+    a_cols, b_cols = [
+        share_columns(bits_lsb(v, lbits), rng.child_draws(
+            [f"{name}/{i}" for i in range(lbits)], sp.p, t), sp.p, n, shamir=True)
+        for name, v in (("a", a), ("b", b))]
 
     programs = {
-        j: malicious_party(
-            j, sp, lbits,
-            [row[j - 1].value for row in a_shared],
-            [row[j - 1].value for row in b_shared],
-            rng.child(f"party/{j}"), taps)
+        j: malicious_party(j, sp, lbits, a_cols[j - 1], b_cols[j - 1],
+                           rng.child(f"party/{j}"), taps)
         for j in range(1, n + 1)
     }
     net = run_session(programs, session_id=session_id,

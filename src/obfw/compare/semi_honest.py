@@ -32,6 +32,7 @@ from ..net import (
     send,
 )
 from ..rng import RandomSource
+from ..sharing import additive_expand, share_columns
 from .params import ComparisonParams, bits_lsb, circular_shift, circular_unshift
 
 
@@ -81,9 +82,10 @@ class TapRecorder:
         return sum(w * parts[i] for w, i in zip(weights, indices)) % field.p
 
 
-def _share_mod(v: int, modulus: int, rng: RandomSource) -> tuple[int, int]:
-    r = rng.randbelow(modulus)
-    return r, (v - r) % modulus
+def _share_mod(values: list[int], modulus: int, rng: RandomSource) -> list[list[int]]:
+    """Two-party additive shares of each value: P1's column, P2's column."""
+    draws = [rng.randbelow_many(modulus, len(values))]
+    return share_columns(values, draws, modulus, 2, shamir=False)
 
 
 def _flip(vec, mask: list[int], c: int, modulus: int) -> list[int]:
@@ -224,10 +226,9 @@ def _recv_open(step: int, group, width: int, modulus: int) -> Generator:
 
 
 def _send_pairs(step: int, segments: list) -> Generator:
-    """Send the first share of each pair to P1 and the second to P2."""
+    """Send P1's share column of each segment to P1 and P2's to P2."""
     for to in (1, 2):
-        yield from send(to, step, [(g, [pair[to - 1] for pair in pairs])
-                                   for g, pairs in segments])
+        yield from send(to, step, [(g, cols[to - 1]) for g, cols in segments])
 
 
 def _helper_core(params: ComparisonParams, rng: RandomSource, variant: str,
@@ -242,9 +243,9 @@ def _helper_core(params: ComparisonParams, rng: RandomSource, variant: str,
 
     e_masked = yield from _recv_open(3, z2, W, 2)
     note("p3_e_masked", e_masked)
-    resh = [(zn2, [_share_mod(x, N2, rng) for x in e_masked])]
+    resh = [(zn2, _share_mod(e_masked, N2, rng))]
     if a_masked is not None:
-        resh.append((zn2, [_share_mod(x, N2, rng) for x in a_masked]))
+        resh.append((zn2, _share_mod(a_masked, N2, rng)))
     yield from _send_pairs(4, resh)
 
     v = yield from _recv_open(5, zn2, W, N2)
@@ -253,13 +254,13 @@ def _helper_core(params: ComparisonParams, rng: RandomSource, variant: str,
         raise ProtocolInvariantError(f"blinded vector has {len(zeros)} zeros")
     note("p3_v", v)
     note("p3_zero_index", zeros[0])
-    h_pairs = [_share_mod(1 if i == zeros[0] else 0, 2, rng) for i in range(W)]
-    yield from _send_pairs(6, [(z2, h_pairs)])
+    h_shares = _share_mod([int(i == zeros[0]) for i in range(W)], 2, rng)
+    yield from _send_pairs(6, [(z2, h_shares)])
 
     hp_masked = yield from _recv_open(7, z2, W, 2)
     note("p3_hp_masked", hp_masked)
     wide, wide_mod = _wide(params, variant)
-    yield from _send_pairs(8, [(wide, [_share_mod(x, wide_mod, rng) for x in hp_masked])])
+    yield from _send_pairs(8, [(wide, _share_mod(hp_masked, wide_mod, rng))])
 
     if variant == "alg5":
         return None
@@ -268,7 +269,7 @@ def _helper_core(params: ComparisonParams, rng: RandomSource, variant: str,
     if f_masked not in (0, 1):
         raise ProtocolInvariantError("masked comparison bit outside {0,1}")
     note("p3_f_masked", f_masked)
-    yield from _send_pairs(10, [(zn, [_share_mod(f_masked, N, rng)])])
+    yield from _send_pairs(10, [(zn, _share_mod([f_masked], N, rng))])
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +285,11 @@ def p1_program(params: ComparisonParams, a: int, rng: RandomSource,
 
     abits = bits_lsb(2 * a + 1, W)
     masks = _draw_masks(params, rng, force_pi, taps)
-    a_mine, a_theirs = zip(*[_share_mod(bit, 2, rng) for bit in abits])
+    a_mine, a_theirs = _share_mod(abits, 2, rng)
     sa_group, sa_mod = _wide(params, variant)
-    sa_mine, sa_theirs = _share_mod(sum(abits), sa_mod, rng)
+    (sa_mine,), sa_theirs = _share_mod([sum(abits)], sa_mod, rng)
 
-    yield from send(2, 1, [(z2, list(a_theirs)), (sa_group, [sa_theirs]),
+    yield from send(2, 1, [(z2, a_theirs), (sa_group, sa_theirs),
                            *_mask_segments(params, masks)])
     (b_mine,) = yield from recv(2, 2, [(z2, W)])
     return (yield from _side_core(1, params, a_mine, b_mine, masks, sa_mine,
@@ -305,8 +306,8 @@ def p2_program(params: ComparisonParams, b: int, rng: RandomSource,
     (a_mine, (sa_mine,), *masks) = yield from recv(
         1, 1, [(z2, W), (sa_group, 1), *_mask_schema(params)])
 
-    b_mine, b_theirs = zip(*[_share_mod(bit, 2, rng) for bit in bits_lsb(2 * b, W)])
-    yield from send(1, 2, [(z2, list(b_theirs))])
+    b_mine, b_theirs = _share_mod(bits_lsb(2 * b, W), 2, rng)
+    yield from send(1, 2, [(z2, b_theirs)])
     return (yield from _side_core(2, params, a_mine, b_mine,
                                   masks, sa_mine, variant, taps))
 
@@ -324,25 +325,19 @@ def p3_program(params: ComparisonParams, rng: RandomSource,
 
 def share_bits_among(value: int, lbits: int, m: int, rng: RandomSource) -> list[list[int]]:
     """m-party additive Z2 sharing of each input bit; index 0 = party 1."""
-    vectors = [[0] * lbits for _ in range(m)]
-    for i, bit in enumerate(bits_lsb(value, lbits)):
-        acc = 0
-        for party in range(m - 1):
-            s = rng.randbelow(2)
-            vectors[party][i] = s
-            acc ^= s
-        vectors[m - 1][i] = bit ^ acc
-    return vectors
+    flat = rng.randbelow_many(2, lbits * (m - 1))
+    draws = [flat[party::m - 1] for party in range(m - 1)]
+    return share_columns(bits_lsb(value, lbits), draws, 2, m, shamir=False)
 
 
 def _expand(params: ComparisonParams, m: int, f_n: int,
             rng: RandomSource) -> Generator:
     """Step 11 at P1/P2: hand parties 3..m a random piece each, keep the rest."""
     zn = group_zn_compare(params.N, params.lbits)
-    pieces = [rng.randbelow(params.N) for _ in range(m - 2)]
+    own, pieces = additive_expand(f_n, params.N, m, rng)
     for k, piece in enumerate(pieces, start=3):
         yield from send(k, 11, [(zn, [piece])])
-    return (f_n - sum(pieces)) % params.N
+    return own
 
 
 def _collect(params: ComparisonParams) -> Generator:

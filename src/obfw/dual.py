@@ -36,13 +36,12 @@ from .sharing import (
     additive_cmul,
     additive_mult3_party,
     additive_reveal,
-    additive_share,
     shamir_add,
     shamir_add_const,
     shamir_cmul,
     shamir_mult_party,
     shamir_reveal,
-    shamir_share,
+    share_columns,
 )
 
 STEP_PHASE1 = 1
@@ -92,9 +91,19 @@ class DualShare:
 def dual_share(secret: int, params: DualParams, rng: RandomSource,
                shamir_coeffs: Sequence[int] | None = None,
                additive_randoms: Sequence[int] | None = None) -> list[DualShare]:
-    sh = shamir_share(secret, params.shamir(), rng, coeffs=shamir_coeffs)
-    ad = additive_share(secret, params.additive(), rng, randoms=additive_randoms)
-    return [DualShare(s, a) for s, a in zip(sh, ad)]
+    """Draws t Shamir coefficients, then n-1 additive randoms, from `rng`."""
+    p, t, n = params.p, params.t, params.n
+    if shamir_coeffs is not None and len(shamir_coeffs) != t:
+        raise ValueError("forced coefficient count must equal degree")
+    if additive_randoms is not None and len(additive_randoms) != n - 1:
+        raise BadParams("need exactly m-1 forced randoms")
+    coeffs = shamir_coeffs[::-1] if shamir_coeffs else rng.randbelow_many(p, t)
+    randoms = additive_randoms or rng.randbelow_many(p, n - 1)
+    sh = share_columns([secret], [[c] for c in coeffs], p, n, shamir=True)
+    ad = share_columns([secret], [[r % p] for r in randoms], p, n, shamir=False)
+    sp, ap = params.shamir(), params.additive()
+    return [DualShare(ShamirShare(i, s, sp), AdditiveShare(i, a, ap))
+            for i, ((s,), (a,)) in enumerate(zip(sh, ad), start=1)]
 
 
 def dual_reveal_oracle(shares: Sequence[DualShare]) -> tuple[int, int]:

@@ -115,9 +115,6 @@ class PrimeField:
             raise ZeroInverse("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
 
-    def uniform(self, rng: RandomSource) -> int:
-        return rng.randbelow(self.p)
-
 class Polynomial:
     """Dense polynomial over a prime field, coefficients ascending."""
 
@@ -218,7 +215,7 @@ def random_polynomial(field: PrimeField, degree: int, constant: int,
             raise ValueError("forced coefficient count must equal degree")
         rest = [c % field.p for c in reversed(forced_coeffs)]
     else:
-        rest = [field.uniform(rng) for _ in range(degree)]
+        rest = rng.randbelow_many(field.p, degree)
     return Polynomial(field, [constant % field.p] + rest)
 
 

@@ -42,7 +42,7 @@ from .net import (
     send,
 )
 from .rng import RandomSource
-from .sharing import ShamirParams, mult_fanin_party
+from .sharing import ShamirParams, mult_fanin_party, share_columns
 
 # Share columns are unsigned 32-bit arrays: 4 bytes a share, so N < 2^32
 # (the store header keeps N in 4 bytes as well).
@@ -263,18 +263,14 @@ def _deal(bits: Iterable[int], cfg: FirewallConfig, rng: RandomSource,
     """Share each bit with the stream `rng.child(f"{prefix}{label}")`; one
     packed column per server.
 
-    Draws as `additive_share` and `shamir_share` do, so the columns hold
-    exactly their share values: additive takes m-1 uniform shares and
-    closes the sum with the last; Shamir takes t-1 coefficients, lowest
-    power first, and evaluates at x = 1..m.  Positions go in chunks of
-    `_DEAL_CHUNK`, each chunk's streams drawn in one batch.
+    Every chunk of `_DEAL_CHUNK` positions draws its streams in one batch
+    and deals them through `share_columns`: the columns hold exactly what
+    `additive_share` or `shamir_share` (degree t-1) deals each position.
     """
     N, m = cfg.N, cfg.m
     cols = [array(SHARE_TYPECODE) for _ in range(m)]
-    additive = cfg.scheme == "additive"
-    degree = cfg.t - 1
-    powers = [[pow(x, j, N) for j in range(1, degree + 1)]
-              for x in range(1, m + 1)]
+    shamir = cfg.scheme == "shamir"
+    width = cfg.t - 1 if shamir else m - 1
     bits, labels = iter(bits), iter(labels)
     while True:
         chunk = [f"{prefix}{label}" for label in
@@ -282,19 +278,9 @@ def _deal(bits: Iterable[int], cfg: FirewallConfig, rng: RandomSource,
         if not chunk:
             return cols
         chunk_bits = list(itertools.islice(bits, len(chunk)))
-        if additive:
-            draws = rng.child_draws(chunk, N, m - 1)
-            for col, column in zip(cols, draws):
-                col.extend(column)
-            cols[-1].extend([(bit - total) % N for bit, total in
-                             zip(chunk_bits, map(sum, zip(*draws)))])
-            continue
-        coeffs = rng.child_draws(chunk, N, degree)
-        for col, pw in zip(cols, powers):
-            acc = chunk_bits
-            for column, p in zip(coeffs, pw):
-                acc = [a + p * c for a, c in zip(acc, column)]
-            col.extend([a % N for a in acc])
+        draws = rng.child_draws(chunk, N, width)
+        for col, shares in zip(cols, share_columns(chunk_bits, draws, N, m, shamir)):
+            col.extend(shares)
 
 
 def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,

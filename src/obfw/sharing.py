@@ -4,8 +4,9 @@ Shamir (t, n)-threshold sharing and n-of-n additive sharing, each with
 share/reveal/add/add-const/cmul, plus the two interactive multiplication
 protocols: resharing-based degree reduction for Shamir (and the fan-in
 tree product built on it) and the three-party blinded-product protocol for
-additive shares.  Share constructors accept forced randomness so golden
-test vectors reproduce exactly.
+additive shares.  All dealing turns uniform draws into shares through
+`share_columns`; the per-secret `shamir_share` and `additive_share`, whose
+forced randomness reproduces golden test vectors, are its reference.
 """
 from __future__ import annotations
 
@@ -162,6 +163,28 @@ def additive_share(secret: int, params: AdditiveParams, rng: RandomSource,
     return [AdditiveShare(i + 1, v, params) for i, v in enumerate(values)]
 
 
+def share_columns(secrets: Sequence[int], draws: Sequence[Sequence[int]],
+                  modulus: int, m: int, shamir: bool) -> list[list[int]]:
+    """Deal each secret among m parties: column i holds party i+1's shares.
+
+    `draws` are columns of uniform values below `modulus`, one per secret.
+    Shamir: draw column j holds the coefficient of x^(j+1), and each
+    polynomial is evaluated at x = 1..m.  Additive: the draw columns are
+    shares 1..m-1, and share m closes the sum.
+    """
+    if not shamir:
+        last = [(s - t) % modulus for s, t in zip(secrets, map(sum, zip(*draws)))]
+        return [*draws, last]
+    cols = []
+    for x in range(1, m + 1):
+        acc, power = secrets, 1
+        for col in draws:
+            power = power * x % modulus
+            acc = [a + power * c for a, c in zip(acc, col)]
+        cols.append([a % modulus for a in acc])
+    return cols
+
+
 def additive_reveal(shares: Sequence[AdditiveShare]) -> int:
     if not shares:
         raise InsufficientShares("no shares given")
@@ -205,9 +228,9 @@ def additive_expand(value: int, modulus: int, m: int,
     """Split one residual share into (own remainder, m-2 redistribution pieces)."""
     if m < 3:
         raise ParamMismatch("expand is defined for m >= 3")
-    pieces = [rng.randbelow(modulus) for _ in range(m - 2)]
-    own = (value - sum(pieces)) % modulus
-    return own, pieces
+    draws = [[r] for r in rng.randbelow_many(modulus, m - 2)]
+    *pieces, (own,) = share_columns([value], draws, modulus, m - 1, shamir=False)
+    return own, [piece for (piece,) in pieces]
 
 
 # ---------------------------------------------------------------------------
@@ -229,35 +252,31 @@ def shamir_mult_party(me: int, params: ShamirParams,
     """
     if not params.supports_mult():
         raise BadParams("multiplication needs n >= 2t+1")
-    field = params.field()
-    n = params.n
+    n, t = params.n, params.t
     zp = group_zp(params.p)
     k = len(a_values)
-    polys = []
-    for pos in range(k):
-        q = a_values[pos] * b_values[pos] % params.p
-        forced = forced_h[pos] if forced_h is not None else None
-        polys.append(random_polynomial(field, params.t, q, rng, forced_coeffs=forced))
+    products = [a * b % params.p for a, b in zip(a_values, b_values)]
+    if forced_h is not None and any(len(row) != t for row in forced_h):
+        raise ValueError("forced coefficient count must equal degree")
+    # Product pos's coefficients, lowest power first, are flat[pos*t:(pos+1)*t].
+    flat = (rng.randbelow_many(params.p, k * t) if forced_h is None
+            else [c for row in forced_h for c in reversed(row)])
+    coeffs = [flat[j::t] for j in range(t)]
+    evals = share_columns(products, coeffs, params.p, n, shamir=True)
 
     for j in range(1, n + 1):
         if j == me:
             continue
-        yield from send(j, step, [(zp, [poly.evaluate(j) for poly in polys])])
-    rows: dict[int, list[int]] = {me: [poly.evaluate(me) for poly in polys]}
+        yield from send(j, step, [(zp, evals[j - 1])])
+    rows = list(evals)          # row j-1 becomes party j's evaluation at me
     for j in range(1, n + 1):
         if j == me:
             continue
-        (vals,) = yield from recv(j, step, [(zp, k)])
-        rows[j] = vals
+        (rows[j - 1],) = yield from recv(j, step, [(zp, k)])
 
-    weights = lagrange_zero_coefficients(field, list(range(1, n + 1)))
-    out = []
-    for pos in range(k):
-        acc = 0
-        for j in range(1, n + 1):
-            acc = (acc + weights[j - 1] * rows[j][pos]) % params.p
-        out.append(acc)
-    return out
+    weights = lagrange_zero_coefficients(params.field(), list(range(1, n + 1)))
+    return [sum(w * v for w, v in zip(weights, col)) % params.p
+            for col in zip(*rows)]
 
 
 def run_shamir_mult(a_shares: Sequence[ShamirShare], b_shares: Sequence[ShamirShare],
@@ -326,11 +345,8 @@ class Mult3Randoms:
 
 def _mult3_randoms(me: int, modulus: int, rng: RandomSource) -> Mult3Randoms:
     others = [k for k in (1, 2, 3) if k != me]
-    return Mult3Randoms(
-        r_to={k: rng.randbelow(modulus) for k in others},
-        s_to={k: rng.randbelow(modulus) for k in others},
-        t_cycle=rng.randbelow(modulus),
-    )
+    v = rng.randbelow_many(modulus, 5)      # r to each peer, s to each, t
+    return Mult3Randoms(dict(zip(others, v[:2])), dict(zip(others, v[2:4])), v[4])
 
 
 def additive_mult3_party(me: int, params: AdditiveParams, u: int, v: int,

@@ -29,6 +29,7 @@ from obfw.sharing import (
     shamir_cmul,
     shamir_reveal,
     shamir_share,
+    share_columns,
 )
 
 SP251 = ShamirParams(251, 2, 5)
@@ -149,6 +150,14 @@ class TestShamirMult:
         prod, _ = run_shamir_mult(a, b, rng)
         pts = [(s.index, s.value) for s in prod]
         assert detect_degree(PrimeField(251), pts, t=2).clean
+
+    @pytest.mark.parametrize("row", [(140,), (140, 75, 9)])
+    def test_forced_row_must_hold_t_coefficients(self, row):
+        rng = RandomSource(4)
+        a = shamir_share(7, SP251, rng)
+        b = shamir_share(9, SP251, rng)
+        with pytest.raises(ValueError):
+            run_shamir_mult(a, b, rng, forced_h={2: row})
 
 
 class TestAdditiveShare:
@@ -319,3 +328,79 @@ class TestPrivacyStructure:
                     del shares[removed]
                     counts[sum(shares) % N] += 1
                 assert len(set(counts)) == 1  # perfectly flat
+
+
+class TestShareColumns:
+    """share_columns over child_draws deals, secret by secret, what the
+    per-secret reference functions deal from the same child stream."""
+
+    @staticmethod
+    def _secrets(modulus, count=40):
+        return RandomSource(f"secrets/{modulus}").randbelow_many(modulus, count)
+
+    @pytest.mark.parametrize("modulus", [11, 2 ** 31 - 1, 4294967291])
+    @pytest.mark.parametrize("m,t", [(3, 0), (5, 0), (3, 2), (5, 4)])
+    def test_shamir_matches_shamir_share(self, modulus, m, t):
+        secrets = self._secrets(modulus)
+        rng = RandomSource(f"cols/shamir/{modulus}/{m}/{t}")
+        labels = [f"s/{i}" for i in range(len(secrets))]
+        cols = share_columns(secrets, rng.child_draws(labels, modulus, t),
+                             modulus, m, shamir=True)
+        params = ShamirParams(modulus, t, m)
+        for i, secret in enumerate(secrets):
+            ref = shamir_share(secret, params, rng.child(f"s/{i}"))
+            assert [col[i] for col in cols] == [s.value for s in ref]
+
+    @pytest.mark.parametrize("modulus", [2, 11, 2 ** 31 - 1, 4294967291])
+    @pytest.mark.parametrize("m", [2, 12])
+    def test_additive_matches_additive_share(self, modulus, m):
+        secrets = self._secrets(modulus)
+        rng = RandomSource(f"cols/additive/{modulus}/{m}")
+        labels = [f"s/{i}" for i in range(len(secrets))]
+        cols = share_columns(secrets, rng.child_draws(labels, modulus, m - 1),
+                             modulus, m, shamir=False)
+        params = AdditiveParams(modulus, m)
+        for i, secret in enumerate(secrets):
+            ref = additive_share(secret, params, rng.child(f"s/{i}"))
+            assert [col[i] for col in cols] == [s.value for s in ref]
+
+    @pytest.mark.parametrize("p,t", [(11, 1), (2 ** 31 - 1, 2)])
+    def test_deal_triples_matches_per_triple_reference(self, p, t):
+        from obfw.dual import DualParams, DualShare, deal_triples
+        params = DualParams(p, t, 2 * t + 1)
+        per_party = deal_triples(6, params, RandomSource(f"tri/{p}"))
+        rng = RandomSource(f"tri/{p}")
+        for k in range(6):
+            a, b = rng.randbelow(p), rng.randbelow(p)
+            for name, secret in (("a", a), ("b", b), ("c", a * b % p)):
+                # A dual sharing draws its Shamir shares, then its additive
+                # shares, from the one child stream.
+                child = rng.child(f"tri/{name}/{k}")
+                sh = shamir_share(secret, params.shamir(), child)
+                ad = additive_share(secret, params.additive(), child)
+                for i, triple in enumerate(party[k] for party in per_party):
+                    assert getattr(triple, name) == DualShare(sh[i], ad[i])
+
+    def test_dual_share_forced_counts(self):
+        from obfw.dual import DualParams, dual_share
+        params = DualParams(251, 2, 5)
+        with pytest.raises(ValueError):
+            dual_share(3, params, RandomSource(0), shamir_coeffs=(1,))
+        with pytest.raises(BadParams):
+            dual_share(3, params, RandomSource(0), additive_randoms=(1, 2, 3))
+
+    @pytest.mark.parametrize("lbits,m", [(4, 3), (16, 3), (16, 5)])
+    def test_share_bits_among_matches_per_bit_draws(self, lbits, m):
+        from obfw.compare.params import bits_lsb
+        from obfw.compare.semi_honest import share_bits_among
+        value = 0xB5A3 % (1 << lbits)
+        rng = RandomSource(f"bits/{lbits}/{m}")
+        expected = [[0] * lbits for _ in range(m)]
+        for i, bit in enumerate(bits_lsb(value, lbits)):
+            acc = 0
+            for party in range(m - 1):
+                expected[party][i] = rng.randbelow(2)
+                acc ^= expected[party][i]
+            expected[m - 1][i] = bit ^ acc
+        got = share_bits_among(value, lbits, m, RandomSource(f"bits/{lbits}/{m}"))
+        assert got == expected
