@@ -115,6 +115,13 @@ def load_config(args) -> dict:
     return cfg
 
 
+def _required(cfg: dict, key: str):
+    """`cfg[key]`, or a ConfigError naming the missing key."""
+    if key not in cfg:
+        raise ConfigError(f"config has no {key!r}")
+    return cfg[key]
+
+
 def _seed_from(cfg: dict, override: bytes | None) -> bytes:
     if override:
         return override
@@ -132,7 +139,7 @@ def _bloom_params(cfg: dict) -> BloomParams:
 def _firewall_config(cfg: dict) -> FirewallConfig:
     try:
         fw_cfg = FirewallConfig(scheme=cfg.get("scheme", "additive"),
-                                m=cfg["m"], N=cfg.get("N", 11),
+                                m=_required(cfg, "m"), N=cfg.get("N", 11),
                                 t=cfg.get("t", 0), bloom=_bloom_params(cfg))
         if cfg.get("eval_mode") == "product":
             check_product_config(fw_cfg)
@@ -220,14 +227,15 @@ def _serve_until_interrupted(daemon, banner: str) -> int:
 
 def cmd_serve(args) -> int:
     cfg = load_config(args)
-    index = cfg["party_index"]
+    index = _required(cfg, "party_index")
+    psk = bytes.fromhex(_required(cfg, "psk"))
     store = ShareStore.load(cfg.get("store_path") or _store_path(cfg, index))
     # A server dials the peers with a lower index and accepts the others;
     # the gateway dials every server.
     node = _node(index, _endpoint(cfg, "listen"),
                  [p for p in cfg.get("peers", []) if p["index"] < index])
     daemon = FirewallServerDaemon(
-        store, node, psk=bytes.fromhex(cfg.get("psk", "00")),
+        store, node, psk=psk,
         admin_listen=_endpoint(cfg, "admin_listen"),
         seed=_seed_from(cfg, args.seed))
     return _serve_until_interrupted(
@@ -247,6 +255,7 @@ def cmd_gateway(args) -> int:
 def cmd_admin_update(args) -> int:
     cfg = load_config(args)
     fw_cfg = _firewall_config(cfg)
+    psk = bytes.fromhex(_required(cfg, "psk"))
     try:
         addr = parse_ipv4(args.address)
     except ValueError as exc:
@@ -255,7 +264,6 @@ def cmd_admin_update(args) -> int:
     filter_path = _filter_path(cfg)
     flt = BloomFilter.load(filter_path)
     rng = RandomSource(_seed_from(cfg, args.seed))
-    psk = bytes.fromhex(cfg.get("psk", "00"))
     peers = sorted(cfg.get("peers", []), key=lambda peer: peer["index"])
     indices = [peer["index"] for peer in peers]
     if indices != list(range(1, fw_cfg.m + 1)):

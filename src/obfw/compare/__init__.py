@@ -25,7 +25,6 @@ from .params import (
     circular_unshift,
     claim1_oracle,
     claim1_trace,
-    from_bits_lsb,
     select_n2,
     smallest_prime_above,
 )

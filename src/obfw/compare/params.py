@@ -23,10 +23,6 @@ def bits_lsb(value: int, width: int) -> list[int]:
     return [(value >> i) & 1 for i in range(width)]
 
 
-def from_bits_lsb(bits: list[int]) -> int:
-    return sum(b << i for i, b in enumerate(bits))
-
-
 def smallest_prime_above(n: int) -> int:
     c = n + 1
     while not is_probable_prime(c):

@@ -21,6 +21,7 @@ import math
 import struct
 import threading
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Generator, Iterable, Sequence
 
@@ -52,6 +53,8 @@ MAX_MODULUS = (1 << 32) - 1
 _STORE_HEADER = struct.Struct("<BBBBI")
 GATEWAY = 0
 RESULT_STEP = 100
+# The protocols a server daemon runs; the vote runs only in the simulator.
+CHECK_PROTOCOLS = (PROTO_FW_EVAL_SUM, PROTO_FW_EVAL_PRODUCT)
 
 
 class FirewallError(Exception):
@@ -349,10 +352,7 @@ def combinational_analysis(reveals: dict[tuple[int, ...], int], m: int,
     first = values[0]
     if all(v == first for v in values):
         return CombinationReport("agree", first, frozenset(), dict(reveals))
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best, best_count = max(counts.items(), key=lambda kv: kv[1])
+    best, best_count = Counter(values).most_common(1)[0]
     if best_count * 2 <= len(values):
         return CombinationReport("no_majority", None, frozenset(), dict(reveals))
     minority_subsets = [set(k) for k, v in reveals.items() if v != best]
@@ -424,17 +424,23 @@ def server_sum_program(store: ShareStore, tamper: ServerTamper | None = None
     return None
 
 
-def gateway_sum_program(cfg: FirewallConfig, addr: bytes,
-                        live: Sequence[int]) -> Generator:
+def _gateway_program(cfg: FirewallConfig, addr: bytes, servers: Sequence[int],
+                     result_step: int) -> Generator:
+    """Send `addr` to `servers`; {server: its result share at `result_step`}."""
     zn = group_zp(cfg.N)
     addr_int = int.from_bytes(addr, "big")
-    for i in live:
+    for i in servers:
         yield from send(i, 1, [(group_addr32(), [addr_int])])
     responses: dict[int, int] = {}
-    for i in live:
-        ((v,),) = yield from recv(i, 2, [(zn, 1)])
+    for i in servers:
+        ((v,),) = yield from recv(i, result_step, [(zn, 1)])
         responses[i] = v
     return responses
+
+
+def gateway_sum_program(cfg: FirewallConfig, addr: bytes,
+                        live: Sequence[int]) -> Generator:
+    return _gateway_program(cfg, addr, live, 2)
 
 
 def decide_sum(cfg: FirewallConfig, responses: dict[int, int]) -> EvalVerdict:
@@ -454,25 +460,6 @@ def decide_sum(cfg: FirewallConfig, responses: dict[int, int]) -> EvalVerdict:
         return EvalVerdict("alert", value=sigma)
     decision = "block" if sigma == cfg.bloom.kappa else "forward"
     return EvalVerdict(decision, value=sigma)
-
-
-def run_eval_sum(stores: Sequence[ShareStore], addr: bytes,
-                 dead: frozenset[int] = frozenset(),
-                 tampers: dict[int, ServerTamper] | None = None,
-                 session_id: int = 0):
-    cfg = stores[0].config
-    live = [s.party_index for s in stores if s.party_index not in dead]
-    programs: dict[int, Generator] = {
-        GATEWAY: gateway_sum_program(cfg, addr, live)}
-    for s in stores:
-        if s.party_index in dead:
-            continue
-        programs[s.party_index] = server_sum_program(
-            s, (tampers or {}).get(s.party_index))
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_FW_EVAL_SUM)
-    verdict = decide_sum(cfg, net.results[GATEWAY])
-    return verdict, net
 
 
 def server_product_program(store: ShareStore, rng: RandomSource,
@@ -495,57 +482,31 @@ def server_product_program(store: ShareStore, rng: RandomSource,
     yield from send(GATEWAY, RESULT_STEP, [(zn, [result])])
     if not broadcast:
         return None
-    for j in range(1, cfg.m + 1):
-        if j != store.party_index:
-            yield from send(j, RESULT_STEP + 1, [(zn, [result])])
+    others = [j for j in range(1, cfg.m + 1) if j != store.party_index]
+    for j in others:
+        yield from send(j, RESULT_STEP + 1, [(zn, [result])])
     shares = {store.party_index: result}
-    for j in range(1, cfg.m + 1):
-        if j != store.party_index:
-            ((v,),) = yield from recv(j, RESULT_STEP + 1, [(zn, 1)])
-            shares[j] = v
+    for j in others:
+        ((v,),) = yield from recv(j, RESULT_STEP + 1, [(zn, 1)])
+        shares[j] = v
     return decide_product(cfg, shares)
 
 
 def gateway_product_program(cfg: FirewallConfig, addr: bytes) -> Generator:
-    zn = group_zp(cfg.N)
-    addr_int = int.from_bytes(addr, "big")
-    for i in range(1, cfg.m + 1):
-        yield from send(i, 1, [(group_addr32(), [addr_int])])
-    shares: dict[int, int] = {}
-    for i in range(1, cfg.m + 1):
-        ((v,),) = yield from recv(i, RESULT_STEP, [(zn, 1)])
-        shares[i] = v
-    return shares
+    return _gateway_program(cfg, addr, range(1, cfg.m + 1), RESULT_STEP)
 
 
 def decide_product(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
     report = combinational_analysis(
         reveal_combinations(cfg.field(), shares, cfg.reveal_size),
         cfg.m, cfg.reveal_size)
-    if report.kind == "agree":
-        if report.value == 1:
-            return EvalVerdict("block", value=1, reveals=report.reveals)
-        if report.value == 0:
-            return EvalVerdict("forward", value=0, reveals=report.reveals)
-        return EvalVerdict("alert", value=report.value, reveals=report.reveals)
-    if report.kind == "majority":
-        return EvalVerdict("alert", value=report.value,
-                           suspects=report.suspects, reveals=report.reveals)
-    raise NoMajority("reveal combinations have no strict majority")
-
-
-def _run_product_session(stores: Sequence[ShareStore], addr: bytes, seed,
-                         tampers: dict[int, ServerTamper] | None,
-                         session_id: int, protocol_id: int,
-                         broadcast: bool = False):
-    """Run the gateway and every server's product program in one session."""
-    rng = RandomSource(seed)
-    programs: dict[int, Generator] = {
-        GATEWAY: gateway_product_program(stores[0].config, addr)}
-    for s in stores:
-        programs[s.party_index] = server_product_program(
-            s, rng, (tampers or {}).get(s.party_index), broadcast)
-    return run_session(programs, session_id=session_id, protocol_id=protocol_id)
+    if report.kind == "no_majority":
+        raise NoMajority("reveal combinations have no strict majority")
+    decision = "alert"      # a majority over dissent, or agreement on no bit
+    if report.kind == "agree" and report.value in (0, 1):
+        decision = "block" if report.value == 1 else "forward"
+    return EvalVerdict(decision, value=report.value, suspects=report.suspects,
+                       reveals=report.reveals)
 
 
 def check_product_config(cfg: FirewallConfig) -> None:
@@ -558,15 +519,60 @@ def check_product_config(cfg: FirewallConfig) -> None:
         raise BadConfig("product evaluation needs m >= 2t+1 servers")
 
 
+def gateway_session(cfg: FirewallConfig, mode: str, addr: bytes,
+                    live: Sequence[int]):
+    """A CHECK of `addr` in `mode` ('sum' asks `live`, 'product' all m):
+    the gateway's program, the protocol id and the verdict rule."""
+    if mode == "product":
+        return (gateway_product_program(cfg, addr), PROTO_FW_EVAL_PRODUCT,
+                decide_product)
+    return gateway_sum_program(cfg, addr, live), PROTO_FW_EVAL_SUM, decide_sum
+
+
+def server_program(store: ShareStore, protocol_id: int, rng,
+                   tamper: ServerTamper | None) -> Generator | None:
+    """A server's program for `protocol_id`, or None; the vote is a product
+    that also sends its result share to the other servers, `rng()` its draws."""
+    if protocol_id == PROTO_FW_EVAL_SUM:
+        return server_sum_program(store, tamper)
+    if protocol_id in (PROTO_FW_EVAL_PRODUCT, PROTO_MAJORITY_VOTE):
+        return server_product_program(store, rng(), tamper,
+                                      protocol_id == PROTO_MAJORITY_VOTE)
+    return None
+
+
+def _simulate(stores: Sequence[ShareStore], addr: bytes, protocol_id: int,
+              seed, tampers: dict[int, ServerTamper] | None,
+              dead: frozenset[int], session_id: int):
+    """Simulate the gateway and the servers of `stores` not in `dead`."""
+    live = [s for s in stores if s.party_index not in dead]
+    mode = "sum" if protocol_id == PROTO_FW_EVAL_SUM else "product"
+    gateway, _, _ = gateway_session(stores[0].config, mode, addr,
+                                    [s.party_index for s in live])
+    programs: dict[int, Generator] = {GATEWAY: gateway}
+    for s in live:
+        programs[s.party_index] = server_program(
+            s, protocol_id, lambda: RandomSource(seed), (tampers or {}).get(s.party_index))
+    return run_session(programs, session_id=session_id, protocol_id=protocol_id)
+
+
+def run_eval_sum(stores: Sequence[ShareStore], addr: bytes,
+                 dead: frozenset[int] = frozenset(),
+                 tampers: dict[int, ServerTamper] | None = None,
+                 session_id: int = 0):
+    net = _simulate(stores, addr, PROTO_FW_EVAL_SUM, 0, tampers, dead,
+                    session_id)
+    return decide_sum(stores[0].config, net.results[GATEWAY]), net
+
+
 def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
                      tampers: dict[int, ServerTamper] | None = None,
                      session_id: int = 0):
     cfg = stores[0].config
     check_product_config(cfg)
-    net = _run_product_session(stores, addr, seed, tampers, session_id,
-                               PROTO_FW_EVAL_PRODUCT)
-    verdict = decide_product(cfg, net.results[GATEWAY])
-    return verdict, net
+    net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, seed, tampers,
+                    frozenset(), session_id)
+    return decide_product(cfg, net.results[GATEWAY]), net
 
 
 def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
@@ -576,8 +582,8 @@ def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
     cfg = stores[0].config
     if cfg.scheme != "shamir":
         raise BadConfig("BW recovery requires Shamir stores")
-    net = _run_product_session(stores, addr, seed, tampers, session_id,
-                               PROTO_FW_EVAL_PRODUCT)
+    net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, seed, tampers,
+                    frozenset(), session_id)
     shares = net.results[GATEWAY]
     value, bad = bw_decode(cfg.field(), shares, cfg.t - 1)
     decision = "block" if value == 1 else "forward"
@@ -587,12 +593,10 @@ def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
 
 def majority_vote(verdicts: Sequence[EvalVerdict]) -> EvalVerdict:
     """Strict-majority decision over locally reconstructed verdicts."""
-    counts: dict[str, int] = {}
-    for v in verdicts:
-        counts[v.decision] = counts.get(v.decision, 0) + 1
-    best, n = max(counts.items(), key=lambda kv: kv[1])
+    counts = Counter(v.decision for v in verdicts)
+    best, n = counts.most_common(1)[0]
     if n * 2 <= len(verdicts):
-        raise NoMajority(f"verdict split {counts}")
+        raise NoMajority(f"verdict split {dict(counts)}")
     for v in verdicts:
         if v.decision == best:
             return v
@@ -608,11 +612,9 @@ def run_product_with_vote(stores: Sequence[ShareStore], addr: bytes, seed=0,
     decision is the strict majority of the m server verdicts plus the
     gateway's own.  The broadcast adds m(m-1) result-share transmissions.
     """
-    cfg = stores[0].config
-    net = _run_product_session(stores, addr, seed, tampers, session_id,
-                               PROTO_MAJORITY_VOTE, broadcast=True)
-    gateway_verdict = decide_product(cfg, net.results[GATEWAY])
-    verdicts = [gateway_verdict]
+    net = _simulate(stores, addr, PROTO_MAJORITY_VOTE, seed, tampers,
+                    frozenset(), session_id)
+    verdicts = [decide_product(stores[0].config, net.results[GATEWAY])]
     for s in stores:
         v = net.results[s.party_index]
         claimed = (lie_about_verdict or {}).get(s.party_index)

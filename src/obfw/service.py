@@ -7,8 +7,8 @@ Wire surfaces:
   * server admin port    -- "UPDATE <dotted-quad> <v1,v2,...>\n" then
         "HMAC <hex over the UPDATE line>\n" -> "OK\n" | "AUTHFAIL\n" |
         "ERROR <why>\n" (the store file could not be written)
-  * server eval port     -- envelope protocol (ids 9/10) with the gateway
-        and the other servers.
+  * server eval port     -- envelope sessions with the gateway and the other
+        servers; firewall.py builds each (gateway_session, server_program).
 
 Each daemon's TcpNode reads all of its peer connections on one thread.  A
 server runs the evaluation sessions the gateway starts on that thread (see
@@ -24,6 +24,7 @@ from typing import Callable, TextIO
 
 from .errors import IoError
 from .firewall import (
+    CHECK_PROTOCOLS,
     EvalVerdict,
     FirewallConfig,
     AuthFail,
@@ -31,16 +32,12 @@ from .firewall import (
     ServerTimeout,
     ShareStore,
     check_product_config,
-    decide_product,
-    decide_sum,
-    gateway_product_program,
-    gateway_sum_program,
+    gateway_session,
     parse_ipv4,
-    server_product_program,
-    server_sum_program,
+    server_program,
     verify_admin_mac,
 )
-from .net import PROTO_FW_EVAL_PRODUCT, PROTO_FW_EVAL_SUM, Endpoint, PartyTimeout, TcpNode
+from .net import Endpoint, PartyTimeout, TcpNode
 from .rng import RandomSource
 
 
@@ -128,11 +125,9 @@ class FirewallServerDaemon:
 
     # -- envelope sessions -------------------------------------------------
     def _program_for(self, session_id: int, protocol_id: int):
-        if protocol_id == PROTO_FW_EVAL_SUM:
-            return server_sum_program(self.store)
-        if protocol_id == PROTO_FW_EVAL_PRODUCT:
-            return server_product_program(
-                self.store, self.rng.child(f"s/{session_id}"))
+        if protocol_id in CHECK_PROTOCOLS:
+            return server_program(self.store, protocol_id,
+                                  lambda: self.rng.child(f"s/{session_id}"), None)
         return None
 
     # -- admin text protocol -------------------------------------------------
@@ -191,20 +186,13 @@ class GatewayDaemon:
         with self._lock:
             self._session_counter = (self._session_counter + 1) % 2 ** 64
             session = self._session_counter
-        if self.mode == "product":
-            program = gateway_product_program(self.cfg, addr)
-            proto = PROTO_FW_EVAL_PRODUCT
-        else:
-            live = list(range(1, self.cfg.m + 1))
-            program = gateway_sum_program(self.cfg, addr, live)
-            proto = PROTO_FW_EVAL_SUM
+        program, proto, decide = gateway_session(
+            self.cfg, self.mode, addr, range(1, self.cfg.m + 1))
         try:
             responses, _ = self.node.run_program(program, session, proto)
         except PartyTimeout as exc:
             raise ServerTimeout(str(exc)) from exc
-        if self.mode == "product":
-            return decide_product(self.cfg, responses)
-        return decide_sum(self.cfg, responses)
+        return decide(self.cfg, responses)
 
     def _answer(self, line: str, _reader: TextIO) -> str:
         parts = line.split()
@@ -218,10 +206,8 @@ class GatewayDaemon:
             verdict = EvalVerdict("alert")
         except (ValueError, ServerTimeout) as exc:
             return f"ERROR {exc}\n"
-        if verdict.decision == "block":
-            return "BLOCK\n"
-        if verdict.decision == "forward":
-            return "FORWARD\n"
+        if verdict.decision != "alert":
+            return verdict.decision.upper() + "\n"     # BLOCK or FORWARD
         return f"ALERT {','.join(str(s) for s in sorted(verdict.suspects))}\n"
 
 

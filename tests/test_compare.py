@@ -8,6 +8,7 @@ from obfw.compare import (
     ProtocolInvariantError,
     alg4_step_bits,
     alg4_total,
+    alg5_step_bits,
     alg5_total,
     alg6_total,
     build_programs,
@@ -336,8 +337,10 @@ class TestAccounting:
     @pytest.mark.parametrize("lbits", [8, 16, 32, 64])
     def test_alg5_exact(self, lbits):
         out = run_semi_honest(3, 5, lbits, seed=1, variant="alg5")
-        assert out.transcript.accounting_total() == alg5_total(lbits)
-        assert out.transcript.rounds() == 4
+        tr = out.transcript
+        assert tr.accounting_total() == alg5_total(lbits)
+        assert dict(tr.step_acc_bits) == alg5_step_bits(lbits)
+        assert tr.rounds() == 4
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     @pytest.mark.parametrize("lbits", [8, 16])

@@ -23,7 +23,19 @@ from obfw.firewall import (
     run_eval_sum,
     server_product_program,
 )
-from obfw.net import Endpoint, TcpNode, build_mesh, group_addr32, group_zp, recv, send
+from obfw.net import (
+    PROTO_FW_EVAL_PRODUCT,
+    PROTO_FW_EVAL_SUM,
+    PROTO_FW_UPDATE,
+    PROTO_MAJORITY_VOTE,
+    Endpoint,
+    TcpNode,
+    build_mesh,
+    group_addr32,
+    group_zp,
+    recv,
+    send,
+)
 from obfw.rng import RandomSource
 from obfw.service import FirewallServerDaemon, GatewayDaemon, admin_push_update
 
@@ -85,6 +97,15 @@ class TestDaemons:
         with pytest.raises(AuthFail):
             admin_push_update("127.0.0.1", daemons[0].admin_port,
                               b"wrong", "1.2.3.4", [1, 2, 3])
+
+    def test_server_runs_only_check_protocols(self, stack):
+        _, _, _, daemons, _ = stack
+        for proto in (PROTO_FW_EVAL_SUM, PROTO_FW_EVAL_PRODUCT):
+            program = daemons[0]._program_for(1, proto)
+            assert program is not None
+            program.close()
+        for proto in (PROTO_MAJORITY_VOTE, PROTO_FW_UPDATE, 99):
+            assert daemons[0]._program_for(1, proto) is None
 
     def test_malformed_check_rejected(self, stack):
         _, _, _, _, gw = stack
@@ -636,7 +657,7 @@ class TestCli:
             unused.bind(("127.0.0.1", 0))
             port = unused.getsockname()[1]
         cfg = {"m": 3, "N": 11, "bloom": {"eta": 5, "target_fp": 0.1},
-               "store_prefix": str(tmp_path / "fw")}
+               "store_prefix": str(tmp_path / "fw"), "psk": "0011"}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         bl = tmp_path / "b.txt"
@@ -652,6 +673,60 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("transport failure:")
         assert (tmp_path / "fw.filter").read_bytes() == filter_bytes
 
+    def test_update_without_psk_exit2_keeps_filter(self, tmp_path, capsys):
+        # The peers refuse connections: a push would exit 3, not 2.
+        with socket.socket() as unused:
+            unused.bind(("127.0.0.1", 0))
+            port = unused.getsockname()[1]
+        cfg = {"m": 3, "N": 11, "bloom": {"eta": 5, "target_fp": 0.1},
+               "store_prefix": str(tmp_path / "fw"),
+               "peers": [{"index": i, "host": "127.0.0.1", "port": port}
+                         for i in (1, 2, 3)]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        filter_bytes = (tmp_path / "fw.filter").read_bytes()
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "admin-update",
+                     "1.2.3.4"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: config has no 'psk'"]
+        assert (tmp_path / "fw.filter").read_bytes() == filter_bytes
+
+    def test_serve_without_psk_exit2(self, tmp_path):
+        # A loadable store and free ports: with a psk the server would
+        # serve until it is stopped.
+        cfg = {"party_index": 1, "m": 3, "N": 11,
+               "bloom": {"eta": 5, "target_fp": 0.1},
+               "store_prefix": str(tmp_path / "fw"),
+               "listen": {"host": "127.0.0.1", "port": 0},
+               "admin_listen": {"host": "127.0.0.1", "port": 0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        proc = subprocess.run(
+            [sys.executable, "-m", "obfw.cli", "--config", str(cfg_path),
+             "serve"], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines() == ["config error: config has no 'psk'"]
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (["fw-init", "b.txt"], {"N": 11}),
+        (["serve"], {"m": 3, "N": 11, "psk": "0011"}),
+    ], ids=["fw-init-without-m", "serve-without-party-index"])
+    def test_missing_required_key_exit2(self, tmp_path, capsys, argv, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "store_prefix": str(tmp_path / "fw")}))
+        assert main(["--config", str(cfg_path), *argv]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: config has no")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("indices", [[], [1, 2], [1, 2, 2, 3], [0, 1, 2]],
                              ids=["no-peers", "server-missing",
                                   "duplicate-index", "index-zero"])
@@ -663,7 +738,7 @@ class TestCli:
             unused.bind(("127.0.0.1", 0))
             port = unused.getsockname()[1]
         cfg = {"m": 3, "N": 11, "bloom": {"eta": 5, "target_fp": 0.1},
-               "store_prefix": str(tmp_path / "fw")}
+               "store_prefix": str(tmp_path / "fw"), "psk": "0011"}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         bl = tmp_path / "b.txt"
@@ -726,7 +801,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({
             "party_index": 1, "m": 3, "N": 11,
             "bloom": {"eta": 5, "target_fp": 0.1},
-            "store_prefix": str(tmp_path / "absent")}))
+            "store_prefix": str(tmp_path / "absent"), "psk": "0011"}))
         assert main(["--config", str(cfg_path), "serve"]) == EXIT_USAGE
         assert main(["--config", str(cfg_path), "admin-update",
                      "1.2.3.4"]) == EXIT_USAGE
@@ -745,7 +820,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({
             "party_index": 1, "m": 3, "N": 11,
             "bloom": {"eta": 5, "target_fp": 0.1},
-            "store_path": str(path)}))
+            "store_path": str(path), "psk": "0011"}))
         assert main(["--config", str(cfg_path), "serve"]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("file error:")
@@ -753,7 +828,7 @@ class TestCli:
     def test_damaged_filter_header_exit2(self, tmp_path, capsys):
         cfg = {"scheme": "additive", "m": 3, "N": 11,
                "bloom": {"eta": 5, "target_fp": 0.1},
-               "store_prefix": str(tmp_path / "fw")}
+               "store_prefix": str(tmp_path / "fw"), "psk": "0011"}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         bl = tmp_path / "b.txt"
