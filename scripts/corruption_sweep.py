@@ -46,6 +46,8 @@ def main():
     undetected = sum(c for (s, st), c in outcome.items() if st == "HONEST")
     print(f"undetected: {undetected}")
     assert undetected == 0
+    assert attributed == degree_cases, \
+        f"{degree_cases - attributed} degree violations named no or a wrong index"
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .field import (
     Polynomial,
     berlekamp_welch,
     interpolate,
-    lagrange_zero_coefficients,
+    lagrange_zero_inverses,
 )
 from .net import PROTO_DUAL_OUTPUT_CHECK, group_zp, recv, run_session, send
 from .rng import RandomSource
@@ -310,9 +310,9 @@ def delta_prime(field: PrimeField, delta: int, party_index: int,
     delta' = delta * L_j^{-1}, with L_j the Lagrange zero coefficient of
     this party's index within the reconstruction set.
     """
-    coeffs = lagrange_zero_coefficients(field, all_indices)
-    pos = list(all_indices).index(party_index)
-    return delta * field.inv(coeffs[pos]) % field.p
+    indices = tuple(all_indices)
+    return delta * lagrange_zero_inverses(field, indices)[
+        indices.index(party_index)] % field.p
 
 
 def additive_to_shamir_lift(field: PrimeField, values: Sequence[int],
@@ -322,10 +322,9 @@ def additive_to_shamir_lift(field: PrimeField, values: Sequence[int],
     Each share is multiplied by the inverse of its Lagrange coefficient, so
     the interpolated constant term equals the additive secret.
     """
-    coeffs = lagrange_zero_coefficients(field, indices)
-    pts = [(idx, v * field.inv(c) % field.p)
-           for idx, v, c in zip(indices, values, coeffs)]
-    return interpolate(field, pts)
+    inverses = lagrange_zero_inverses(field, tuple(indices))
+    return interpolate(field, [(idx, v * c % field.p)
+                               for idx, v, c in zip(indices, values, inverses)])
 
 
 class VerdictStatus(Enum):

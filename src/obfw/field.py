@@ -6,10 +6,17 @@ instance carries the modulus and provides the arithmetic.  Polynomials are
 coefficient vectors, index i holding the coefficient of x^i.  The zero
 polynomial has degree -1 by convention, so degree checks on an all-zero
 sharing come out clean.
+
+Interpolation is linear in the y values.  For each (modulus, x tuple) the
+process builds the inverse Vandermonde matrix once: `interpolate` is its
+product with the y vector, the Lagrange zero weights and the resharing
+reduction row are its row 0, and the inverses of the zero weights are
+cached beside them.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -232,22 +239,33 @@ def _check_distinct_nonzero(field: PrimeField, xs: Sequence[int],
 
 
 @functools.cache
-def _zero_weights(field: PrimeField, indices: tuple[int, ...]) -> tuple[int, ...]:
-    # Invalid index tuples raise before anything is cached, so every call
-    # with one raises again.
-    _check_distinct_nonzero(field, indices)
+def inverse_vandermonde(field: PrimeField,
+                        xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Inverse of the Vandermonde matrix on distinct xs: row k holds the
+    weights of coefficient k, so f_k = sum_j row_k[j] * f(x_j).
+
+    Column j is the Lagrange basis polynomial of x_j.  An invalid tuple
+    raises before anything is cached, so every call with it raises again.
+    """
+    _check_distinct_nonzero(field, xs, require_nonzero=False)
     p = field.p
-    out = []
-    for j, xj in enumerate(indices):
-        num = 1
+    cols = []
+    for j, xj in enumerate(xs):
+        basis = Polynomial(field, [1])
         den = 1
-        for k, xk in enumerate(indices):
+        for k, xk in enumerate(xs):
             if k == j:
                 continue
-            num = num * (-xk) % p
+            basis = basis * Polynomial(field, [-xk, 1])
             den = den * (xj - xk) % p
-        out.append(num * field.inv(den) % p)
-    return tuple(out)
+        cols.append(basis.scale(field.inv(den)).coeffs)    # monic: n long
+    return tuple(zip(*cols))
+
+
+@functools.cache
+def _zero_weights(field: PrimeField, indices: tuple[int, ...]) -> tuple[int, ...]:
+    _check_distinct_nonzero(field, indices)
+    return inverse_vandermonde(field, indices)[0] if indices else ()
 
 
 def lagrange_zero_coefficients(field: PrimeField, indices: Sequence[int]) -> list[int]:
@@ -259,32 +277,30 @@ def lagrange_zero_coefficients(field: PrimeField, indices: Sequence[int]) -> lis
     return list(_zero_weights(field, tuple(indices)))
 
 
+@functools.cache
+def lagrange_zero_inverses(field: PrimeField,
+                           indices: tuple[int, ...]) -> tuple[int, ...]:
+    """1 / L_j for each weight of `lagrange_zero_coefficients`, computed
+    once per (modulus, index tuple).  On distinct nonzero indices no L_j
+    is 0, so each has an inverse."""
+    return tuple(field.inv(w) for w in _zero_weights(field, indices))
+
+
 def interpolate(field: PrimeField, points: Sequence[tuple[int, int]]) -> Polynomial:
-    """Full Lagrange interpolation; result degree < len(points)."""
-    _check_distinct_nonzero(field, [x for x, _ in points], require_nonzero=False)
-    p = field.p
-    result = Polynomial(field, [])
-    for j, (xj, yj) in enumerate(points):
-        if yj % p == 0:
-            continue
-        basis = Polynomial(field, [1])
-        den = 1
-        for k, (xk, _) in enumerate(points):
-            if k == j:
-                continue
-            basis = basis * Polynomial(field, [-xk, 1])
-            den = den * (xj - xk) % p
-        result = result + basis.scale(yj * field.inv(den) % p)
-    return result
+    """Full Lagrange interpolation; result degree < len(points).
+
+    One product of the cached inverse Vandermonde table on the x values
+    with the y values.
+    """
+    ys = [y for _, y in points]
+    table = inverse_vandermonde(field, tuple(x for x, _ in points))
+    return Polynomial(field, [sum(map(operator.mul, row, ys)) for row in table])
 
 
 def interpolate_at_zero(field: PrimeField, points: Sequence[tuple[int, int]]) -> int:
     """f(0) without building the whole polynomial."""
-    coeffs = _zero_weights(field, tuple(x for x, _ in points))
-    acc = 0
-    for c, (_, y) in zip(coeffs, points):
-        acc = (acc + c * y) % field.p
-    return acc
+    weights = _zero_weights(field, tuple(x for x, _ in points))
+    return sum(map(operator.mul, weights, (y for _, y in points))) % field.p
 
 
 @dataclass(frozen=True)
@@ -309,24 +325,6 @@ def detect_degree(field: PrimeField, points: Sequence[tuple[int, int]],
     return DegreeCheck(interpolate(field, points), t)
 
 
-def _gauss_jordan_inverse(field: PrimeField, m: list[list[int]]) -> list[list[int]]:
-    n = len(m)
-    p = field.p
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
-        assert pivot is not None, "Vandermonde matrix over distinct indices is invertible"
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] % p != 0:
-                factor = aug[r][col]
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def vandermonde_reduction_row(field: PrimeField, n: int) -> list[int]:
     """First row of the inverse of the n x n Vandermonde matrix on 1..n.
 
@@ -337,8 +335,7 @@ def vandermonde_reduction_row(field: PrimeField, n: int) -> list[int]:
         raise ValueError("reduction row is defined for n = 2t+1 (odd)")
     if n >= field.p:
         raise ValueError("party count must be below the field modulus")
-    vm = [[pow(i, k, field.p) for k in range(n)] for i in range(1, n + 1)]
-    return _gauss_jordan_inverse(field, vm)[0]
+    return list(inverse_vandermonde(field, tuple(range(1, n + 1)))[0])
 
 
 @dataclass(frozen=True)

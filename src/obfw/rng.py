@@ -14,7 +14,7 @@ from array import array
 from typing import Sequence
 
 # array typecodes that unpack little-endian draws of 1, 2 and 4 bytes; a
-# 3-byte draw goes through int.from_bytes.
+# draw of 3 or more than 4 bytes goes through int.from_bytes.
 _DRAW_TYPECODES = {1: "B", 2: "H", 4: "I"}
 
 
@@ -136,10 +136,17 @@ class RandomSource:
         k = (n - 1).bit_length() or 1
         width = (k + 7) // 8
         shift = width * 8 - k
+        typecode = _DRAW_TYPECODES.get(width)
+        bound = n << shift          # v >> shift < n exactly when v < bound
         out: list[int] = []
         while len(out) < count:
             blob = self.bytes((count - len(out)) * width)
-            draws = (int.from_bytes(blob[i:i + width], "little") >> shift
-                     for i in range(0, len(blob), width))
-            out += [v for v in draws if v < n]
+            if typecode:
+                draws = array(typecode, blob)
+                if sys.byteorder == "big":
+                    draws.byteswap()
+            else:
+                draws = [int.from_bytes(blob[i:i + width], "little")
+                         for i in range(0, len(blob), width)]
+            out += [v >> shift for v in draws if v < bound]
         return out

@@ -25,6 +25,7 @@ from typing import Callable, TextIO
 from .errors import IoError
 from .firewall import (
     CHECK_PROTOCOLS,
+    BadConfig,
     EvalVerdict,
     FirewallConfig,
     AuthFail,
@@ -162,6 +163,8 @@ class GatewayDaemon:
     def __init__(self, cfg: FirewallConfig, node: TcpNode,
                  listen: Endpoint = Endpoint("127.0.0.1", 0),
                  mode: str = "sum"):
+        if mode not in ("sum", "product"):
+            raise BadConfig(f"gateway mode must be sum or product, got {mode!r}")
         if mode == "product":
             check_product_config(cfg)
         self.cfg = cfg

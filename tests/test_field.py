@@ -15,8 +15,10 @@ from obfw.field import (
     berlekamp_welch,
     detect_degree,
     interpolate,
+    inverse_vandermonde,
     is_probable_prime,
     lagrange_zero_coefficients,
+    lagrange_zero_inverses,
     random_polynomial,
     vandermonde_reduction_row,
 )
@@ -25,6 +27,7 @@ from obfw.rng import RandomSource
 F11 = PrimeField(11)
 F101 = PrimeField(101)
 F251 = PrimeField(251)
+F_M31 = PrimeField(2 ** 31 - 1)
 
 
 class TestPrimality:
@@ -134,6 +137,90 @@ class TestInterpolate:
         xs = data.draw(st.permutations(list(range(1, 12))))[:deg + 1]
         got = interpolate(F251, [(x, poly.evaluate(x)) for x in xs])
         assert got == poly
+
+
+def _basis_interpolate(field, points):
+    """Oracle: the sum of y_j times the Lagrange basis polynomial of x_j."""
+    p = field.p
+    result = Polynomial(field, [])
+    for j, (xj, yj) in enumerate(points):
+        basis = Polynomial(field, [1])
+        den = 1
+        for k, (xk, _) in enumerate(points):
+            if k != j:
+                basis = basis * Polynomial(field, [-xk, 1])
+                den = den * (xj - xk) % p
+        result = result + basis.scale(yj * pow(den, p - 2, p))
+    return result
+
+
+@st.composite
+def _field_and_xs(draw):
+    """F251 or 2^31-1 with 1-7 distinct x values, 0 allowed."""
+    field = draw(st.sampled_from([F251, F_M31]))
+    xs = draw(st.lists(st.integers(0, field.p - 1), min_size=1, max_size=7,
+                       unique=True))
+    return field, tuple(xs)
+
+
+class TestInverseVandermonde:
+    @settings(max_examples=80)
+    @given(_field_and_xs())
+    def test_inverts_the_vandermonde_matrix(self, case):
+        field, xs = case
+        p, n = field.p, len(xs)
+        vm = [[pow(x, k, p) for k in range(n)] for x in xs]
+        table = inverse_vandermonde(field, xs)
+        assert len(table) == n and all(len(row) == n for row in table)
+        for i in range(n):
+            for j in range(n):
+                assert sum(vm[i][k] * table[k][j] for k in range(n)) % p == (i == j)
+                assert sum(table[i][k] * vm[k][j] for k in range(n)) % p == (i == j)
+
+    @settings(max_examples=80)
+    @given(_field_and_xs(), st.data())
+    def test_interpolate_equals_basis_reference(self, case, data):
+        field, xs = case
+        ys = data.draw(st.lists(st.integers(-field.p, 2 * field.p),
+                                min_size=len(xs), max_size=len(xs)))
+        points = list(zip(xs, ys))
+        assert interpolate(field, points) == _basis_interpolate(field, points)
+
+    @settings(max_examples=40)
+    @given(_field_and_xs(), st.data())
+    def test_duplicate_raises_on_every_call(self, case, data):
+        field, xs = case
+        x = data.draw(st.sampled_from(xs))
+        twin = data.draw(st.sampled_from([x, x + field.p, x - field.p]))
+        bad = xs + (twin,)
+        for _ in range(2):
+            with pytest.raises(DuplicateIndex):
+                inverse_vandermonde(field, bad)
+            with pytest.raises(DuplicateIndex):
+                interpolate(field, [(b, 1) for b in bad])
+
+    def test_moduli_sharing_a_tuple_get_their_own_tables(self):
+        xs = (1, 2, 3)
+        assert inverse_vandermonde(F251, xs)[0] == (3, 248, 1)
+        assert inverse_vandermonde(F11, xs)[0] == (3, 8, 1)
+        pts = [(1, 5), (2, 7), (3, 2)]
+        for field in (F11, F251):
+            poly = interpolate(field, pts)
+            assert [poly.evaluate(x) for x, _ in pts] == [5, 7, 2]
+
+    def test_caller_mutation_does_not_reach_the_next_call(self):
+        pts = [(1, 62), (2, 10), (3, 56), (4, 99), (5, 38)]
+        first = interpolate(F101, pts)
+        first.coeffs[0] = 0
+        first.coeffs.append(7)
+        assert interpolate(F101, pts).coeffs == [10, 3, 49]
+
+    def test_zero_inverses_invert_the_zero_weights(self):
+        for field in (F11, F101, F251, F_M31):
+            idx = (1, 2, 3, 4, 5)
+            weights = lagrange_zero_coefficients(field, idx)
+            inverses = lagrange_zero_inverses(field, idx)
+            assert [w * v % field.p for w, v in zip(weights, inverses)] == [1] * 5
 
 
 class TestDetectDegree:

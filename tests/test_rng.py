@@ -3,7 +3,8 @@ import pytest
 
 from obfw.rng import RandomSource
 
-MODULI = [2, 11, 257, 2 ** 31 - 1, 2 ** 61 - 1]
+# One modulus per draw width: 1, 1, 2, 3 (100_003 has 17 bits), 4 and 8 bytes.
+MODULI = [2, 11, 257, 100_003, 2 ** 31 - 1, 2 ** 61 - 1]
 
 
 @pytest.mark.parametrize("n", MODULI)

@@ -14,6 +14,7 @@ from obfw.bloom import derive_params
 from obfw.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, EXIT_USAGE, main
 from obfw.firewall import (
     AuthFail,
+    BadConfig,
     FirewallConfig,
     ServerTamper,
     ShareStore,
@@ -150,6 +151,19 @@ class TestProductModeDaemons:
         try:
             with pytest.raises(ValueError):
                 GatewayDaemon(cfg, node, mode="product")
+        finally:
+            node.close()
+
+    @pytest.mark.parametrize("mode", ["prodcut", "", "Sum"])
+    def test_unknown_mode_rejected(self, mode):
+        # Any mode but sum ran sum CHECKs, so a typo of "product" silently
+        # dropped the cheater-tolerant product evaluation.
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
+                             bloom=derive_params(5, 0.1))
+        node = TcpNode(0, Endpoint("127.0.0.1", 0))
+        try:
+            with pytest.raises(BadConfig, match="mode"):
+                GatewayDaemon(cfg, node, mode=mode)
         finally:
             node.close()
 
