@@ -1,5 +1,5 @@
-"""Prime-field arithmetic, Lagrange interpolation, degree detection,
-Vandermonde degree-reduction rows and Berlekamp-Welch decoding.
+"""Prime-field arithmetic, Lagrange interpolation, degree detection and
+Berlekamp-Welch decoding.
 
 All values are plain Python integers reduced into [0, p); a PrimeField
 instance carries the modulus and provides the arithmetic.  Polynomials are
@@ -107,12 +107,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
@@ -162,15 +156,6 @@ class Polynomial:
             out[i] = c
         for i, c in enumerate(other.coeffs):
             out[i] = (out[i] + c) % self.field.p
-        return Polynomial(self.field, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = (out[i] - c) % self.field.p
         return Polynomial(self.field, out)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -323,19 +308,6 @@ def detect_degree(field: PrimeField, points: Sequence[tuple[int, int]],
     if len(points) < 2 * t + 1:
         raise InsufficientPoints(f"need >= {2 * t + 1} points, got {len(points)}")
     return DegreeCheck(interpolate(field, points), t)
-
-
-def vandermonde_reduction_row(field: PrimeField, n: int) -> list[int]:
-    """First row of the inverse of the n x n Vandermonde matrix on 1..n.
-
-    These are the recombination weights of the resharing degree
-    reduction; n must be odd (n = 2t+1) and below the modulus.
-    """
-    if n % 2 != 1:
-        raise ValueError("reduction row is defined for n = 2t+1 (odd)")
-    if n >= field.p:
-        raise ValueError("party count must be below the field modulus")
-    return list(inverse_vandermonde(field, tuple(range(1, n + 1)))[0])
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ An admin builds the plaintext filter from the blacklist, shares every
 position among the servers (additive m-of-m or Shamir), and distributes
 one share store per server.  A gateway evaluates membership obliviously:
 the sum variant reconstructs the count of set positions, the product
-variant reconstructs an AND bit and survives malicious servers through
-reveal-combination analysis, Berlekamp-Welch decoding, or a majority vote
-over locally reconstructed verdicts.
+variant reconstructs an AND bit.  Every Shamir verdict comes from one core,
+`_shamir_verdict`: it reconstructs over every reveal subset and compares.
+Product results can also be decoded by Berlekamp-Welch or settled by a
+majority vote over locally reconstructed verdicts.
 
 Reveal convention: reconstruction subsets have size `t` over polynomials
 of degree t-1, so a filter with m = 2t+1 servers yields C(m, t) reveal
@@ -341,9 +342,9 @@ class CombinationReport:
     reveals: dict[tuple[int, ...], int]
 
 
-def combinational_analysis(reveals: dict[tuple[int, ...], int], m: int,
-                           t: int) -> CombinationReport:
-    """Compare reconstructions across all size-t subsets.
+def combinational_analysis(reveals: dict[tuple[int, ...], int]
+                           ) -> CombinationReport:
+    """Compare reconstructions across all reveal subsets.
 
     Agreement means no tampering; otherwise a strict majority value wins
     and the suspects are the indices present in every minority subset.
@@ -355,8 +356,7 @@ def combinational_analysis(reveals: dict[tuple[int, ...], int], m: int,
     best, best_count = Counter(values).most_common(1)[0]
     if best_count * 2 <= len(values):
         return CombinationReport("no_majority", None, frozenset(), dict(reveals))
-    minority_subsets = [set(k) for k, v in reveals.items() if v != best]
-    suspects = set.intersection(*minority_subsets) if minority_subsets else set()
+    suspects = set.intersection(*(set(k) for k, v in reveals.items() if v != best))
     return CombinationReport("majority", best, frozenset(suspects), dict(reveals))
 
 
@@ -400,9 +400,29 @@ class EvalVerdict:
     suspects: frozenset[int] = dc_field(default_factory=frozenset)
     reveals: dict = dc_field(default_factory=dict)
 
-    @property
-    def blocked(self) -> bool:
-        return self.decision == "block"
+
+def _decision(value: int, top: int) -> str:
+    """An honest result lies in [0, top] and equals `top` exactly when
+    every hashed position is set: a sum counts them (top = kappa), a
+    product is their AND (top = 1)."""
+    if value > top:
+        return "alert"      # no honest stores give this value
+    return "block" if value == top else "forward"
+
+
+def _shamir_verdict(cfg: FirewallConfig, shares: dict[int, int],
+                    top: int) -> EvalVerdict:
+    """The verdict on Shamir result shares: reconstruct over every size-t
+    subset and compare.  Agreement gives `_decision(value, top)`; any
+    dissent is an alert naming the analysis's suspects, none without a
+    strict majority.  Exactly t shares make one subset: nothing to check."""
+    if len(shares) < cfg.reveal_size:
+        raise ServerTimeout(f"need {cfg.reveal_size} responses, got {len(shares)}")
+    report = combinational_analysis(
+        reveal_combinations(cfg.field(), shares, cfg.reveal_size))
+    decision = _decision(report.value, top) if report.kind == "agree" else "alert"
+    return EvalVerdict(decision, value=report.value, suspects=report.suspects,
+                       reveals=report.reveals)
 
 
 @dataclass(frozen=True)
@@ -444,22 +464,12 @@ def gateway_sum_program(cfg: FirewallConfig, addr: bytes,
 
 
 def decide_sum(cfg: FirewallConfig, responses: dict[int, int]) -> EvalVerdict:
-    if cfg.scheme == "additive":
-        if len(responses) != cfg.m:
-            raise ServerTimeout("additive evaluation needs every server")
-        sigma = sum(responses.values()) % cfg.N
-    else:
-        if len(responses) < cfg.reveal_size:
-            raise ServerTimeout(
-                f"need {cfg.reveal_size} responses, got {len(responses)}")
-        pts = sorted(responses.items())[:cfg.reveal_size]
-        sigma = interpolate_at_zero(cfg.field(), pts)
-    if sigma > cfg.bloom.kappa:
-        # Honest stores count at most kappa set positions: the stores
-        # disagree.
-        return EvalVerdict("alert", value=sigma)
-    decision = "block" if sigma == cfg.bloom.kappa else "forward"
-    return EvalVerdict(decision, value=sigma)
+    if cfg.scheme == "shamir":
+        return _shamir_verdict(cfg, responses, cfg.bloom.kappa)
+    if len(responses) != cfg.m:
+        raise ServerTimeout("additive evaluation needs every server")
+    sigma = sum(responses.values()) % cfg.N
+    return EvalVerdict(_decision(sigma, cfg.bloom.kappa), value=sigma)
 
 
 def server_product_program(store: ShareStore, rng: RandomSource,
@@ -497,23 +507,12 @@ def gateway_product_program(cfg: FirewallConfig, addr: bytes) -> Generator:
 
 
 def decide_product(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
-    report = combinational_analysis(
-        reveal_combinations(cfg.field(), shares, cfg.reveal_size),
-        cfg.m, cfg.reveal_size)
-    if report.kind == "no_majority":
-        raise NoMajority("reveal combinations have no strict majority")
-    decision = "alert"      # a majority over dissent, or agreement on no bit
-    if report.kind == "agree" and report.value in (0, 1):
-        decision = "block" if report.value == 1 else "forward"
-    return EvalVerdict(decision, value=report.value, suspects=report.suspects,
-                       reveals=report.reveals)
+    return _shamir_verdict(cfg, shares, 1)
 
 
 def check_product_config(cfg: FirewallConfig) -> None:
     """Raise BadConfig unless product evaluation supports `cfg`."""
     if cfg.scheme != "shamir":
-        if cfg.m != 3:
-            raise BadConfig("additive product evaluation needs exactly 3 servers")
         raise BadConfig("product evaluation is implemented for Shamir stores")
     if cfg.m < 2 * cfg.t + 1:
         raise BadConfig("product evaluation needs m >= 2t+1 servers")
@@ -586,8 +585,7 @@ def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
                     frozenset(), session_id)
     shares = net.results[GATEWAY]
     value, bad = bw_decode(cfg.field(), shares, cfg.t - 1)
-    decision = "block" if value == 1 else "forward"
-    return EvalVerdict(decision, value=value, suspects=frozenset(bad),
+    return EvalVerdict(_decision(value, 1), value=value, suspects=frozenset(bad),
                        reveals={tuple(sorted(shares)): value}), net
 
 

@@ -61,48 +61,40 @@ def drive(program: Generator, me: int, session_id: int, protocol_id: int,
     `frm` in this session, or None while there is none: this generator
     then yields the Recv it waits on and asks again when resumed.  Either
     may raise PartyTimeout.  An envelope with the wrong step or a payload
-    that does not decode fails the party the same way.  A PartyTimeout is
-    thrown into the program, whose value is returned if it returns one.
+    that does not decode fails the party the same way.  A PartyTimeout,
+    or one thrown in while this generator waits, ends the party: it
+    propagates to the caller and is never thrown into the program.
     """
     resume = None
-    try:
-        while True:
-            try:
-                cmd = program.send(resume)
-            except StopIteration as stop:
-                return stop.value
-            resume = None
-            if isinstance(cmd, Send):
-                payload = encode_elements(cmd.segments)
-                transcript.record_send(
-                    me, cmd.to, cmd.step,
-                    segments_accounting_bits(cmd.segments),
-                    segments_raw_bits(cmd.segments), payload=payload)
-                post(cmd.to, Envelope(protocol_id, cmd.step, session_id, me,
-                                      payload))
-            elif isinstance(cmd, Recv):
-                env = take(cmd.frm)
-                while env is None:
-                    yield cmd
-                    env = take(cmd.frm)
-                if env.step_id != cmd.step:
-                    raise PartyTimeout(
-                        f"party {me}: party {cmd.frm} sent step {env.step_id} "
-                        f"where step {cmd.step} was due")
-                transcript.record_recv(me, cmd.frm, env.step_id)
-                try:
-                    resume = decode_elements(env.payload, cmd.schema)
-                except CodecError as exc:
-                    raise PartyTimeout(
-                        f"party {me}: step {cmd.step} from party {cmd.frm} "
-                        f"does not decode: {exc}") from exc
-            else:
-                raise TypeError(f"party {me} yielded {cmd!r}")
-    except PartyTimeout as exc:
+    while True:
         try:
-            program.throw(exc)
+            cmd = program.send(resume)
         except StopIteration as stop:
             return stop.value
-        except PartyTimeout:
-            pass
-        raise
+        resume = None
+        if isinstance(cmd, Send):
+            payload = encode_elements(cmd.segments)
+            transcript.record_send(
+                me, cmd.to, cmd.step,
+                segments_accounting_bits(cmd.segments),
+                segments_raw_bits(cmd.segments), payload=payload)
+            post(cmd.to, Envelope(protocol_id, cmd.step, session_id, me,
+                                  payload))
+        elif isinstance(cmd, Recv):
+            env = take(cmd.frm)
+            while env is None:
+                yield cmd
+                env = take(cmd.frm)
+            if env.step_id != cmd.step:
+                raise PartyTimeout(
+                    f"party {me}: party {cmd.frm} sent step {env.step_id} "
+                    f"where step {cmd.step} was due")
+            transcript.record_recv(me, cmd.frm, env.step_id)
+            try:
+                resume = decode_elements(env.payload, cmd.schema)
+            except CodecError as exc:
+                raise PartyTimeout(
+                    f"party {me}: step {cmd.step} from party {cmd.frm} "
+                    f"does not decode: {exc}") from exc
+        else:
+            raise TypeError(f"party {me} yielded {cmd!r}")

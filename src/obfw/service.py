@@ -29,7 +29,6 @@ from .firewall import (
     EvalVerdict,
     FirewallConfig,
     AuthFail,
-    NoMajority,
     ServerTimeout,
     ShareStore,
     check_product_config,
@@ -203,10 +202,6 @@ class GatewayDaemon:
             if len(parts) != 2 or parts[0] != "CHECK":
                 raise ValueError("expected CHECK <dotted-quad>")
             verdict = self.check(parts[1])
-        except NoMajority:
-            # The reveals disagree with no majority: more servers cheat
-            # than the analysis can place.
-            verdict = EvalVerdict("alert")
         except (ValueError, ServerTimeout) as exc:
             return f"ERROR {exc}\n"
         if verdict.decision != "alert":

@@ -327,7 +327,7 @@ def test_criterion_8_combinational_detection():
     assert len(reveals) == 35
     tampered = dict(shares)
     tampered[5] = (tampered[5] + 4) % 11
-    rep = combinational_analysis(reveal_combinations(f11, tampered, 3), 7, 3)
+    rep = combinational_analysis(reveal_combinations(f11, tampered, 3))
     minority = sum(1 for v in rep.reveals.values() if v != rep.value)
     assert rep.kind == "majority" and rep.value == 1
     assert minority <= 15 and len(rep.reveals) - minority >= 20

@@ -20,7 +20,6 @@ from obfw.field import (
     lagrange_zero_coefficients,
     lagrange_zero_inverses,
     random_polynomial,
-    vandermonde_reduction_row,
 )
 from obfw.rng import RandomSource
 
@@ -250,25 +249,31 @@ class TestDetectDegree:
 
 
 class TestVandermondeRow:
+    # The resharing reduction row on 1..n is row 0 of the inverse
+    # Vandermonde table on those points.
+    @staticmethod
+    def row(field, n):
+        return list(inverse_vandermonde(field, tuple(range(1, n + 1)))[0])
+
     def test_n5_p251(self):
-        assert vandermonde_reduction_row(F251, 5) == [5, 241, 10, 246, 1]
+        assert self.row(F251, 5) == [5, 241, 10, 246, 1]
 
     def test_n5_p101_matches_lagrange(self):
-        assert vandermonde_reduction_row(F101, 5) == \
+        assert self.row(F101, 5) == \
             lagrange_zero_coefficients(F101, [1, 2, 3, 4, 5])
 
     def test_n1(self):
-        assert vandermonde_reduction_row(F101, 1) == [1]
+        assert self.row(F101, 1) == [1]
 
     def test_cross_check_all_odd_n(self):
         for n in (1, 3, 5, 7, 9):
-            assert vandermonde_reduction_row(F251, n) == \
+            assert self.row(F251, n) == \
                 lagrange_zero_coefficients(F251, list(range(1, n + 1)))
 
     def test_independent_matrix_inversion(self):
         # Oracle: multiply the inverse row against the Vandermonde columns.
         n = 5
-        row = vandermonde_reduction_row(F101, n)
+        row = self.row(F101, n)
         for k in range(n):
             acc = sum(row[i] * pow(i + 1, k, 101) for i in range(n)) % 101
             assert acc == (1 if k == 0 else 0)

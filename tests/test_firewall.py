@@ -37,7 +37,7 @@ from obfw.firewall import (
     run_product_with_vote,
     run_update,
 )
-from obfw.field import PrimeField
+from obfw.field import PrimeField, lagrange_zero_coefficients
 from obfw.rng import RandomSource
 from obfw.sharing import AdditiveParams, additive_share, shamir_share
 
@@ -216,7 +216,9 @@ class TestEvalSum:
                                             ("shamir", 5, 3)])
     def test_sum_outside_count_range_alerts(self, scheme, m, t):
         # Honest stores count at most kappa set positions; a tampered
-        # share moves sigma out of [0, kappa].
+        # additive share moves sigma out of [0, kappa].  A tampered Shamir
+        # share moves the reveals of the 6 of C(5, 3) = 10 subsets that hold
+        # it, so no sigma has a strict majority.
         cfg = FirewallConfig(scheme=scheme, m=m, t=t, N=2 ** 31 - 1,
                              bloom=derive_params(50, 0.01))
         _, stores = fw_init(["10.0.0.1"], cfg, RandomSource(7))
@@ -226,7 +228,86 @@ class TestEvalSum:
             assert honest.decision in ("block", "forward")
             v, _ = run_eval_sum(stores, parse_ipv4(addr), tampers=tamper)
             assert v.decision == "alert"
-            assert v.value > cfg.bloom.kappa
+            if scheme == "additive":
+                assert v.value > cfg.bloom.kappa
+            else:
+                assert v.value is None and v.suspects == frozenset()
+
+
+@pytest.fixture(scope="module")
+def cheat_filter():
+    """Shamir stores with m = 5, t = 2, plus one blacklisted and one fresh
+    address."""
+    cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=2 ** 31 - 1,
+                         bloom=derive_params(200, 0.01))
+    blacklist = [f"10.5.{i // 256}.{i % 256}" for i in range(200)]
+    flt, stores = fw_init(blacklist, cfg, RandomSource(b"cheat" + bytes(27)))
+    fresh = next(a for a in (parse_ipv4(f"192.0.2.{i}") for i in range(256))
+                 if not flt.query(a))
+    return cfg, stores, (parse_ipv4(blacklist[0]), fresh)
+
+
+def cheat_offsets(cfg, j):
+    """-1, and -1/L_j(0) with L_j(0) party j's weight over points 1..m."""
+    f = cfg.field()
+    weight = lagrange_zero_coefficients(f, range(1, cfg.m + 1))[j - 1]
+    return [cfg.N - 1, cfg.N - f.inv(weight)]
+
+
+class TestShamirSumCheater:
+    """Shamir sum mode reads every response: a server that offsets its
+    sigma share is named once more than 2t servers answer, and caught
+    without a name once more than t do."""
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["minus_one", "minus_inv_weight"])
+    @pytest.mark.parametrize("cheater", range(1, 6))
+    def test_every_cheater_is_named(self, cheat_filter, cheater, offset):
+        cfg, stores, addrs = cheat_filter
+        delta = cheat_offsets(cfg, cheater)[offset]
+        for addr in addrs:
+            honest, _ = run_eval_sum(stores, addr)
+            v, _ = run_eval_sum(stores, addr,
+                                tampers={cheater: ServerTamper(delta)})
+            assert v.decision == "alert"
+            assert v.suspects == frozenset({cheater})
+            assert v.value == honest.value     # the majority's sigma
+
+    @pytest.mark.parametrize("cheater", range(1, 6))
+    def test_one_dead_server_alerts_without_suspects(self, cheat_filter,
+                                                     cheater):
+        cfg, stores, addrs = cheat_filter
+        for delta in cheat_offsets(cfg, cheater):
+            for dead in set(range(1, 6)) - {cheater}:
+                for addr in addrs:
+                    v, _ = run_eval_sum(stores, addr, dead=frozenset({dead}),
+                                        tampers={cheater: ServerTamper(delta)})
+                    assert v.decision == "alert"
+                    assert v.suspects == frozenset() and v.value is None
+
+
+class TestNoMajorityAlerts:
+    """Two servers with different offsets leave no majority among the
+    C(5, 2) reveals: an alert naming no one, at the gateway and in every
+    server's local verdict."""
+
+    def test_product(self, cheat_filter):
+        _, stores, addrs = cheat_filter
+        for addr in addrs:
+            v, _ = run_eval_product(stores, addr, seed=1, tampers={
+                1: ServerTamper(1), 2: ServerTamper(2)})
+            assert v.decision == "alert"
+            assert v.suspects == frozenset() and v.value is None
+
+    def test_vote(self, cheat_filter):
+        _, stores, addrs = cheat_filter
+        for addr in addrs:
+            final, verdicts, _ = run_product_with_vote(
+                stores, addr, seed=2,
+                tampers={2: ServerTamper(5), 4: ServerTamper(7)})
+            assert final.decision == "alert" and final.suspects == frozenset()
+            assert len(verdicts) == 6
+            assert all(v.decision == "alert" and v.value is None
+                       for v in verdicts)
 
 
 class TestEvalProduct:
@@ -262,7 +343,7 @@ class TestEvalProduct:
 class TestCombinational:
     def test_agreement(self):
         reveals = {(1, 2, 3): 1, (1, 2, 4): 1, (2, 3, 4): 1}
-        rep = combinational_analysis(reveals, 4, 3)
+        rep = combinational_analysis(reveals)
         assert rep.kind == "agree" and rep.value == 1
 
     def test_single_cheater_counts(self):
@@ -277,8 +358,7 @@ class TestCombinational:
             for offset in range(1, 11):
                 tampered = dict(shares)
                 tampered[cheater] = (tampered[cheater] + offset) % 11
-                rep = combinational_analysis(
-                    reveal_combinations(f, tampered, 3), 7, 3)
+                rep = combinational_analysis(reveal_combinations(f, tampered, 3))
                 assert rep.kind == "majority"
                 assert rep.value == 1
                 assert rep.suspects == frozenset({cheater})

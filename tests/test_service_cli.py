@@ -23,6 +23,7 @@ from obfw.firewall import (
     parse_ipv4,
     run_eval_sum,
     server_product_program,
+    server_sum_program,
 )
 from obfw.net import (
     PROTO_FW_EVAL_PRODUCT,
@@ -338,6 +339,27 @@ class TestGatewayAnswersEveryLine:
             for node in nodes.values():
                 node.close()
 
+
+    def test_shamir_sum_alert_names_the_cheater(self):
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
+                             bloom=derive_params(20, 0.05))
+        _, stores = fw_init(["10.8.0.1"], cfg,
+                            RandomSource(b"sum-cheater" + bytes(21)))
+        nodes = build_mesh(list(range(6)))
+        # Server 3 adds 1 to its sigma share; servers 1 and 2 alone would
+        # reconstruct the honest sigma.
+        for i in range(1, 6):
+            nodes[i].serve(
+                lambda sid, proto, i=i: server_sum_program(
+                    stores[i - 1], ServerTamper(1) if i == 3 else None))
+        gw = GatewayDaemon(cfg, nodes[0], mode="sum")
+        gw.start()
+        try:
+            assert check_line(gw.port, "10.8.0.1") == "ALERT 3"
+        finally:
+            gw.stop()
+            for node in nodes.values():
+                node.close()
 
 class TestPipelinedLines:
     def test_three_checks_in_one_write(self, stack):
