@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import math
 import struct
+import sys
 import threading
 from array import array
 from collections import Counter
@@ -29,7 +30,8 @@ from typing import Generator, Iterable, Sequence
 from .bloom import (BloomFilter, BloomParams, SipHashFamily, read_obfw_file,
                     write_obfw_file)
 from .errors import BadParams, IoError
-from .field import NotPrime, PrimeField, berlekamp_welch, interpolate_at_zero
+from .field import (NotPrime, PrimeField, berlekamp_welch, interpolate,
+                    interpolate_at_zero)
 from .net import (
     PROTO_FW_EVAL_PRODUCT,
     PROTO_FW_EVAL_SUM,
@@ -43,7 +45,7 @@ from .net import (
     run_session,
     send,
 )
-from .rng import RandomSource
+from .rng import UINT_TYPECODES, RandomSource
 from .sharing import ShamirParams, mult_fanin_party, share_columns
 
 # Share columns are unsigned 32-bit arrays: 4 bytes a share, so N < 2^32
@@ -210,13 +212,11 @@ class ShareStore:
 
     def _write(self, path: str, values: array) -> None:
         cfg = self.config
-        width = cfg.share_width
         write_obfw_file(
             path, cfg.bloom.beta, cfg.bloom.kappa,
             _STORE_HEADER.pack(0 if cfg.scheme == "additive" else 1,
                                self.party_index, cfg.t, cfg.m, cfg.N),
-            *self.instance_keys,
-            b"".join(v.to_bytes(width, "little") for v in values))
+            *self.instance_keys, _pack_shares(values, cfg.share_width))
 
     @classmethod
     def load(cls, path: str) -> "ShareStore":
@@ -242,12 +242,34 @@ class ShareStore:
         if len(blob) != off + beta * width:
             raise IoError(f"share store holds {len(blob) - off} bytes of "
                           f"shares, its header says {beta * width}")
-        vals = array(SHARE_TYPECODE, (int.from_bytes(blob[i:i + width], "little")
-                                      for i in range(off, len(blob), width)))
+        vals = _unpack_shares(blob[off:], width)
         if max(vals, default=0) >= N:
             raise IoError(f"share value outside [0, {N})")
         return cls(config=cfg, party_index=party, instance_keys=keys,
                    values=vals, family=family, path=path)
+
+
+def _pack_shares(values: array, width: int) -> bytes:
+    """`values` as `width`-byte little-endian integers, back to back."""
+    typecode = UINT_TYPECODES.get(width)
+    if typecode is None:
+        return b"".join(v.to_bytes(width, "little") for v in values)
+    packed = array(typecode, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _unpack_shares(body: bytes, width: int) -> array:
+    """The share column that `_pack_shares(values, width)` wrote as `body`."""
+    typecode = UINT_TYPECODES.get(width)
+    if typecode is None:
+        return array(SHARE_TYPECODE, (int.from_bytes(body[i:i + width], "little")
+                                      for i in range(0, len(body), width)))
+    values = array(typecode, body)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values if typecode == SHARE_TYPECODE else array(SHARE_TYPECODE, values)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +313,7 @@ def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
             family=None) -> tuple[BloomFilter, list[ShareStore]]:
     """Trusted initialization: build, share and package the filter."""
     flt = BloomFilter(cfg.bloom, rng.bytes(16), family=family)
-    for line in blacklist:
-        flt.insert(parse_ipv4(line))
+    flt.insert_many(map(parse_ipv4, blacklist))
     if isinstance(flt.family, SipHashFamily):
         keys = list(flt.family.keys)
     else:
@@ -372,11 +393,21 @@ def influence_bound(m: int, t: int, x: int) -> tuple[int, int, bool]:
 
 def reveal_combinations(field: PrimeField, shares: dict[int, int],
                         reveal_size: int) -> dict[tuple[int, ...], int]:
-    out = {}
-    for combo in itertools.combinations(sorted(shares), reveal_size):
-        pts = [(i, shares[i]) for i in combo]
-        out[combo] = interpolate_at_zero(field, pts)
-    return out
+    """The reconstruction at zero of every size-`reveal_size` subset of
+    `shares`, keyed by its sorted indices.
+
+    When every share lies on the polynomial through the first
+    `reveal_size` by index, as honest shares do, each subset reconstructs
+    that polynomial's constant term: one interpolation and a check at the
+    other indices stand for all C(m, t) of them.
+    """
+    xs = sorted(shares)
+    combos = itertools.combinations(xs, reveal_size)
+    poly = interpolate(field, [(i, shares[i]) for i in xs[:reveal_size]])
+    if all(poly.evaluate(i) == shares[i] for i in xs[reveal_size:]):
+        return dict.fromkeys(combos, poly.constant_term())
+    return {combo: interpolate_at_zero(field, [(i, shares[i]) for i in combo])
+            for combo in combos}
 
 
 def bw_decode(field: PrimeField, shares: dict[int, int], degree: int):

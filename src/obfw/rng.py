@@ -13,9 +13,17 @@ import sys
 from array import array
 from typing import Sequence
 
-# array typecodes that unpack little-endian draws of 1, 2 and 4 bytes; a
-# draw of 3 or more than 4 bytes goes through int.from_bytes.
-_DRAW_TYPECODES = {1: "B", 2: "H", 4: "I"}
+try:
+    # CPython's builtin SHA-256 gives hashlib's digests with less overhead
+    # per call than the OpenSSL one on the short inputs hashed here.
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    _sha256 = hashlib.sha256
+
+# array typecodes of unsigned integers of 1, 2 and 4 bytes, which hold
+# little-endian values once byteswapped on a big-endian host; other widths
+# go through int.from_bytes and int.to_bytes.
+UINT_TYPECODES = {1: "B", 2: "H", 4: "I"}
 
 
 def _label_tag(label: int | str) -> bytes:
@@ -42,7 +50,7 @@ class RandomSource:
     def child(self, label: int | str) -> "RandomSource":
         """Derive an independent stream; used to give each party its own."""
         tag = _label_tag(label)
-        return RandomSource(hashlib.sha256(self.seed + b"/" + tag).digest())
+        return RandomSource(_sha256(self.seed + b"/" + tag).digest())
 
     def child_draws(self, labels: Sequence[int | str], n: int,
                     count: int) -> list[list[int]]:
@@ -58,9 +66,11 @@ class RandomSource:
         k = (n - 1).bit_length() or 1
         width = (k + 7) // 8
         shift = width * 8 - k
-        sha256 = hashlib.sha256
+        sha256 = _sha256
         prefix = self.seed + b"/"
-        seeds = [sha256(prefix + _label_tag(label)).digest() for label in labels]
+        seeds = [sha256(prefix + (label.encode() if isinstance(label, str)
+                                  else _label_tag(label))).digest()
+                 for label in labels]
         # Each row is the child's first blocks, enough for count draws; the
         # draws of one row are contiguous in it, whatever the width.
         ctrs = [c.to_bytes(8, "little")
@@ -68,8 +78,8 @@ class RandomSource:
         blob = b"".join([sha256(seed + ctr).digest()
                          for seed in seeds for ctr in ctrs])
         row = 32 * len(ctrs)
-        if width in _DRAW_TYPECODES:
-            flat = array(_DRAW_TYPECODES[width], blob)
+        if width in UINT_TYPECODES:
+            flat = array(UINT_TYPECODES[width], blob)
             if sys.byteorder == "big":
                 flat.byteswap()
             stride = row // width
@@ -89,7 +99,7 @@ class RandomSource:
 
     def _refill(self) -> None:
         block = self.counter.to_bytes(8, "little")
-        self._buf = hashlib.sha256(self.seed + block).digest()
+        self._buf = _sha256(self.seed + block).digest()
         self._pos = 0
         self.counter += 1
 
@@ -136,7 +146,7 @@ class RandomSource:
         k = (n - 1).bit_length() or 1
         width = (k + 7) // 8
         shift = width * 8 - k
-        typecode = _DRAW_TYPECODES.get(width)
+        typecode = UINT_TYPECODES.get(width)
         bound = n << shift          # v >> shift < n exactly when v < bound
         out: list[int] = []
         while len(out) < count:

@@ -3,7 +3,8 @@ the authenticated admin update channel.
 
 Wire surfaces:
   * gateway public port  -- "CHECK <dotted-quad>\n" ->
-        "BLOCK\n" | "FORWARD\n" | "ALERT <suspects>\n"
+        "BLOCK\n" | "FORWARD\n" | "ALERT <i,j,...>\n" | "ALERT\n" (an alert
+        that names no suspect)
   * server admin port    -- "UPDATE <dotted-quad> <v1,v2,...>\n" then
         "HMAC <hex over the UPDATE line>\n" -> "OK\n" | "AUTHFAIL\n" |
         "ERROR <why>\n" (the store file could not be written)
@@ -206,7 +207,8 @@ class GatewayDaemon:
             return f"ERROR {exc}\n"
         if verdict.decision != "alert":
             return verdict.decision.upper() + "\n"     # BLOCK or FORWARD
-        return f"ALERT {','.join(str(s) for s in sorted(verdict.suspects))}\n"
+        suspects = ",".join(str(s) for s in sorted(verdict.suspects))
+        return f"ALERT {suspects}\n" if suspects else "ALERT\n"
 
 
 def admin_push_update(host: str, port: int, psk: bytes, addr_text: str,

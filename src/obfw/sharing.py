@@ -173,8 +173,10 @@ def share_columns(secrets: Sequence[int], draws: Sequence[Sequence[int]],
     shares 1..m-1, and share m closes the sum.
     """
     if not shamir:
-        last = [(s - t) % modulus for s, t in zip(secrets, map(sum, zip(*draws)))]
-        return [*draws, last]
+        last = secrets
+        for col in draws:
+            last = [a - c for a, c in zip(last, col)]
+        return [*draws, [a % modulus for a in last]]
     cols = []
     for x in range(1, m + 1):
         acc, power = secrets, 1

@@ -8,6 +8,7 @@ import pytest
 
 import obfw
 from obfw.bloom import (
+    BATCH,
     BadParams,
     BloomFilter,
     BloomParams,
@@ -93,6 +94,54 @@ class TestSipHashLanes:
             SipHashFamily.from_keys([bytes(16), b"short"])
         with pytest.raises(BadParams):
             SipHashFamily.from_keys([bytes(16)] * 65)
+
+
+class TestBatchedHashing:
+    """hashes_many packs up to BATCH items under every key into one state;
+    siphash24 is the reference it must equal lane for lane."""
+
+    @staticmethod
+    def reference(fam, items):
+        return [tuple(siphash24(k, item) for k in fam.keys) for item in items]
+
+    @pytest.mark.parametrize("kappa", [1, 7, 64])
+    def test_every_length(self, kappa):
+        fam = SipHashFamily(b"batch-test-mastr", kappa)
+        for n in range(41):
+            items = [bytes((7 * i + 3 * b + n) % 256 for i in range(n))
+                     for b in range(5)]
+            assert fam.hashes_many(items) == self.reference(fam, items)
+
+    @pytest.mark.parametrize("kappa", [1, 7, 64])
+    def test_mixed_lengths_in_one_call(self, kappa):
+        fam = SipHashFamily(b"batch-test-mastr", kappa)
+        items = [bytes(range(n)) for n in (4, 0, 17, 4, 8, 40, 9)]
+        assert fam.hashes_many(items) == self.reference(fam, items)
+
+    @pytest.mark.parametrize("kappa", [1, 7, 64])
+    @pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1,
+                                       2 * BATCH + 1])
+    def test_item_counts(self, kappa, count):
+        fam = SipHashFamily(b"batch-test-mastr", kappa)
+        items = [b.to_bytes(4, "big") for b in range(count)]
+        assert fam.hashes_many(items) == self.reference(fam, items)
+        assert fam.indices_many(items, 1000) == [
+            i for item in items for i in fam.indices(item, 1000)]
+
+    def test_batch_insert_sets_per_item_bits(self):
+        p = derive_params(500, 0.01)
+        items = [i.to_bytes(4, "big") for i in range(2 * BATCH + 3)]
+        batched = BloomFilter(p, b"batch-insert-key")
+        batched.insert_many(items)
+        single = BloomFilter(p, b"batch-insert-key")
+        for item in items:
+            single.insert(item)
+        expected = [0] * p.beta
+        for item in items:
+            for i in single.hash_indices(item):
+                expected[i] = 1
+        assert batched.bits == single.bits
+        assert batched.bit_vector() == expected
 
 
 class TestDeriveParams:

@@ -22,6 +22,8 @@ from obfw.firewall import (
     ServerTimeout,
     ShareStore,
     combinational_analysis,
+    decide_product,
+    decide_sum,
     deduce_from_products,
     deduce_from_sums,
     fw_init,
@@ -37,7 +39,7 @@ from obfw.firewall import (
     run_product_with_vote,
     run_update,
 )
-from obfw.field import PrimeField, lagrange_zero_coefficients
+from obfw.field import PrimeField, interpolate_at_zero, lagrange_zero_coefficients
 from obfw.rng import RandomSource
 from obfw.sharing import AdditiveParams, additive_share, shamir_share
 
@@ -391,6 +393,47 @@ class TestCombinational:
             assert Fraction(inf, total) == Fraction(t, 2 * t + 1)
 
 
+def per_subset_verdict(cfg, shares, top):
+    """The Shamir verdict with one interpolation per reveal subset: the
+    reference the consistency-first reveal must equal."""
+    f = cfg.field()
+    reveals = {combo: interpolate_at_zero(f, [(i, shares[i]) for i in combo])
+               for combo in itertools.combinations(sorted(shares), cfg.t)}
+    rep = combinational_analysis(reveals)
+    decision = firewall._decision(rep.value, top) if rep.kind == "agree" else "alert"
+    return EvalVerdict(decision, value=rep.value, suspects=rep.suspects,
+                       reveals=rep.reveals)
+
+
+class TestConsistencyFirstReveal:
+    """Honest shares skip the per-subset interpolations; every verdict is
+    the one the per-subset path gives."""
+
+    @pytest.mark.parametrize("m,t", [(3, 2), (5, 2), (5, 3), (7, 3)])
+    def test_verdicts_equal_per_subset_path(self, m, t):
+        N = 101
+        cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=N,
+                             bloom=BloomParams(beta=20, kappa=3, eta=1,
+                                               target_fp=0.5))
+        rng = RandomSource(b"consistency-first" + bytes([m, t]))
+        offsets = [{}, {1: 1}, {m: N - 1}, {2: 5}, {1: 1, 2: 2},
+                   {2: 3, m: 3}]
+        for secret in range(5):
+            honest = {s.index: s.value
+                      for s in shamir_share(secret, cfg.shamir_params(), rng)}
+            for offset in offsets:
+                shares = {i: (v + offset.get(i, 0)) % N
+                          for i, v in honest.items()}
+                for dead in [None, *range(1, m + 1)]:
+                    live = {i: v for i, v in shares.items() if i != dead}
+                    if len(live) < t:
+                        continue
+                    assert decide_sum(cfg, live) == per_subset_verdict(
+                        cfg, live, cfg.bloom.kappa)
+                    assert decide_product(cfg, live) == per_subset_verdict(
+                        cfg, live, 1)
+
+
 class TestBWPath:
     def test_honest_matches_product(self):
         _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
@@ -620,6 +663,25 @@ class TestStoreFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(IoError):
             ShareStore.load(str(path))
+
+    # One modulus per share width: 1, 2, 3 and 4 bytes.
+    @pytest.mark.parametrize("N", [251, 65521, 2 ** 24 - 3, 2 ** 31 - 1])
+    def test_bulk_encoding_is_the_per_value_encoding(self, tmp_path, N):
+        cfg = FirewallConfig(scheme="additive", m=3, N=N,
+                             bloom=derive_params(300, 0.01))
+        _, stores = fw_init([f"10.0.0.{i}" for i in range(30)], cfg,
+                            RandomSource(N))
+        store = stores[2]
+        store.apply_update([(0, 0), (1, N - 1)])
+        path = tmp_path / "s.share"
+        store.save(str(path))
+        width = cfg.share_width
+        body = path.read_bytes()[-cfg.bloom.beta * width:]
+        assert body == b"".join(v.to_bytes(width, "little")
+                                for v in store.values)
+        back = ShareStore.load(str(path))
+        assert back.values.typecode == "I" and back.values == store.values
+        assert back.config.N == N and back.party_index == 3
 
     def test_loaded_store_hashes_like_admin_filter(self, tmp_path):
         cfg = FirewallConfig(scheme="additive", m=3, N=2 ** 31 - 1,

@@ -1,6 +1,9 @@
 """RandomSource: batched draws read the stream exactly as single draws."""
+import hashlib
+
 import pytest
 
+from obfw import rng as rng_module
 from obfw.rng import RandomSource
 
 # One modulus per draw width: 1, 1, 2, 3 (100_003 has 17 bits), 4 and 8 bytes.
@@ -60,3 +63,14 @@ def test_child_draws_equal_per_child_draws(n, count, labels):
 def test_child_draws_rejects_empty_range():
     with pytest.raises(ValueError):
         RandomSource(0).child_draws(["a"], 0, 3)
+
+
+def test_sha256_is_hashlibs():
+    # The module may hash with CPython's builtin SHA-256; its digests must
+    # be hashlib's, across the block boundaries of 55, 56 and 64 bytes.
+    for n in range(150):
+        data = bytes((7 * i + n) % 256 for i in range(n))
+        assert rng_module._sha256(data).digest() == hashlib.sha256(data).digest()
+    seed = RandomSource(b"parent").seed
+    assert RandomSource(b"parent").child("pos/7").seed == hashlib.sha256(
+        seed + b"/pos/7").digest()

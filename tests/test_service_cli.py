@@ -1,4 +1,5 @@
 """Daemons (gateway CHECK, admin UPDATE) and the CLI surface."""
+import contextlib
 import gc
 import json
 import socket
@@ -317,13 +318,16 @@ class TestGatewayAnswersEveryLine:
         daemons[0].node.serve(out_of_range)
         assert check_line(gw.port, "10.0.0.7").startswith("ERROR")
 
-    def test_no_majority_is_an_alert(self):
+    @staticmethod
+    @contextlib.contextmanager
+    def _no_majority_gateway():
+        """A product-mode gateway whose five servers split: two of them add
+        different offsets to their result share."""
         cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
                              bloom=derive_params(20, 0.05))
         _, stores = fw_init(["10.8.0.1"], cfg,
                             RandomSource(b"no-majority" + bytes(21)))
         nodes = build_mesh(list(range(6)))
-        # Two of five servers add different offsets to their result share.
         tampers = {1: ServerTamper(1), 2: ServerTamper(2)}
         for i in range(1, 6):
             nodes[i].serve(
@@ -333,12 +337,22 @@ class TestGatewayAnswersEveryLine:
         gw = GatewayDaemon(cfg, nodes[0], mode="product")
         gw.start()
         try:
-            assert check_line(gw.port, "10.8.0.1") == "ALERT"
+            yield gw
         finally:
             gw.stop()
             for node in nodes.values():
                 node.close()
 
+    def test_no_majority_is_an_alert(self):
+        with self._no_majority_gateway() as gw:
+            assert check_line(gw.port, "10.8.0.1") == "ALERT"
+
+    def test_alert_without_suspects_has_no_trailing_space(self):
+        with self._no_majority_gateway() as gw:
+            with socket.create_connection(("127.0.0.1", gw.port),
+                                          timeout=5) as c:
+                c.sendall(b"CHECK 10.8.0.1\n")
+                assert c.makefile("rb").readline() == b"ALERT\n"
 
     def test_shamir_sum_alert_names_the_cheater(self):
         cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
