@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Exhaustive single-cheater sweeps.
 
+Every cheater is an honest party program that `obfw.net.rewrite_sends`
+wraps: the rewrite changes what the party sends and nothing else.
+
 Dual-sharing output check: over Z_11 with t = 2, n = 5, every party, every
 nonzero offset, and all four manipulation strategies.  Reports the verdict
 distribution and how often the cheating index was attributed.
@@ -11,14 +14,29 @@ points 1..m), with every server live and with each other server dead, on
 a blacklisted and a fresh address.  Reports the outcomes by the number of
 live servers; a cheat must be caught once more than t servers answer, and
 the cheater named once more than 2t do.
+
+Product mode, m = 5, t = 2, under the combination, Berlekamp-Welch and
+vote decoders.  Every server offsets its result share by 1, -1 or
+-1/L_j(0) on a blacklisted and a fresh address: each cheat must be
+detected and the cheater named.  Every server also shifts its last local
+product by -1/L_j(0) before resharing it, and its result share by -1, on
+8 blacklisted addresses: every share then encodes the product minus one.
+That row is reported only.
+
+The last line is JSON: {family: {attack: {outcome: count}}}, where the
+outcome is `detected`, `detected_named` (the alert or decoder names
+exactly the cheater), `silent_wrong` or `silent_right`.
 """
+import json
 from collections import Counter
 
 from obfw.bloom import derive_params
 from obfw.dual import DualParams, VerdictStatus, dual_share, run_output_check
 from obfw.field import lagrange_zero_coefficients
 from obfw.firewall import (FirewallConfig, ServerTamper, fw_init, parse_ipv4,
-                           run_eval_sum)
+                           run_eval_bw, run_eval_product, run_eval_sum,
+                           run_product_with_vote)
+from obfw.net import add_to_send, ceil_log2
 from obfw.rng import RandomSource
 
 import pathlib
@@ -26,6 +44,20 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from test_dual import corruption_strategies  # noqa: E402
+
+OUTCOMES = ("detected", "detected_named", "silent_wrong", "silent_right")
+# (family, attack, outcome) -> count, over every sweep.
+TALLY = Counter()
+
+
+def tally(family, attack, caught, suspects, cheater, right):
+    """Count one cheat: `caught` when the verdict is an alert, `right` when
+    a silent verdict equals the honest one."""
+    if caught or suspects:
+        outcome = "detected_named" if suspects == {cheater} else "detected"
+    else:
+        outcome = "silent_right" if right else "silent_wrong"
+    TALLY[(family, attack, outcome)] += 1
 
 
 def output_check_sweep():
@@ -36,13 +68,15 @@ def output_check_sweep():
     total = 0
     for party in range(1, 6):
         for delta in range(1, 11):
-            duals = dual_share(rng.randbelow(11), params,
-                               rng.child(f"{party}/{delta}"))
+            secret = rng.randbelow(11)
+            duals = dual_share(secret, params, rng.child(f"{party}/{delta}"))
             for name, mod_duals, cheats in corruption_strategies(
                     duals, party, delta, params):
                 verdicts, _ = run_output_check(mod_duals, cheats=cheats)
                 sample = next(v for i, v in verdicts.items() if i != party)
                 outcome[(name, sample.status.name)] += 1
+                tally("output-check", name, not sample.honest, sample.suspects,
+                      party, sample.secret == secret)
                 if sample.status is VerdictStatus.DEGREE_VIOLATION \
                         and sample.suspects == {party}:
                     attributed += 1
@@ -80,6 +114,10 @@ def shamir_sum_sweep():
                     for addr in (parse_ipv4(blacklist[0]), fresh):
                         v, _ = run_eval_sum(stores, addr, dead=dead_set,
                                             tampers={cheater: ServerTamper(delta)})
+                        tally("shamir-sum", "result-offset",
+                              v.decision == "alert", v.suspects, cheater,
+                              v.decision == ("block" if addr != fresh
+                                             else "forward"))
                         if v.decision != "alert":
                             kind = v.decision.upper()
                         elif v.suspects == {cheater}:
@@ -98,9 +136,73 @@ def shamir_sum_sweep():
             f"m={m} t={t} live={live}: {count} cheats answered {kind}"
 
 
+def local_product_shift(delta, last_step, N):
+    """A server that adds `delta` to its last local product before it
+    reshares it, and -1 to its result share.  Resharing a value plus delta
+    adds delta to every evaluation the server sends at that step."""
+    result = ServerTamper(N - 1)
+
+    def rewrite(cmd):
+        return add_to_send(cmd, delta) if cmd.step == last_step else result(cmd)
+    return rewrite
+
+
+def product_sweep():
+    m, t = 5, 2
+    cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
+                         bloom=derive_params(100, 0.01))
+    blacklist = [f"10.7.0.{i}" for i in range(100)]
+    flt, stores = fw_init(blacklist, cfg, RandomSource("product-sweep"))
+    listed = [parse_ipv4(a) for a in blacklist[:8]]
+    fresh = next(a for a in (parse_ipv4(f"192.0.2.{i}") for i in range(256))
+                 if not flt.query(a))
+    f = cfg.field()
+    weights = lagrange_zero_coefficients(f, range(1, m + 1))
+    # The tree product over kappa values reshares ceil(log2 kappa) times.
+    last_step = ceil_log2(cfg.bloom.kappa)
+    decoders = {
+        "combination": lambda addr, tampers, seed: run_eval_product(
+            stores, addr, seed=seed, tampers=tampers)[0],
+        "bw": lambda addr, tampers, seed: run_eval_bw(
+            stores, addr, seed=seed, tampers=tampers)[0],
+        "vote": lambda addr, tampers, seed: run_product_with_vote(
+            stores, addr, seed=seed, tampers=tampers)[0],
+    }
+    for decoder, decode in decoders.items():
+        family = f"product-{decoder}"
+        for cheater in range(1, m + 1):
+            minus_inv_weight = cfg.N - f.inv(weights[cheater - 1])
+            for delta in (1, cfg.N - 1, minus_inv_weight):
+                for addr, truth in ((listed[0], "block"), (fresh, "forward")):
+                    v = decode(addr, {cheater: ServerTamper(delta)},
+                               f"{cheater}/{delta}")
+                    tally(family, "result-offset", v.decision == "alert",
+                          v.suspects, cheater, v.decision == truth)
+            shift = local_product_shift(minus_inv_weight, last_step, cfg.N)
+            for k, addr in enumerate(listed):
+                v = decode(addr, {cheater: shift}, f"{cheater}/shift/{k}")
+                tally(family, "local-product-shift", v.decision == "alert",
+                      v.suspects, cheater, v.decision == "block")
+    print(f"product-mode cheats, m={m} t={t}")
+    for (family, attack, outcome), count in sorted(TALLY.items()):
+        if family.startswith("product-"):
+            print(f"  {family:<19} {attack:<19} -> {outcome:<14} x{count}")
+    for decoder in decoders:
+        for outcome in ("detected", "silent_wrong", "silent_right"):
+            count = TALLY[(f"product-{decoder}", "result-offset", outcome)]
+            assert count == 0, f"{decoder}: {count} result offsets {outcome}"
+
+
 def main():
     output_check_sweep()
     shamir_sum_sweep()
+    product_sweep()
+    families = {}
+    for (family, attack, outcome), count in sorted(TALLY.items()):
+        counts = families.setdefault(family, {}).setdefault(
+            attack, dict.fromkeys(OUTCOMES, 0))
+        counts[outcome] = count
+    print(json.dumps(families, sort_keys=True))
 
 
 if __name__ == "__main__":

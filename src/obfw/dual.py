@@ -22,7 +22,8 @@ from .field import (
     interpolate,
     lagrange_zero_inverses,
 )
-from .net import PROTO_DUAL_OUTPUT_CHECK, group_zp, recv, run_session, send
+from .net import (PROTO_DUAL_OUTPUT_CHECK, Rewrite, Send, add_to_send,
+                  group_zp, recv, rewrite_sends, run_session, send)
 from .rng import RandomSource
 from .sharing import (
     AdditiveParams,
@@ -348,8 +349,13 @@ class OutputVerdict:
 
 @dataclass(frozen=True)
 class CheatPlan:
-    """Test-only corruption knobs for a single party's output check."""
-    phase2_delta: int = 0  # added to the broadcast additive value only
+    """A party that adds `phase2_delta` to the additive value it broadcasts
+    in phase 2 of the output check, and is honest otherwise."""
+    phase2_delta: int = 0
+
+    def __call__(self, cmd: Send) -> Send:
+        return (add_to_send(cmd, self.phase2_delta) if cmd.step == STEP_PHASE2
+                else cmd)
 
 
 def locate_suspects(field: PrimeField, points: Sequence[tuple[int, int]],
@@ -374,8 +380,8 @@ def locate_suspects(field: PrimeField, points: Sequence[tuple[int, int]],
     return frozenset(candidates) if len(candidates) == 1 else frozenset()
 
 
-def output_check_party(me: int, params: DualParams, dual: DualShare,
-                       cheat: CheatPlan | None = None) -> Generator:
+def output_check_party(me: int, params: DualParams, dual: DualShare
+                       ) -> Generator:
     """Algorithm step (d): zero-check broadcast, then additive reveal.
 
     Returns this party's OutputVerdict.  No phase-2 value leaves the party
@@ -403,13 +409,10 @@ def output_check_party(me: int, params: DualParams, dual: DualShare,
         return OutputVerdict(VerdictStatus.ZERO_CHECK_FAILED,
                              phase1_polynomial=poly1)
 
-    my_broadcast = dual.additive.value
-    if cheat is not None:
-        my_broadcast = (my_broadcast + cheat.phase2_delta) % params.p
     for j in indices:
         if j != me:
-            yield from send(j, STEP_PHASE2, [(zp, [my_broadcast])])
-    additive = {me: my_broadcast}
+            yield from send(j, STEP_PHASE2, [(zp, [dual.additive.value])])
+    additive = {me: dual.additive.value}
     for j in indices:
         if j != me:
             (vals,) = yield from recv(j, STEP_PHASE2, [(zp, 1)])
@@ -431,16 +434,14 @@ def output_check_party(me: int, params: DualParams, dual: DualShare,
 
 
 def run_output_check(duals: Sequence[DualShare], session_id: int = 0,
-                     cheats: dict[int, CheatPlan] | None = None,
-                     adversary=None):
-    """Drive the output check over the simulator; per-party verdicts."""
+                     cheats: dict[int, Rewrite] | None = None):
+    """Drive the output check over the simulator; per-party verdicts.  A
+    party in `cheats` runs under that rewrite of its Sends (a CheatPlan)."""
     params = DualParams(duals[0].shamir.params.p, duals[0].shamir.params.t,
                         duals[0].shamir.params.n)
-    programs = {
-        d.index: output_check_party(
-            d.index, params, d, cheat=(cheats or {}).get(d.index))
-        for d in duals
-    }
+    programs = {d.index: output_check_party(d.index, params, d) for d in duals}
+    for i, rewrite in (cheats or {}).items():
+        programs[i] = rewrite_sends(programs[i], rewrite)
     net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_DUAL_OUTPUT_CHECK, adversary=adversary)
+                      protocol_id=PROTO_DUAL_OUTPUT_CHECK)
     return net.results, net

@@ -37,11 +37,15 @@ from .net import (
     PROTO_FW_EVAL_SUM,
     PROTO_FW_UPDATE,
     PROTO_MAJORITY_VOTE,
+    Rewrite,
+    Send,
+    add_to_send,
     group_addr32,
     group_index,
     group_z2,
     group_zp,
     recv,
+    rewrite_sends,
     run_session,
     send,
 )
@@ -90,7 +94,8 @@ def parse_ipv4(text: str) -> bytes:
         raise ValueError(f"not a dotted quad: {text!r}")
     out = bytearray()
     for p in parts:
-        if not p.isdigit() or not 0 <= int(p) <= 255 or (p != "0" and p[0] == "0"):
+        if not (p.isascii() and p.isdigit()) or not 0 <= int(p) <= 255 \
+                or (p != "0" and p[0] == "0"):
             raise ValueError(f"bad octet {p!r} in {text!r}")
         out.append(int(p))
     return bytes(out)
@@ -458,19 +463,21 @@ def _shamir_verdict(cfg: FirewallConfig, shares: dict[int, int],
 
 @dataclass(frozen=True)
 class ServerTamper:
-    """Test-only corruption: offset added to the server's result share."""
+    """A server that adds `result_offset` to its result share: to what it
+    sends the gateway and, in the vote, the other servers."""
     result_offset: int = 0
 
+    def __call__(self, cmd: Send) -> Send:
+        is_result = cmd.to == GATEWAY or cmd.step > RESULT_STEP
+        return add_to_send(cmd, self.result_offset) if is_result else cmd
 
-def server_sum_program(store: ShareStore, tamper: ServerTamper | None = None
-                       ) -> Generator:
+
+def server_sum_program(store: ShareStore) -> Generator:
     cfg = store.config
     zn = group_zp(cfg.N)
     ((addr_int,),) = yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
     addr = addr_int.to_bytes(4, "big")
     sigma = sum(store.read(store.hash_indices(addr))) % cfg.N
-    if tamper is not None:
-        sigma = (sigma + tamper.result_offset) % cfg.N
     yield from send(GATEWAY, 2, [(zn, [sigma])])
     return None
 
@@ -504,7 +511,6 @@ def decide_sum(cfg: FirewallConfig, responses: dict[int, int]) -> EvalVerdict:
 
 
 def server_product_program(store: ShareStore, rng: RandomSource,
-                           tamper: ServerTamper | None = None,
                            broadcast: bool = False) -> Generator:
     """Product evaluation: tree-multiply the kappa indexed shares."""
     cfg = store.config
@@ -518,8 +524,6 @@ def server_product_program(store: ShareStore, rng: RandomSource,
     else:
         result = yield from mult_fanin_party(store.party_index, sp, vals,
                                              rng.child(f"fw/{store.party_index}"))
-    if tamper is not None:
-        result = (result + tamper.result_offset) % cfg.N
     yield from send(GATEWAY, RESULT_STEP, [(zn, [result])])
     if not broadcast:
         return None
@@ -559,36 +563,38 @@ def gateway_session(cfg: FirewallConfig, mode: str, addr: bytes,
     return gateway_sum_program(cfg, addr, live), PROTO_FW_EVAL_SUM, decide_sum
 
 
-def server_program(store: ShareStore, protocol_id: int, rng,
-                   tamper: ServerTamper | None) -> Generator | None:
+def server_program(store: ShareStore, protocol_id: int, rng) -> Generator | None:
     """A server's program for `protocol_id`, or None; the vote is a product
     that also sends its result share to the other servers, `rng()` its draws."""
     if protocol_id == PROTO_FW_EVAL_SUM:
-        return server_sum_program(store, tamper)
+        return server_sum_program(store)
     if protocol_id in (PROTO_FW_EVAL_PRODUCT, PROTO_MAJORITY_VOTE):
-        return server_product_program(store, rng(), tamper,
+        return server_product_program(store, rng(),
                                       protocol_id == PROTO_MAJORITY_VOTE)
     return None
 
 
 def _simulate(stores: Sequence[ShareStore], addr: bytes, protocol_id: int,
-              seed, tampers: dict[int, ServerTamper] | None,
+              seed, tampers: dict[int, Rewrite] | None,
               dead: frozenset[int], session_id: int):
-    """Simulate the gateway and the servers of `stores` not in `dead`."""
+    """Simulate the gateway and the servers of `stores` not in `dead`; a
+    server in `tampers` runs its program under that rewrite of its Sends."""
     live = [s for s in stores if s.party_index not in dead]
     mode = "sum" if protocol_id == PROTO_FW_EVAL_SUM else "product"
     gateway, _, _ = gateway_session(stores[0].config, mode, addr,
                                     [s.party_index for s in live])
     programs: dict[int, Generator] = {GATEWAY: gateway}
     for s in live:
-        programs[s.party_index] = server_program(
-            s, protocol_id, lambda: RandomSource(seed), (tampers or {}).get(s.party_index))
+        programs[s.party_index] = server_program(s, protocol_id,
+                                                 lambda: RandomSource(seed))
+    for i, rewrite in (tampers or {}).items():
+        programs[i] = rewrite_sends(programs[i], rewrite)
     return run_session(programs, session_id=session_id, protocol_id=protocol_id)
 
 
 def run_eval_sum(stores: Sequence[ShareStore], addr: bytes,
                  dead: frozenset[int] = frozenset(),
-                 tampers: dict[int, ServerTamper] | None = None,
+                 tampers: dict[int, Rewrite] | None = None,
                  session_id: int = 0):
     net = _simulate(stores, addr, PROTO_FW_EVAL_SUM, 0, tampers, dead,
                     session_id)
@@ -596,7 +602,7 @@ def run_eval_sum(stores: Sequence[ShareStore], addr: bytes,
 
 
 def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
-                     tampers: dict[int, ServerTamper] | None = None,
+                     tampers: dict[int, Rewrite] | None = None,
                      session_id: int = 0):
     cfg = stores[0].config
     check_product_config(cfg)
@@ -606,7 +612,7 @@ def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
 
 
 def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
-                tampers: dict[int, ServerTamper] | None = None,
+                tampers: dict[int, Rewrite] | None = None,
                 session_id: int = 0):
     """Product evaluation with Berlekamp-Welch recovery at the gateway."""
     cfg = stores[0].config
@@ -632,7 +638,7 @@ def majority_vote(verdicts: Sequence[EvalVerdict]) -> EvalVerdict:
 
 
 def run_product_with_vote(stores: Sequence[ShareStore], addr: bytes, seed=0,
-                          tampers: dict[int, ServerTamper] | None = None,
+                          tampers: dict[int, Rewrite] | None = None,
                           lie_about_verdict: dict[int, str] | None = None,
                           session_id: int = 0):
     """Product evaluation plus the share broadcast enabling a server vote.

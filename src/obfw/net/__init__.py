@@ -28,7 +28,8 @@ from .groups import (
     group_zn_compare,
     group_zp,
 )
-from .kernel import PartyTimeout, Recv, Send, recv, send
-from .sim import DROP, PASS, AdversaryHook, Deadlock, Delay, Replace, SimNetwork, run_session
+from .kernel import (PartyTimeout, Recv, Rewrite, Send, add_to_send, recv,
+                     rewrite_sends, send)
+from .sim import Deadlock, SimNetwork, run_session
 from .tcp import ConnectFail, Endpoint, TcpNode, build_mesh, run_tcp_session
 from .transcript import Transcript

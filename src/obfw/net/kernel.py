@@ -4,7 +4,9 @@ A party program never touches a socket or a queue; it yields commands and
 is resumed with decoded values.  `drive` alone turns those commands into
 envelopes and back; the simulator and the TCP runtime supply only the
 posting and taking of envelopes, so a peer's message is handled the same
-way under both, which is what makes transport-equivalence testable.
+way under both, which is what makes transport-equivalence testable.  A
+corrupt party is an honest program wrapped in `rewrite_sends`, so it too
+runs the same way under both.
 """
 from __future__ import annotations
 
@@ -50,6 +52,33 @@ def send(to: int, step: int, segments: list[Segment]):
 def recv(frm: int, step: int, schema: list[tuple[Group, int]]):
     """Helper usable as `vals = yield from recv(...)`."""
     return (yield Recv(frm, step, schema))
+
+
+Rewrite = Callable[[Send], Send | None]
+
+
+def rewrite_sends(program: Generator, rewrite: Rewrite) -> Generator:
+    """Run `program`, passing on `rewrite(cmd)` for each Send it yields, or
+    nothing when that is None; its Recvs and its value pass unchanged."""
+    resume = None
+    while True:
+        try:
+            cmd = program.send(resume)
+        except StopIteration as stop:
+            return stop.value
+        if isinstance(cmd, Send):
+            cmd = rewrite(cmd)
+            if cmd is None:
+                resume = None
+                continue
+        resume = yield cmd
+
+
+def add_to_send(cmd: Send, delta: int) -> Send:
+    """`cmd` with `delta` added to every element, modulo its group: the
+    additive attack of Genkin, Ishai, Prabhakaran, Sahai and Tromer."""
+    return Send(cmd.to, cmd.step, [(g, [(v + delta) % g.modulus for v in vals])
+                                   for g, vals in cmd.segments])
 
 
 def drive(program: Generator, me: int, session_id: int, protocol_id: int,

@@ -3,15 +3,15 @@
 Each registered party program runs under `kernel.drive`; the scheduler
 advances them in index order, delivering every sendable message of a
 step before the next step begins.  FIFO order holds per ordered party
-pair, the whole run is a pure function of the registered programs, and
-adversary hooks can drop, replace or delay envelopes in flight.
+pair, and the whole run is a pure function of the registered programs.
+The network is honest: a corrupt party is a program wrapped in
+`kernel.rewrite_sends`, which runs the same way over TCP.
 """
 from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from typing import Generator, Iterable
 
 from .envelope import Envelope
 from .kernel import PartyTimeout, Recv, drive
@@ -22,35 +22,15 @@ class Deadlock(Exception):
     pass
 
 
-PASS = "pass"
-DROP = "drop"
-
-
-@dataclass
-class Replace:
-    payload: bytes
-
-
-@dataclass
-class Delay:
-    steps: int
-
-
-AdversaryHook = Callable[[Envelope], object]  # returns PASS/DROP/Replace/Delay
-
-
 class SimNetwork:
     """Round-driven scheduler over generator party programs."""
 
-    def __init__(self, session_id: int = 0, protocol_id: int = 0,
-                 adversary: AdversaryHook | None = None):
+    def __init__(self, session_id: int = 0, protocol_id: int = 0):
         self.transcript = Transcript(session_id=session_id, protocol_id=protocol_id)
         self.session_id = session_id
         self.protocol_id = protocol_id
-        self.adversary = adversary
         self._programs: dict[int, Generator] = {}
         self._inbox: dict[tuple[int, int], deque[Envelope]] = {}
-        self._delayed: list[tuple[int, Envelope, int]] = []  # (remaining, env, to)
         self.results: dict[int, object] = {}
         self.errors: dict[int, BaseException] = {}
 
@@ -60,25 +40,7 @@ class SimNetwork:
         self._programs[index] = program
 
     def _deliver(self, to: int, env: Envelope) -> None:
-        if self.adversary is not None:
-            action = self.adversary(env)
-            if action == DROP:
-                return
-            if isinstance(action, Replace):
-                env = Envelope(env.protocol_id, env.step_id, env.session_id,
-                               env.sender, action.payload)
-            elif isinstance(action, Delay):
-                self._delayed.append([action.steps, env, to])
-                return
         self._inbox.setdefault((env.sender, to), deque()).append(env)
-
-    def _tick_delayed(self) -> None:
-        ready = [d for d in self._delayed if d[0] <= 0]
-        self._delayed = [d for d in self._delayed if d[0] > 0]
-        for d in self._delayed:
-            d[0] -= 1
-        for _, env, to in ready:
-            self._inbox.setdefault((env.sender, to), deque()).append(env)
 
     def run(self) -> dict[int, object]:
         """Advance all parties to completion; returns per-party results."""
@@ -112,9 +74,6 @@ class SimNetwork:
                     progressed = True
             if progressed:
                 continue
-            if self._delayed:
-                self._tick_delayed()
-                continue
             # Every remaining party is blocked and nothing is in flight.
             for idx in sorted(runners):
                 resume(idx, PartyTimeout(f"party {idx} starved waiting for "
@@ -127,16 +86,13 @@ class SimNetwork:
 
 
 def run_session(programs: dict[int, Iterable], session_id: int = 0,
-                protocol_id: int = 0, adversary: AdversaryHook | None = None
-                ) -> SimNetwork:
-    """Register, run, and raise Deadlock if no party completed and no
-    adversary is there to explain it."""
-    net = SimNetwork(session_id=session_id, protocol_id=protocol_id,
-                     adversary=adversary)
+                protocol_id: int = 0) -> SimNetwork:
+    """Register, run, and raise Deadlock if no party completed."""
+    net = SimNetwork(session_id=session_id, protocol_id=protocol_id)
     for idx, prog in programs.items():
         net.add_party(idx, prog)
     net.run()
-    if adversary is None and not net.results and net.errors \
+    if not net.results and net.errors \
             and all(isinstance(e, PartyTimeout) for e in net.errors.values()):
         raise Deadlock(f"no party completed: {net.errors}")
     return net

@@ -108,11 +108,12 @@ class FirewallServerDaemon:
 
     def __init__(self, store: ShareStore, node: TcpNode, psk: bytes,
                  admin_listen: Endpoint = Endpoint("127.0.0.1", 0),
-                 seed: bytes | int = 0):
+                 seed: bytes | int | None = None):
         self.store = store
         self.node = node
         self.psk = psk
-        self.rng = RandomSource(seed)
+        # Unseeded resharing draws must be private: their session ids are not.
+        self.rng = RandomSource(os.urandom(32) if seed is None else seed)
         self._admin = _LineServer(admin_listen, self._answer)
         self.admin_port = self._admin.port
 
@@ -128,7 +129,7 @@ class FirewallServerDaemon:
     def _program_for(self, session_id: int, protocol_id: int):
         if protocol_id in CHECK_PROTOCOLS:
             return server_program(self.store, protocol_id,
-                                  lambda: self.rng.child(f"s/{session_id}"), None)
+                                  lambda: self.rng.child(f"s/{session_id}"))
         return None
 
     # -- admin text protocol -------------------------------------------------
@@ -143,11 +144,10 @@ class FirewallServerDaemon:
                 raise AuthFail("malformed admin command")
             addr = parse_ipv4(parts[1])
             values = [int(v) % self.store.config.N for v in parts[2].split(",")]
-            indices = self.store.hash_indices(addr)
-            pairs = list(zip(sorted(set(indices)), values))
-            if len(pairs) != len(values):
-                raise AuthFail("value count does not match index count")
-            self.store.apply_update(pairs)
+            positions = sorted(set(self.store.hash_indices(addr)))
+            if len(values) != len(positions):
+                raise AuthFail("need one value per filter position")
+            self.store.apply_update(list(zip(positions, values)))
         except (AuthFail, ValueError):
             # A bad MAC, or a MAC'd line with a bad address or a value that
             # is no integer: nothing was applied.

@@ -131,6 +131,10 @@ def test_criterion_2_output_check_golden():
     for mod_duals, cheats in ((both, None),
                               (duals, {3: CheatPlan(phase2_delta=1)})):
         verdicts, _ = run_output_check(mod_duals, cheats=cheats)
+        if cheats:
+            # The phase-2 liar's own verdict comes from its true values.
+            liar = verdicts.pop(3)
+            assert liar.status is VerdictStatus.HONEST and liar.secret == 10
         for v in verdicts.values():
             assert v.status is VerdictStatus.DEGREE_VIOLATION
             assert v.secret == 11

@@ -24,7 +24,7 @@ from obfw.compare import (
     select_n2,
     smallest_prime_above,
 )
-from obfw.net import PASS, Replace, decode_elements, encode_elements, group_zn2, run_session
+from obfw.net import add_to_send, rewrite_sends, run_session
 from obfw.rng import RandomSource
 
 
@@ -225,16 +225,11 @@ class TestHelperChecksMaskedBit:
     ], ids=["alg4", "alg6"])
     def test_tampered_step9_raises(self, build):
         params = ComparisonParams.for_bitwidth(8)
-        zn2 = group_zn2(params.N2, params.lbits)
-
-        def add_two(env):
-            if env.sender != 1 or env.step_id != 9:
-                return PASS
-            ((f,),) = decode_elements(env.payload, [(zn2, 1)])
-            return Replace(encode_elements([(zn2, [(f + 2) % params.N2])]))
-
+        programs = build(params)
+        programs[1] = rewrite_sends(
+            programs[1], lambda cmd: add_to_send(cmd, 2) if cmd.step == 9 else cmd)
         with pytest.raises(ProtocolInvariantError):
-            run_session(build(params), adversary=add_two)
+            run_session(programs)
 
 
 class TestMalicious:

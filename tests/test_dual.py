@@ -135,6 +135,9 @@ class TestOutputCheckGolden:
     def test_phase2_lie_detected(self):
         verdicts, _ = run_output_check(golden_duals(),
                                        cheats={3: CheatPlan(phase2_delta=1)})
+        # The liar's own verdict comes from its true values.
+        liar = verdicts.pop(3)
+        assert liar.status is VerdictStatus.HONEST and liar.secret == 10
         for idx, v in verdicts.items():
             assert v.status is VerdictStatus.DEGREE_VIOLATION
             assert v.secret == 11
@@ -306,14 +309,12 @@ class TestCircuits:
 
 class TestLiveness:
     def test_dropped_phase2_times_out(self):
-        from obfw.net import Envelope, DROP, PASS, PartyTimeout
+        from obfw.net import PartyTimeout
         duals = golden_duals()
 
-        def adversary(env: Envelope):
-            if env.step_id == 2 and env.sender == 3:
-                return DROP
-            return PASS
+        def drop_phase2(cmd):
+            return None if cmd.step == 2 else cmd
 
-        results, net = run_output_check(duals, adversary=adversary)
+        results, net = run_output_check(duals, cheats={3: drop_phase2})
         assert net.errors and all(isinstance(e, PartyTimeout)
                                   for e in net.errors.values())

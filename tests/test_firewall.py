@@ -70,6 +70,13 @@ class TestAddressParsing:
             with pytest.raises(ValueError):
                 parse_ipv4(bad)
 
+    @pytest.mark.parametrize("bad", ["\u0661\u0660.0.0.1", "10.0.0.\uff11",
+                                     "10.\u0968.0.1"])
+    def test_rejects_non_ascii_digits(self, bad):
+        # Arabic-Indic, fullwidth and Devanagari digits pass str.isdigit.
+        with pytest.raises(ValueError):
+            parse_ipv4(bad)
+
 
 class TestInit:
     def test_toy_filter_positions(self):
@@ -290,7 +297,7 @@ class TestShamirSumCheater:
 class TestNoMajorityAlerts:
     """Two servers with different offsets leave no majority among the
     C(5, 2) reveals: an alert naming no one, at the gateway and in every
-    server's local verdict."""
+    honest server's local verdict."""
 
     def test_product(self, cheat_filter):
         _, stores, addrs = cheat_filter
@@ -308,8 +315,14 @@ class TestNoMajorityAlerts:
                 tampers={2: ServerTamper(5), 4: ServerTamper(7)})
             assert final.decision == "alert" and final.suspects == frozenset()
             assert len(verdicts) == 6
+            # verdicts[0] is the gateway's, verdicts[j] server j's.  A
+            # cheater reconstructs from its own true share, so it sees one
+            # cheater: the other one.
             assert all(v.decision == "alert" and v.value is None
-                       for v in verdicts)
+                       for j, v in enumerate(verdicts) if j not in (2, 4))
+            assert verdicts[2].decision == verdicts[4].decision == "alert"
+            assert verdicts[2].suspects == frozenset({4})
+            assert verdicts[4].suspects == frozenset({2})
 
 
 class TestEvalProduct:

@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obfw.net import (
-    DROP,
-    PASS,
     Deadlock,
-    Delay,
     Endpoint,
     Envelope,
     FrameCorrupt,
     PartyTimeout,
-    Replace,
+    Send,
     TcpNode,
     OutOfRange,
     TruncatedPayload,
@@ -31,6 +28,7 @@ from obfw.net import (
     group_zn_compare,
     group_zp,
     recv,
+    rewrite_sends,
     run_session,
     run_tcp_session,
     send,
@@ -190,6 +188,28 @@ def test_bad_envelope_fails_the_receiver(transport, kind):
     assert "party 1" in str(errors[2]) and "step 1" in str(errors[2])
 
 
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+def test_dropped_send_is_not_sent(transport):
+    """A Send the rewrite withholds never reaches the sender's transcript,
+    and the party waiting for it times out, under both transports."""
+    programs = {1: rewrite_sends(_ping_pong(1, 2, 10), lambda cmd: None),
+                2: _ping_pong(2, 1, 20)}
+    if transport == "sim":
+        net = run_session(programs)
+        results, errors, tr = net.results, net.errors, net.transcript
+    else:
+        mesh = build_mesh([1, 2], timeout=0.5)
+        try:
+            results, errors, tr = run_tcp_session(mesh, programs, session_id=1,
+                                                  protocol_id=1)
+        finally:
+            for node in mesh.values():
+                node.close()
+    assert results == {1: 20}
+    assert list(errors) == [2] and isinstance(errors[2], PartyTimeout)
+    assert [e.kind for e in tr.party_events[1]] == ["R"]
+
+
 class TestSimulator:
     def test_round_trip_two_parties(self):
         net = run_session({1: _ping_pong(1, 2, 10), 2: _ping_pong(2, 1, 20)})
@@ -214,31 +234,18 @@ class TestSimulator:
             run_session({1: stuck(1, 2), 2: stuck(2, 1)})
 
     def test_drop_yields_timeout(self):
-        def adversary(env):
-            return DROP if env.sender == 1 else PASS
-
-        net = run_session({1: _ping_pong(1, 2, 10), 2: _ping_pong(2, 1, 20)},
-                          adversary=adversary)
+        net = run_session({1: rewrite_sends(_ping_pong(1, 2, 10), lambda cmd: None),
+                           2: _ping_pong(2, 1, 20)})
         assert 1 in net.results  # party 1 still got its reply
         assert isinstance(net.errors[2], PartyTimeout)
 
     def test_replace_payload(self):
-        def adversary(env):
-            if env.sender == 1:
-                return Replace(encode_elements([(group_zp(251), [42])]))
-            return PASS
+        def replace(cmd):
+            return Send(cmd.to, cmd.step, [(group_zp(251), [42])])
 
-        net = run_session({1: _ping_pong(1, 2, 10), 2: _ping_pong(2, 1, 20)},
-                          adversary=adversary)
+        net = run_session({1: rewrite_sends(_ping_pong(1, 2, 10), replace),
+                           2: _ping_pong(2, 1, 20)})
         assert net.results[2] == 42
-
-    def test_delay_preserves_delivery(self):
-        def adversary(env):
-            return Delay(2) if env.sender == 1 else PASS
-
-        net = run_session({1: _ping_pong(1, 2, 10), 2: _ping_pong(2, 1, 20)},
-                          adversary=adversary)
-        assert net.results == {1: 20, 2: 10}
 
     def test_transcript_counts_send_side_once(self):
         net = run_session({1: _ping_pong(1, 2, 10), 2: _ping_pong(2, 1, 20)})

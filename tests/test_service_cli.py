@@ -37,6 +37,7 @@ from obfw.net import (
     group_addr32,
     group_zp,
     recv,
+    rewrite_sends,
     send,
 )
 from obfw.rng import RandomSource
@@ -100,6 +101,19 @@ class TestDaemons:
         with pytest.raises(AuthFail):
             admin_push_update("127.0.0.1", daemons[0].admin_port,
                               b"wrong", "1.2.3.4", [1, 2, 3])
+
+    def test_partial_update_is_refused(self, stack):
+        _, _, stores, daemons, _ = stack
+        from obfw.firewall import admin_mac
+        addr = "10.9.9.9"
+        assert len(set(stores[0].hash_indices(parse_ipv4(addr)))) > 2
+        before = list(stores[0].values)
+        line = f"UPDATE {addr} 5,6"
+        with socket.create_connection(("127.0.0.1", daemons[0].admin_port),
+                                      timeout=5) as c:
+            c.sendall(f"{line}\nHMAC {admin_mac(b'pskpsk', line)}\n".encode())
+            assert c.makefile("r").readline() == "AUTHFAIL\n"
+        assert list(stores[0].values) == before
 
     def test_server_runs_only_check_protocols(self, stack):
         _, _, _, daemons, _ = stack
@@ -331,9 +345,10 @@ class TestGatewayAnswersEveryLine:
         tampers = {1: ServerTamper(1), 2: ServerTamper(2)}
         for i in range(1, 6):
             nodes[i].serve(
-                lambda sid, proto, i=i: server_product_program(
-                    stores[i - 1], RandomSource(i).child(f"s/{sid}"),
-                    tampers.get(i)))
+                lambda sid, proto, i=i: rewrite_sends(
+                    server_product_program(stores[i - 1],
+                                           RandomSource(i).child(f"s/{sid}")),
+                    tampers.get(i, ServerTamper(0))))
         gw = GatewayDaemon(cfg, nodes[0], mode="product")
         gw.start()
         try:
@@ -364,8 +379,9 @@ class TestGatewayAnswersEveryLine:
         # reconstruct the honest sigma.
         for i in range(1, 6):
             nodes[i].serve(
-                lambda sid, proto, i=i: server_sum_program(
-                    stores[i - 1], ServerTamper(1) if i == 3 else None))
+                lambda sid, proto, i=i: rewrite_sends(
+                    server_sum_program(stores[i - 1]),
+                    ServerTamper(1 if i == 3 else 0)))
         gw = GatewayDaemon(cfg, nodes[0], mode="sum")
         gw.start()
         try:
@@ -467,6 +483,23 @@ def saved_stores(tmp_path, cfg, blacklist):
     for store, path in zip(stores, paths):
         store.save(path)
     return flt, [ShareStore.load(path) for path in paths], paths
+
+
+def test_unseeded_server_draws_private_randomness():
+    """A server built without a seed must not draw its resharing
+    polynomials from a public seed: the session id is in every header."""
+    cfg = FirewallConfig(scheme="additive", m=3, N=101,
+                         bloom=derive_params(20, 0.05))
+    _, stores = fw_init(["10.9.0.1"], cfg, RandomSource(b"seedless" + bytes(24)))
+    daemons = [FirewallServerDaemon(stores[0], TcpNode(1, Endpoint("127.0.0.1", 0)),
+                                    psk=b"psk") for _ in range(2)]
+    try:
+        draws = [d.rng.child("s/1").bytes(32) for d in daemons]
+    finally:
+        for d in daemons:
+            d.stop()
+    assert draws[0] != draws[1]
+    assert RandomSource(0).child("s/1").bytes(32) not in draws
 
 
 class TestDurableUpdates:
