@@ -23,10 +23,16 @@ product by -1/L_j(0) before resharing it, and its result share by -1, on
 8 blacklisted addresses: every share then encodes the product minus one.
 That row is reported only.
 
+Two cheaters, at m/t = 5/2 and 7/3 with every server live: every pair of
+servers offsets its result shares, by 1 each and by -1/L_j(0) each, on a
+blacklisted and a fresh address, in Shamir sum mode and under the three
+product decoders.  Each such cheat must be detected, with no exception.
+
 The last line is JSON: {family: {attack: {outcome: count}}}, where the
 outcome is `detected`, `detected_named` (the alert or decoder names
-exactly the cheater), `silent_wrong` or `silent_right`.
+exactly the cheaters), `silent_wrong` or `silent_right`.
 """
+import itertools
 import json
 from collections import Counter
 
@@ -50,11 +56,11 @@ OUTCOMES = ("detected", "detected_named", "silent_wrong", "silent_right")
 TALLY = Counter()
 
 
-def tally(family, attack, caught, suspects, cheater, right):
-    """Count one cheat: `caught` when the verdict is an alert, `right` when
-    a silent verdict equals the honest one."""
+def tally(family, attack, caught, suspects, cheaters, right):
+    """Count one cheat by the set of `cheaters`: `caught` when the verdict
+    is an alert, `right` when a silent verdict equals the honest one."""
     if caught or suspects:
-        outcome = "detected_named" if suspects == {cheater} else "detected"
+        outcome = "detected_named" if suspects == cheaters else "detected"
     else:
         outcome = "silent_right" if right else "silent_wrong"
     TALLY[(family, attack, outcome)] += 1
@@ -76,7 +82,7 @@ def output_check_sweep():
                 sample = next(v for i, v in verdicts.items() if i != party)
                 outcome[(name, sample.status.name)] += 1
                 tally("output-check", name, not sample.honest, sample.suspects,
-                      party, sample.secret == secret)
+                      {party}, sample.secret == secret)
                 if sample.status is VerdictStatus.DEGREE_VIOLATION \
                         and sample.suspects == {party}:
                     attributed += 1
@@ -115,7 +121,7 @@ def shamir_sum_sweep():
                         v, _ = run_eval_sum(stores, addr, dead=dead_set,
                                             tampers={cheater: ServerTamper(delta)})
                         tally("shamir-sum", "result-offset",
-                              v.decision == "alert", v.suspects, cheater,
+                              v.decision == "alert", v.suspects, {cheater},
                               v.decision == ("block" if addr != fresh
                                              else "forward"))
                         if v.decision != "alert":
@@ -147,6 +153,18 @@ def local_product_shift(delta, last_step, N):
     return rewrite
 
 
+def product_decoders(stores):
+    """decoder -> decode(addr, tampers, seed), the final verdict on `stores`."""
+    return {
+        "combination": lambda addr, tampers, seed: run_eval_product(
+            stores, addr, seed=seed, tampers=tampers)[0],
+        "bw": lambda addr, tampers, seed: run_eval_bw(
+            stores, addr, seed=seed, tampers=tampers)[0],
+        "vote": lambda addr, tampers, seed: run_product_with_vote(
+            stores, addr, seed=seed, tampers=tampers)[0],
+    }
+
+
 def product_sweep():
     m, t = 5, 2
     cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
@@ -160,14 +178,7 @@ def product_sweep():
     weights = lagrange_zero_coefficients(f, range(1, m + 1))
     # The tree product over kappa values reshares ceil(log2 kappa) times.
     last_step = ceil_log2(cfg.bloom.kappa)
-    decoders = {
-        "combination": lambda addr, tampers, seed: run_eval_product(
-            stores, addr, seed=seed, tampers=tampers)[0],
-        "bw": lambda addr, tampers, seed: run_eval_bw(
-            stores, addr, seed=seed, tampers=tampers)[0],
-        "vote": lambda addr, tampers, seed: run_product_with_vote(
-            stores, addr, seed=seed, tampers=tampers)[0],
-    }
+    decoders = product_decoders(stores)
     for decoder, decode in decoders.items():
         family = f"product-{decoder}"
         for cheater in range(1, m + 1):
@@ -177,12 +188,12 @@ def product_sweep():
                     v = decode(addr, {cheater: ServerTamper(delta)},
                                f"{cheater}/{delta}")
                     tally(family, "result-offset", v.decision == "alert",
-                          v.suspects, cheater, v.decision == truth)
+                          v.suspects, {cheater}, v.decision == truth)
             shift = local_product_shift(minus_inv_weight, last_step, cfg.N)
             for k, addr in enumerate(listed):
                 v = decode(addr, {cheater: shift}, f"{cheater}/shift/{k}")
                 tally(family, "local-product-shift", v.decision == "alert",
-                      v.suspects, cheater, v.decision == "block")
+                      v.suspects, {cheater}, v.decision == "block")
     print(f"product-mode cheats, m={m} t={t}")
     for (family, attack, outcome), count in sorted(TALLY.items()):
         if family.startswith("product-"):
@@ -193,10 +204,51 @@ def product_sweep():
             assert count == 0, f"{decoder}: {count} result offsets {outcome}"
 
 
+def two_cheater_sweep():
+    outcome = Counter()
+    for m, t in ((5, 2), (7, 3)):
+        cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
+                             bloom=derive_params(100, 0.01))
+        blacklist = [f"10.8.0.{i}" for i in range(100)]
+        flt, stores = fw_init(blacklist, cfg, RandomSource(f"pair-sweep/{m}/{t}"))
+        fresh = next(a for a in (parse_ipv4(f"192.0.2.{i}") for i in range(256))
+                     if not flt.query(a))
+        f = cfg.field()
+        weights = lagrange_zero_coefficients(f, range(1, m + 1))
+        families = {"shamir-sum": lambda addr, tampers, seed: run_eval_sum(
+            stores, addr, tampers=tampers)[0]}
+        families.update((f"product-{decoder}", decode)
+                        for decoder, decode in product_decoders(stores).items())
+        for family, decode in families.items():
+            for pair in itertools.combinations(range(1, m + 1), 2):
+                plans = {
+                    "one": {j: ServerTamper(1) for j in pair},
+                    "minus-inv-weight": {
+                        j: ServerTamper(cfg.N - f.inv(weights[j - 1]))
+                        for j in pair},
+                }
+                for plan, tampers in plans.items():
+                    for addr, truth in ((parse_ipv4(blacklist[0]), "block"),
+                                        (fresh, "forward")):
+                        v = decode(addr, tampers, f"{pair}/{plan}")
+                        tally(family, "two-result-offsets", v.decision == "alert",
+                              v.suspects, set(pair), v.decision == truth)
+                        named = " naming both" if v.suspects == set(pair) else ""
+                        outcome[(m, t, family, v.decision.upper() + named)] += 1
+    print("two cheaters offset their result shares, every server live")
+    for (m, t, family, kind), count in sorted(outcome.items()):
+        print(f"  m={m} t={t} {family:<19} -> {kind:<19} x{count}")
+    for family in families:
+        for silent in ("silent_wrong", "silent_right"):
+            count = TALLY[(family, "two-result-offsets", silent)]
+            assert count == 0, f"{family}: {count} cheater pairs {silent}"
+
+
 def main():
     output_check_sweep()
     shamir_sum_sweep()
     product_sweep()
+    two_cheater_sweep()
     families = {}
     for (family, attack, outcome), count in sorted(TALLY.items()):
         counts = families.setdefault(family, {}).setdefault(

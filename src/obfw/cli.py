@@ -130,7 +130,10 @@ def _seed_from(cfg: dict, override: bytes | None) -> bytes:
 
 def _bloom_params(cfg: dict) -> BloomParams:
     b = cfg.get("bloom", {})
-    if "beta" in b and "kappa" in b:
+    for key, other in (("beta", "kappa"), ("kappa", "beta")):
+        if key in b and other not in b:
+            raise ConfigError(f"bloom has {key!r} but no {other!r}")
+    if "beta" in b:
         return BloomParams(beta=b["beta"], kappa=b["kappa"],
                            eta=b.get("eta", 1), target_fp=b.get("target_fp", 0.5))
     return derive_params(b.get("eta", 1000), b.get("target_fp", 0.01))

@@ -119,9 +119,8 @@ class MaliciousOutcome:
 
 
 def run_malicious(a: int, b: int, lbits: int, t: int = 1, seed=0,
-                  with_taps: bool = False, session_id: int = 0,
-                  params: ComparisonParams | None = None) -> MaliciousOutcome:
-    params = params or ComparisonParams.for_bitwidth(lbits)
+                  with_taps: bool = False, session_id: int = 0) -> MaliciousOutcome:
+    params = ComparisonParams.for_bitwidth(lbits)
     params.check_input(a)
     params.check_input(b)
     n = 2 * t + 1

@@ -6,8 +6,9 @@ one share store per server.  A gateway evaluates membership obliviously:
 the sum variant reconstructs the count of set positions, the product
 variant reconstructs an AND bit.  Every Shamir verdict comes from one core,
 `_shamir_verdict`: it reconstructs over every reveal subset and compares.
-Product results can also be decoded by Berlekamp-Welch or settled by a
-majority vote over locally reconstructed verdicts.
+Product results can also be decoded by Berlekamp-Welch (`decide_bw`) or
+settled by a majority vote over the verdicts the servers return.  No rule
+raises for a cheat: a decoding past its budget or a split vote is an alert.
 
 Reveal convention: reconstruction subsets have size `t` over polynomials
 of degree t-1, so a filter with m = 2t+1 servers yields C(m, t) reveal
@@ -76,14 +77,6 @@ class ServerTimeout(FirewallError):
     pass
 
 
-class NoMajority(FirewallError):
-    pass
-
-
-class DecodeFail(FirewallError):
-    pass
-
-
 class AuthFail(FirewallError):
     pass
 
@@ -133,10 +126,6 @@ class FirewallConfig:
         # Degree t-1 so that t shares reveal: the reveal-combination counts
         # C(m, t) then come out exactly as published.
         return ShamirParams(self.N, self.t - 1, self.m)
-
-    @property
-    def reveal_size(self) -> int:
-        return self.t
 
     @property
     def share_width(self) -> int:
@@ -352,12 +341,12 @@ def reveal_position(stores: Sequence[ShareStore], pos: int) -> int:
     if cfg.scheme == "additive":
         return sum(s.read([pos])[0] for s in stores) % cfg.N
     f = cfg.field()
-    pts = [(s.party_index, s.read([pos])[0]) for s in stores[:cfg.reveal_size]]
+    pts = [(s.party_index, s.read([pos])[0]) for s in stores[:cfg.t]]
     return interpolate_at_zero(f, pts)
 
 
 # ---------------------------------------------------------------------------
-# Combinational analysis, influence bounds, BW decoding
+# Combinational analysis, influence bounds
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -415,16 +404,6 @@ def reveal_combinations(field: PrimeField, shares: dict[int, int],
             for combo in combos}
 
 
-def bw_decode(field: PrimeField, shares: dict[int, int], degree: int):
-    """Berlekamp-Welch over the result shares; (value, bad indices)."""
-    pts = sorted(shares.items())
-    e = (len(pts) - degree - 1) // 2
-    res = berlekamp_welch(field, pts, degree, e)
-    if res is None:
-        raise DecodeFail("no polynomial within the error budget")
-    return res.polynomial.constant_term(), set(res.bad_indices)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation protocols
 # ---------------------------------------------------------------------------
@@ -452,10 +431,9 @@ def _shamir_verdict(cfg: FirewallConfig, shares: dict[int, int],
     subset and compare.  Agreement gives `_decision(value, top)`; any
     dissent is an alert naming the analysis's suspects, none without a
     strict majority.  Exactly t shares make one subset: nothing to check."""
-    if len(shares) < cfg.reveal_size:
-        raise ServerTimeout(f"need {cfg.reveal_size} responses, got {len(shares)}")
-    report = combinational_analysis(
-        reveal_combinations(cfg.field(), shares, cfg.reveal_size))
+    if len(shares) < cfg.t:
+        raise ServerTimeout(f"need {cfg.t} responses, got {len(shares)}")
+    report = combinational_analysis(reveal_combinations(cfg.field(), shares, cfg.t))
     decision = _decision(report.value, top) if report.kind == "agree" else "alert"
     return EvalVerdict(decision, value=report.value, suspects=report.suspects,
                        reveals=report.reveals)
@@ -545,6 +523,19 @@ def decide_product(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
     return _shamir_verdict(cfg, shares, 1)
 
 
+def decide_bw(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
+    """The verdict on product result shares by Berlekamp-Welch decoding:
+    the decoded bit, naming the shares it corrected; an alert naming no
+    one when no polynomial of degree t-1 lies within the error budget."""
+    pts = sorted(shares.items())
+    res = berlekamp_welch(cfg.field(), pts, cfg.t - 1, (len(pts) - cfg.t) // 2)
+    if res is None:
+        return EvalVerdict("alert")
+    value = res.polynomial.constant_term()
+    return EvalVerdict(_decision(value, 1), value=value, suspects=res.bad_indices,
+                       reveals={tuple(sorted(shares)): value})
+
+
 def check_product_config(cfg: FirewallConfig) -> None:
     """Raise BadConfig unless product evaluation supports `cfg`."""
     if cfg.scheme != "shamir":
@@ -556,8 +547,10 @@ def check_product_config(cfg: FirewallConfig) -> None:
 def gateway_session(cfg: FirewallConfig, mode: str, addr: bytes,
                     live: Sequence[int]):
     """A CHECK of `addr` in `mode` ('sum' asks `live`, 'product' all m):
-    the gateway's program, the protocol id and the verdict rule."""
+    the gateway's program, the protocol id and the verdict rule.  A product
+    CHECK first passes `check_product_config`."""
     if mode == "product":
+        check_product_config(cfg)
         return (gateway_product_program(cfg, addr), PROTO_FW_EVAL_PRODUCT,
                 decide_product)
     return gateway_sum_program(cfg, addr, live), PROTO_FW_EVAL_SUM, decide_sum
@@ -578,7 +571,8 @@ def _simulate(stores: Sequence[ShareStore], addr: bytes, protocol_id: int,
               seed, tampers: dict[int, Rewrite] | None,
               dead: frozenset[int], session_id: int):
     """Simulate the gateway and the servers of `stores` not in `dead`; a
-    server in `tampers` runs its program under that rewrite of its Sends."""
+    server in `tampers` runs its program under that rewrite of its Sends.
+    A product session, the vote's too, makes the gateway's config check."""
     live = [s for s in stores if s.party_index not in dead]
     mode = "sum" if protocol_id == PROTO_FW_EVAL_SUM else "product"
     gateway, _, _ = gateway_session(stores[0].config, mode, addr,
@@ -604,58 +598,43 @@ def run_eval_sum(stores: Sequence[ShareStore], addr: bytes,
 def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
                      tampers: dict[int, Rewrite] | None = None,
                      session_id: int = 0):
-    cfg = stores[0].config
-    check_product_config(cfg)
     net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, seed, tampers,
                     frozenset(), session_id)
-    return decide_product(cfg, net.results[GATEWAY]), net
+    return decide_product(stores[0].config, net.results[GATEWAY]), net
 
 
 def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
                 tampers: dict[int, Rewrite] | None = None,
                 session_id: int = 0):
     """Product evaluation with Berlekamp-Welch recovery at the gateway."""
-    cfg = stores[0].config
-    if cfg.scheme != "shamir":
-        raise BadConfig("BW recovery requires Shamir stores")
     net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, seed, tampers,
                     frozenset(), session_id)
-    shares = net.results[GATEWAY]
-    value, bad = bw_decode(cfg.field(), shares, cfg.t - 1)
-    return EvalVerdict(_decision(value, 1), value=value, suspects=frozenset(bad),
-                       reveals={tuple(sorted(shares)): value}), net
+    return decide_bw(stores[0].config, net.results[GATEWAY]), net
 
 
 def majority_vote(verdicts: Sequence[EvalVerdict]) -> EvalVerdict:
-    """Strict-majority decision over locally reconstructed verdicts."""
-    counts = Counter(v.decision for v in verdicts)
-    best, n = counts.most_common(1)[0]
+    """The first verdict whose decision has a strict majority; without
+    one, an alert that names no one."""
+    best, n = Counter(v.decision for v in verdicts).most_common(1)[0]
     if n * 2 <= len(verdicts):
-        raise NoMajority(f"verdict split {dict(counts)}")
-    for v in verdicts:
-        if v.decision == best:
-            return v
+        return EvalVerdict("alert")
+    return next(v for v in verdicts if v.decision == best)
 
 
 def run_product_with_vote(stores: Sequence[ShareStore], addr: bytes, seed=0,
                           tampers: dict[int, Rewrite] | None = None,
-                          lie_about_verdict: dict[int, str] | None = None,
                           session_id: int = 0):
     """Product evaluation plus the share broadcast enabling a server vote.
 
-    Every server reconstructs locally from the broadcast shares; the final
-    decision is the strict majority of the m server verdicts plus the
-    gateway's own.  The broadcast adds m(m-1) result-share transmissions.
+    Every server reconstructs locally from the broadcast shares and returns
+    its verdict; the final decision is the strict majority of those m
+    verdicts plus the gateway's own.  The broadcast adds m(m-1) result-share
+    transmissions.
     """
     net = _simulate(stores, addr, PROTO_MAJORITY_VOTE, seed, tampers,
                     frozenset(), session_id)
     verdicts = [decide_product(stores[0].config, net.results[GATEWAY])]
-    for s in stores:
-        v = net.results[s.party_index]
-        claimed = (lie_about_verdict or {}).get(s.party_index)
-        if claimed is not None:
-            v = EvalVerdict(claimed)
-        verdicts.append(v)
+    verdicts += [net.results[s.party_index] for s in stores]
     return majority_vote(verdicts), verdicts, net
 
 

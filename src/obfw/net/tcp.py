@@ -462,14 +462,14 @@ class TcpNode:
             self._thread.join(self.timeout)
 
 
-def build_mesh(indices: list[int], host: str = "127.0.0.1",
-               timeout: float = 10.0) -> dict[int, TcpNode]:
+def build_mesh(indices: list[int], timeout: float = 10.0) -> dict[int, TcpNode]:
     """Fully connected loopback mesh for tests and demos."""
-    nodes = {i: TcpNode(i, Endpoint(host, 0), timeout=timeout) for i in indices}
+    nodes = {i: TcpNode(i, Endpoint("127.0.0.1", 0), timeout=timeout)
+             for i in indices}
     for i in indices:
         for j in indices:
             if i < j:
-                nodes[i].connect(j, Endpoint(host, nodes[j].port))
+                nodes[i].connect(j, Endpoint("127.0.0.1", nodes[j].port))
     # Wait until both directions are registered.
     deadline = time.monotonic() + timeout
     for i in indices:

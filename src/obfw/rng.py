@@ -16,9 +16,12 @@ from typing import Sequence
 try:
     # CPython's builtin SHA-256 gives hashlib's digests with less overhead
     # per call than the OpenSSL one on the short inputs hashed here.
-    from _sha256 import sha256 as _sha256
+    from _sha2 import sha256 as _sha256             # CPython 3.12 on
 except ImportError:
-    _sha256 = hashlib.sha256
+    try:
+        from _sha256 import sha256 as _sha256       # CPython 3.11 and before
+    except ImportError:
+        _sha256 = hashlib.sha256
 
 # array typecodes of unsigned integers of 1, 2 and 4 bytes, which hold
 # little-endian values once byteswapped on a big-endian host; other widths

@@ -8,6 +8,8 @@ Wire surfaces:
   * server admin port    -- "UPDATE <dotted-quad> <v1,v2,...>\n" then
         "HMAC <hex over the UPDATE line>\n" -> "OK\n" | "AUTHFAIL\n" |
         "ERROR <why>\n" (the store file could not be written)
+  * on either text port, a line longer than MAX_LINE characters is answered
+        "ERROR line too long\n", and the connection closes
   * server eval port     -- envelope sessions with the gateway and the other
         servers; firewall.py builds each (gateway_session, server_program).
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from typing import Callable, TextIO
+from typing import Callable
 
 from .errors import IoError
 from .firewall import (
@@ -41,13 +43,16 @@ from .firewall import (
 from .net import Endpoint, PartyTimeout, TcpNode
 from .rng import RandomSource
 
+# Characters a text line may hold, newline included (UPDATE lines stay under 800).
+MAX_LINE = 4096
+
 
 class _LineServer:
     """A text port: one accept thread, and one thread per connection that
-    writes `answer(line, reader)` for each line, in the order the lines
-    came; `answer` may read further lines of its request from `reader`."""
+    writes `answer(line, read_line)` for each line, in the order the lines
+    came; `answer` reads further lines of its request with `read_line()`."""
 
-    def __init__(self, listen: Endpoint, answer: Callable[[str, TextIO], str]):
+    def __init__(self, listen: Endpoint, answer: Callable[[str, Callable], str]):
         self._answer = answer
         self._sock = socket.create_server((listen.host, listen.port))
         self.port = self._sock.getsockname()[1]
@@ -92,8 +97,15 @@ class _LineServer:
         try:
             with conn, conn.makefile("r", newline="\n") as rfh, \
                     conn.makefile("w", newline="\n") as wfh:
-                for line in iter(rfh.readline, ""):
-                    wfh.write(self._answer(line, rfh))
+                def read_line() -> str:
+                    line = rfh.readline(MAX_LINE)
+                    if len(line) == MAX_LINE and not line.endswith("\n"):
+                        wfh.write("ERROR line too long\n")
+                        wfh.flush()
+                        raise ConnectionAbortedError("line too long")
+                    return line
+                for line in iter(read_line, ""):
+                    wfh.write(self._answer(line, read_line))
                     wfh.flush()
         except (OSError, UnicodeDecodeError):
             pass    # the client left or sent no text, or stop() closed it
@@ -133,8 +145,8 @@ class FirewallServerDaemon:
         return None
 
     # -- admin text protocol -------------------------------------------------
-    def _answer(self, line: str, reader: TextIO) -> str:
-        mac_line = reader.readline()
+    def _answer(self, line: str, read_line: Callable[[], str]) -> str:
+        mac_line = read_line()
         try:
             if not mac_line.startswith("HMAC "):
                 raise AuthFail("missing HMAC line")
@@ -197,7 +209,7 @@ class GatewayDaemon:
             raise ServerTimeout(str(exc)) from exc
         return decide(self.cfg, responses)
 
-    def _answer(self, line: str, _reader: TextIO) -> str:
+    def _answer(self, line: str, _read_line: Callable[[], str]) -> str:
         parts = line.split()
         try:
             if len(parts) != 2 or parts[0] != "CHECK":

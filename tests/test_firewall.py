@@ -17,11 +17,11 @@ from obfw.firewall import (
     EvalVerdict,
     FirewallConfig,
     IoError,
-    NoMajority,
     ServerTamper,
     ServerTimeout,
     ShareStore,
     combinational_analysis,
+    decide_bw,
     decide_product,
     decide_sum,
     deduce_from_products,
@@ -324,6 +324,47 @@ class TestNoMajorityAlerts:
             assert verdicts[2].suspects == frozenset({4})
             assert verdicts[4].suspects == frozenset({2})
 
+    def test_bw_past_its_budget(self, cheat_filter):
+        # m = 5, t = 2: Berlekamp-Welch corrects one error, not two.
+        _, stores, addrs = cheat_filter
+        for addr in addrs:
+            v, _ = run_eval_bw(stores, addr, seed=3, tampers={
+                1: ServerTamper(1), 3: ServerTamper(1)})
+            assert v == EvalVerdict("alert")
+
+
+def test_bw_names_two_cheaters_within_budget():
+    # m = 7, t = 3: the budget is two errors, so BW corrects the bit.
+    _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
+    v, _ = run_eval_bw(stores, parse_ipv4("0.0.0.5"), seed=4,
+                       tampers={2: ServerTamper(3), 6: ServerTamper(9)})
+    assert v.decision == "block" and v.value == 1
+    assert v.suspects == frozenset({2, 6})
+
+
+PRODUCT_RUNNERS = {
+    "product": run_eval_product,
+    "bw": run_eval_bw,
+    "vote": run_product_with_vote,
+}
+
+
+class TestProductConfigCheck:
+    """Every product runner refuses what the product gateway refuses."""
+
+    @pytest.mark.parametrize("runner", PRODUCT_RUNNERS)
+    def test_additive_stores(self, runner):
+        _, _, stores = toy_stores()
+        with pytest.raises(BadConfig, match="Shamir"):
+            PRODUCT_RUNNERS[runner](stores, parse_ipv4("0.0.0.5"))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("runner", PRODUCT_RUNNERS)
+    def test_too_few_servers(self, runner, m):
+        _, _, stores = toy_stores(scheme="shamir", m=m, t=2)
+        with pytest.raises(BadConfig, match="2t\\+1"):
+            PRODUCT_RUNNERS[runner](stores, parse_ipv4("0.0.0.5"))
+
 
 class TestEvalProduct:
     def test_blacklisted_blocks(self):
@@ -462,12 +503,13 @@ class TestBWPath:
         assert v.decision == "block" and v.suspects == frozenset({3})
 
     def test_beyond_budget_fails(self):
-        from obfw.firewall import bw_decode, DecodeFail
-        from obfw.sharing import shamir_share, ShamirParams
+        from obfw.sharing import shamir_share
         # m = 5, degree 2 (t = 3): budget is (5-3)//2 = 1 error; two
         # corruptions must fail unless they imitate a codeword (oracle-checked).
+        # A failed decoding is an alert with no value and no suspects.
+        cfg = FirewallConfig(scheme="shamir", m=5, t=3, N=11, bloom=TOY_BP)
         f = PrimeField(11)
-        sp = ShamirParams(11, 2, 5)
+        sp = cfg.shamir_params()
         rng = RandomSource(13)
         fails = 0
         for trial in range(40):
@@ -481,12 +523,13 @@ class TestBWPath:
                 sum(1 for x, y in shares.items()
                     if interpolate(f, [(i, shares[i]) for i in combo]).evaluate(x) == y) >= 4
                 for combo in itertools.combinations(sorted(shares), 3))
-            try:
-                bw_decode(f, shares, 2)
-                assert ok
-            except DecodeFail:
+            v = decide_bw(cfg, shares)
+            if v.value is None:
                 fails += 1
+                assert v == EvalVerdict("alert")
                 assert not ok
+            else:
+                assert ok
         assert fails > 0
 
 
@@ -500,16 +543,17 @@ class TestMajorityVote:
 
     def test_one_liar_outvoted(self):
         _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
-        final, verdicts, _ = run_product_with_vote(
-            stores, parse_ipv4("0.0.0.5"), seed=8,
-            lie_about_verdict={2: "forward"})
+        _, verdicts, _ = run_product_with_vote(
+            stores, parse_ipv4("0.0.0.5"), seed=8)
+        # verdicts[0] is the gateway's, verdicts[j] server j's.
+        verdicts[2] = EvalVerdict("forward")
+        final = majority_vote(verdicts)
         assert final.decision == "block"
 
     def test_split_two_two_no_majority(self):
         verdicts = [EvalVerdict("block"), EvalVerdict("block"),
                     EvalVerdict("forward"), EvalVerdict("forward")]
-        with pytest.raises(NoMajority):
-            majority_vote(verdicts)
+        assert majority_vote(verdicts) == EvalVerdict("alert")
 
     def test_broadcast_cost(self):
         cfg, _, stores = toy_stores(scheme="shamir", m=7, t=3)

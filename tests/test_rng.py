@@ -1,5 +1,6 @@
 """RandomSource: batched draws read the stream exactly as single draws."""
 import hashlib
+import importlib
 
 import pytest
 
@@ -74,3 +75,14 @@ def test_sha256_is_hashlibs():
     seed = RandomSource(b"parent").seed
     assert RandomSource(b"parent").child("pos/7").seed == hashlib.sha256(
         seed + b"/pos/7").digest()
+    # The builtin is picked whenever its module imports: _sha2 from
+    # CPython 3.12 on, _sha256 before.
+    for name in ("_sha2", "_sha256"):
+        try:
+            builtin = importlib.import_module(name).sha256
+        except ImportError:
+            continue
+        assert rng_module._sha256 is builtin
+        break
+    else:
+        assert rng_module._sha256 is hashlib.sha256

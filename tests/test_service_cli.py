@@ -443,6 +443,48 @@ class TestPipelinedLines:
         assert list(stores[0].values) != before
 
 
+def reply_until_eof(conn) -> bytes:
+    """Everything the peer sends before it closes the connection."""
+    data = b""
+    try:
+        while chunk := conn.recv(4096):
+            data += chunk
+    except ConnectionResetError:
+        pass    # it closed with our unread bytes still queued
+    return data
+
+
+class TestLineLimit:
+    """A line without end must not grow a daemon: past the line limit the
+    port answers one error and closes."""
+
+    FLOOD = b"A" * (1 << 16)      # far past the limit, and no newline
+
+    def test_gateway_refuses_endless_line(self, stack):
+        _, _, _, _, gw = stack
+        with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as c:
+            c.sendall(self.FLOOD)
+            assert reply_until_eof(c) == b"ERROR line too long\n"
+        assert check_line(gw.port, "10.0.0.7") == "BLOCK"
+
+    def test_admin_refuses_endless_hmac_line(self, stack):
+        _, _, stores, daemons, _ = stack
+        before = list(stores[0].values)
+        with socket.create_connection(("127.0.0.1", daemons[0].admin_port),
+                                      timeout=5) as c:
+            c.sendall(b"UPDATE 10.9.9.9 1,2,3\nHMAC " + self.FLOOD)
+            assert reply_until_eof(c) == b"ERROR line too long\n"
+        assert list(stores[0].values) == before
+
+    def test_long_line_within_limit_is_answered(self, stack):
+        _, _, _, _, gw = stack
+        padded = "CHECK" + " " * 2000 + "10.0.0.7\n"
+        with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as c:
+            c.sendall(padded.encode() + b"CHECK 10.0.0.7\n")
+            fh = c.makefile("r", newline="\n")
+            assert [fh.readline(), fh.readline()] == ["BLOCK\n", "BLOCK\n"]
+
+
 class TestStop:
     def test_stop_closes_client_connections(self):
         before = threading.active_count()
@@ -639,6 +681,23 @@ class TestCli:
         assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "cfg.json"]
+
+    @pytest.mark.parametrize("bloom,missing", [
+        ({"beta": 5000}, "kappa"), ({"kappa": 3}, "beta"),
+        ({"eta": 5, "target_fp": 0.1, "kappa": 3}, "beta")])
+    def test_half_given_filter_size_exit2(self, tmp_path, capsys, bloom,
+                                          missing):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "m": 3, "N": 11, "bloom": bloom,
+            "store_prefix": str(tmp_path / "fw")}))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert f"no {missing!r}" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "cfg.json"]
 
     def test_config_schema_rejects_unknown_key(self, tmp_path):
