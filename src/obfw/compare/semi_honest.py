@@ -121,10 +121,9 @@ def _draw_masks(params: ComparisonParams, rng: RandomSource,
                 force_pi: int | None, taps: TapRecorder | None) -> list:
     """P1's step-1 masks, as the values `_mask_schema` lays out."""
     W = params.lbits + 1
-    r = [rng.randbelow(2) for _ in range(W)]
-    rp = [rng.randbelow(2) for _ in range(W)]
-    rpp = rng.randbelow(2)
-    tau = [1 + rng.randbelow(params.N2 - 1) for _ in range(W)]
+    flips = rng.randbelow_many(2, 2 * W + 1)
+    r, rp, rpp = flips[:W], flips[W:2 * W], flips[2 * W]
+    tau = [1 + v for v in rng.randbelow_many(params.N2 - 1, W)]
     pi = force_pi if force_pi is not None else rng.randbelow(W)
     if taps is not None:
         taps.put_plain("pi", pi)
@@ -357,7 +356,7 @@ def p1_shared_program(params: ComparisonParams, m: int,
 
     a_vec = [0] + list(a_bits)   # alpha low bit comes from P2's share
     b_vec = [0] + list(b_bits)
-    q = [rng.randbelow(2) for _ in range(W)]
+    q = rng.randbelow_many(2, W)
     masks = _draw_masks(params, rng, force_pi, taps)
     rho1 = rng.randbelow(params.N)
 

@@ -81,17 +81,18 @@ class AuthFail(FirewallError):
     pass
 
 
+# The canonical text of every octet: ASCII digits, no leading zero, <= 255.
+_OCTETS = {str(v): v for v in range(256)}
+
+
 def parse_ipv4(text: str) -> bytes:
     parts = text.strip().split(".")
     if len(parts) != 4:
         raise ValueError(f"not a dotted quad: {text!r}")
-    out = bytearray()
-    for p in parts:
-        if not (p.isascii() and p.isdigit()) or not 0 <= int(p) <= 255 \
-                or (p != "0" and p[0] == "0"):
-            raise ValueError(f"bad octet {p!r} in {text!r}")
-        out.append(int(p))
-    return bytes(out)
+    try:
+        return bytes([_OCTETS[p] for p in parts])
+    except KeyError as exc:
+        raise ValueError(f"bad octet {exc.args[0]!r} in {text!r}") from None
 
 
 @dataclass(frozen=True)

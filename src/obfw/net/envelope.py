@@ -1,6 +1,7 @@
 """Wire envelope shared by the simulator and the TCP transport."""
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 FRAME_MAGIC = b"OBF1"
@@ -25,7 +26,16 @@ class FrameCorrupt(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# A record is the frame magic and length, then the envelope: its header
+# (protocol, step, session, sender, payload length) and its payload.
+_RECORD = struct.Struct("<4sI")
+_HEADER = struct.Struct("<BBQBI")
+_FRAMED = struct.Struct("<4sIBBQBI")
+
+
+# Not frozen: a frozen dataclass sets each field through object.__setattr__,
+# which costs more than the rest of building one.
+@dataclass(slots=True)
 class Envelope:
     protocol_id: int
     step_id: int
@@ -34,26 +44,28 @@ class Envelope:
     payload: bytes
 
     def encode(self) -> bytes:
-        head = bytes([self.protocol_id & 0xFF, self.step_id & 0xFF])
-        head += self.session_id.to_bytes(8, "little")
-        head += bytes([self.sender & 0xFF])
-        head += len(self.payload).to_bytes(4, "little")
-        return head + self.payload
+        return frame(self)[_RECORD.size:]
 
     @classmethod
     def decode(cls, raw: bytes) -> "Envelope":
         if len(raw) < HEADER_LEN:
             raise FrameCorrupt("short envelope header")
-        plen = int.from_bytes(raw[11:15], "little")
+        protocol_id, step_id, session_id, sender, plen = _HEADER.unpack_from(raw)
         if len(raw) != HEADER_LEN + plen:
             raise FrameCorrupt("payload length mismatch")
-        return cls(raw[0], raw[1], int.from_bytes(raw[2:10], "little"),
-                   raw[10], raw[HEADER_LEN:])
+        return cls(protocol_id, step_id, session_id, sender, raw[HEADER_LEN:])
 
 
 def frame(env: Envelope) -> bytes:
-    body = env.encode()
-    return FRAME_MAGIC + len(body).to_bytes(4, "little") + body
+    payload = env.payload
+    try:
+        head = _FRAMED.pack(FRAME_MAGIC, HEADER_LEN + len(payload),
+                            env.protocol_id & 0xFF, env.step_id & 0xFF,
+                            env.session_id, env.sender & 0xFF, len(payload))
+    except struct.error:
+        env.session_id.to_bytes(8, "little")        # OverflowError names it
+        raise
+    return head + payload
 
 
 def take_frames(buf: bytearray) -> list[Envelope]:
@@ -64,18 +76,20 @@ def take_frames(buf: bytearray) -> list[Envelope]:
     """
     out = []
     pos = 0
-    while len(buf) - pos >= 4:
-        if buf[pos:pos + 4] != FRAME_MAGIC:
-            raise FrameCorrupt(f"bad frame magic {bytes(buf[pos:pos + 4])!r}")
-        if len(buf) - pos < 8:
-            break
-        n = int.from_bytes(buf[pos + 4:pos + 8], "little")
-        if n > MAX_FRAME:
-            raise FrameCorrupt("frame length implausible")
-        end = pos + 8 + n
-        if len(buf) < end:
-            break
-        out.append(Envelope.decode(bytes(buf[pos + 8:end])))
-        pos = end
+    size = len(buf)
+    with memoryview(buf) as view:
+        while size - pos >= 8:
+            magic, n = _RECORD.unpack_from(buf, pos)
+            if magic != FRAME_MAGIC:
+                raise FrameCorrupt(f"bad frame magic {magic!r}")
+            if n > MAX_FRAME:
+                raise FrameCorrupt("frame length implausible")
+            end = pos + 8 + n
+            if size < end:
+                break
+            out.append(Envelope.decode(bytes(view[pos + 8:end])))
+            pos = end
+    if size - pos >= 4 and buf[pos:pos + 4] != FRAME_MAGIC:
+        raise FrameCorrupt(f"bad frame magic {bytes(buf[pos:pos + 4])!r}")
     del buf[:pos]
     return out

@@ -110,8 +110,10 @@ def encode_elements(segments: list[Segment]) -> bytes:
     nbits = 0
     for group, values in segments:
         w = group.raw_bits
+        top = group.modulus
         for v in values:
-            group.check(v)
+            if not 0 <= v < top:
+                group.check(v)          # raises OutOfRange naming v
             acc |= v << nbits
             nbits += w
             if nbits >= _CHUNK_BITS:
@@ -128,8 +130,9 @@ def encode_elements(segments: list[Segment]) -> bytes:
 def decode_elements(payload: bytes, schema: list[tuple[Group, int]]) -> list[list[int]]:
     """Inverse of encode_elements given the declared (group, count) list.
 
-    Values are read from a window of about _CHUNK_BITS that slides along
-    the payload, so decoding is linear in the payload.
+    A payload of up to _CHUNK_BITS is read from one int.  A longer one is
+    read from a window of about _CHUNK_BITS that slides along it, so
+    decoding is linear in the payload.
     """
     total_bits = sum(g.raw_bits * n for g, n in schema)
     if len(payload) != (total_bits + 7) // 8:
@@ -138,10 +141,26 @@ def decode_elements(payload: bytes, schema: list[tuple[Group, int]]) -> list[lis
     if total_bits % 8 and payload[-1] >> (total_bits % 8):
         raise TruncatedPayload("nonzero padding bits")
     out = []
+    if total_bits <= _CHUNK_BITS:
+        window = int.from_bytes(payload, "little")
+        for group, count in schema:
+            w = group.raw_bits
+            mask = (1 << w) - 1
+            top = group.modulus
+            vals = []
+            for _ in range(count):
+                v = window & mask
+                if v >= top:
+                    group.check(v)      # raises OutOfRange naming v
+                vals.append(v)
+                window >>= w
+            out.append(vals)
+        return out
     window = window_bits = base = pos = 0     # window holds bits from byte `base`
     for group, count in schema:
         w = group.raw_bits
         mask = (1 << w) - 1
+        top = group.modulus
         nbytes = (_CHUNK_BITS + w + 7) // 8    # holds w bits at any offset
         vals = []
         for _ in range(count):
@@ -151,16 +170,9 @@ def decode_elements(payload: bytes, schema: list[tuple[Group, int]]) -> list[lis
                 window = int.from_bytes(payload[base:base + nbytes], "little")
                 window_bits = nbytes * 8
             v = (window >> pos) & mask
-            group.check(v)
+            if v >= top:
+                group.check(v)          # raises OutOfRange naming v
             vals.append(v)
             pos += w
         out.append(vals)
     return out
-
-
-def segments_accounting_bits(segments: list[Segment]) -> int:
-    return sum(g.accounting_bits * len(vs) for g, vs in segments)
-
-
-def segments_raw_bits(segments: list[Segment]) -> int:
-    return sum(g.raw_bits * len(vs) for g, vs in segments)

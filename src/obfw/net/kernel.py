@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator
 
 from .envelope import Envelope
-from .groups import (
-    CodecError,
-    Group,
-    Segment,
-    decode_elements,
-    encode_elements,
-    segments_accounting_bits,
-    segments_raw_bits,
-)
+from .groups import CodecError, Group, Segment, decode_elements, encode_elements
 from .transcript import Transcript
 
 
@@ -30,14 +22,14 @@ class PartyTimeout(Exception):
     """A peer message this party is blocked on will never arrive."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Send:
     to: int
     step: int
     segments: list[Segment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Recv:
     frm: int
     step: int
@@ -102,11 +94,14 @@ def drive(program: Generator, me: int, session_id: int, protocol_id: int,
             return stop.value
         resume = None
         if isinstance(cmd, Send):
-            payload = encode_elements(cmd.segments)
-            transcript.record_send(
-                me, cmd.to, cmd.step,
-                segments_accounting_bits(cmd.segments),
-                segments_raw_bits(cmd.segments), payload=payload)
+            segments = cmd.segments
+            payload = encode_elements(segments)
+            acc_bits = raw_bits = 0
+            for group, values in segments:
+                acc_bits += group.accounting_bits * len(values)
+                raw_bits += group.raw_bits * len(values)
+            transcript.record_send(me, cmd.to, cmd.step, acc_bits, raw_bits,
+                                   payload=payload)
             post(cmd.to, Envelope(protocol_id, cmd.step, session_id, me,
                                   payload))
         elif isinstance(cmd, Recv):

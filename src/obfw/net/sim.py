@@ -40,7 +40,10 @@ class SimNetwork:
         self._programs[index] = program
 
     def _deliver(self, to: int, env: Envelope) -> None:
-        self._inbox.setdefault((env.sender, to), deque()).append(env)
+        queue = self._inbox.get((env.sender, to))
+        if queue is None:
+            queue = self._inbox[env.sender, to] = deque()
+        queue.append(env)
 
     def run(self) -> dict[int, object]:
         """Advance all parties to completion; returns per-party results."""

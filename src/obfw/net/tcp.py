@@ -28,7 +28,7 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Generator
 
@@ -89,16 +89,15 @@ class TcpNode:
         self._closed = False
         # Guarded by _lock, which _cond wakes waiting readers on: the
         # received envelopes; the live sessions; the finished ones, each
-        # with the time to forget it (and, in _forget_order, oldest first);
-        # the sessions that nothing runs yet, each with its protocol and
-        # the time to drop it; the serving callback; the node thread's tasks.
+        # with the time to forget it, soonest first; the sessions that
+        # nothing runs yet, each with its protocol and the time to drop it;
+        # the serving callback; the node thread's tasks.
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._forget = FORGET_AFTER * timeout
         self._queues: dict[tuple[int, int], deque[Envelope]] = {}
         self._live: set[int] = set()
-        self._finished: dict[int, float] = {}
-        self._forget_order: deque[tuple[float, int]] = deque()
+        self._finished: OrderedDict[int, float] = OrderedDict()
         self._unserved: dict[int, tuple[int, float]] = {}
         self._program_for: ProgramFor | None = None
         self._tasks: list[Callable[[], None]] = []
@@ -273,11 +272,14 @@ class TcpNode:
         except FrameCorrupt as exc:
             self._drop(conn, str(exc))
             return
-        for env in envs:
-            if env.sender != conn.peer:
+        peer = conn.peer
+        for i, env in enumerate(envs):
+            if env.sender != peer:
+                self._deliver(envs[:i])
                 self._drop(conn, f"envelope claims sender {env.sender}")
                 return
-            self._deliver(env)
+        if envs:
+            self._deliver(envs)
 
     def _drop(self, conn: _Conn, why: str | None) -> None:
         if why is not None:
@@ -290,25 +292,30 @@ class TcpNode:
                 del self._conns[conn.peer]
         conn.sock.close()
 
-    def _deliver(self, env: Envelope) -> None:
-        sid = env.session_id
-        key = (sid, env.sender)
+    def _deliver(self, envs: list[Envelope]) -> None:
+        """Queue the envelopes of one read, starting the sessions they open."""
+        starts = []
         with self._lock:
-            if sid in self._finished:
-                return      # the session finished here: a late envelope
-            q = self._queues.get(key)
-            if q is None:
-                q = self._queues[key] = deque()
-            q.append(env)
+            for env in envs:
+                sid = env.session_id
+                if sid in self._finished:
+                    continue    # the session finished here: a late envelope
+                key = (sid, env.sender)
+                q = self._queues.get(key)
+                if q is None:
+                    q = self._queues[key] = deque()
+                q.append(env)
+                if sid in self._live or sid in self._unserved:
+                    continue
+                if self._program_for is None:
+                    self._unserved[sid] = (env.protocol_id,
+                                           time.monotonic() + self._forget)
+                    continue
+                self._live.add(sid)
+                starts.append((sid, env.protocol_id))
             self._cond.notify_all()
-            if sid in self._live or sid in self._unserved:
-                return
-            if self._program_for is None:
-                self._unserved[sid] = (env.protocol_id,
-                                       time.monotonic() + self._forget)
-                return
-            self._live.add(sid)
-        self._start(sid, env.protocol_id)
+        for sid, protocol_id in starts:
+            self._start(sid, protocol_id)
 
     def _start(self, session_id: int, protocol_id: int) -> None:
         program_for = self._program_for
@@ -381,22 +388,33 @@ class TcpNode:
         sock = self._conns.get(to)
         if sock is None:
             raise PartyTimeout(f"party {self.index} has no connection to {to}")
-        deadline = time.monotonic() + self.timeout
+        data = frame(env)
         try:
             with self._send_locks[to]:
-                view = memoryview(frame(env))
-                while view:
-                    try:
-                        view = view[sock.send(view):]
-                    except BlockingIOError:
-                        room = select.poll()
-                        room.register(sock, select.POLLOUT)
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0 or not room.poll(remaining * 1000):
-                            raise TimeoutError("send timed out") from None
+                try:
+                    sent = sock.send(data)
+                except BlockingIOError:
+                    sent = 0
+                if sent < len(data):
+                    self._send_rest(sock, memoryview(data)[sent:])
         except OSError as exc:
             raise PartyTimeout(
                 f"party {self.index} could not send to {to}: {exc}") from exc
+
+    def _send_rest(self, sock: socket.socket, view: memoryview) -> None:
+        """Send what the kernel buffer had no room for, waiting for room
+        for up to the node timeout."""
+        deadline = time.monotonic() + self.timeout
+        room = select.poll()
+        room.register(sock, select.POLLOUT)
+        while view:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not room.poll(remaining * 1000):
+                raise TimeoutError("send timed out")
+            try:
+                view = view[sock.send(view):]
+            except BlockingIOError:
+                pass
 
     def _take(self, session_id: int, frm: int) -> Envelope:
         """The next envelope from `frm` in this session; PartyTimeout if
@@ -439,12 +457,11 @@ class TcpNode:
         self._live.discard(session_id)
         self._unserved.pop(session_id, None)
         now = time.monotonic()
-        self._finished[session_id] = now + self._forget
-        self._forget_order.append((now + self._forget, session_id))
-        while self._forget_order[0][0] < now:
-            forget_at, old = self._forget_order.popleft()
-            if self._finished.get(old) == forget_at:
-                del self._finished[old]
+        finished = self._finished
+        finished.pop(session_id, None)
+        finished[session_id] = now + self._forget
+        while next(iter(finished.values())) < now:
+            finished.popitem(last=False)
         for key in [k for k in self._queues if k[0] == session_id]:
             del self._queues[key]
 

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class _Event:
     kind: str          # 'S' or 'R'
     peer: int
@@ -59,8 +59,9 @@ class Transcript:
         self.step_acc_bits[step] += acc_bits
         self.step_raw_bits[step] += raw_bits
         self.party_events[sender].append(_Event("S", receiver, step, acc_bits))
-        self.payload_digests[sender].update(
-            bytes([receiver & 0xFF, step & 0xFF]) + payload)
+        digest = self.payload_digests[sender]
+        digest.update(bytes((receiver & 0xFF, step & 0xFF)))
+        digest.update(payload)
         self.messages += 1
 
     def record_recv(self, receiver: int, sender: int, step: int) -> None:

@@ -25,7 +25,8 @@ except ImportError:
 
 # array typecodes of unsigned integers of 1, 2 and 4 bytes, which hold
 # little-endian values once byteswapped on a big-endian host; other widths
-# go through int.from_bytes and int.to_bytes.
+# go through int.from_bytes and int.to_bytes (`_unpack` widens 3-byte
+# draws to 4 bytes first).
 UINT_TYPECODES = {1: "B", 2: "H", 4: "I"}
 
 
@@ -82,9 +83,7 @@ class RandomSource:
                          for seed in seeds for ctr in ctrs])
         row = 32 * len(ctrs)
         if width in UINT_TYPECODES:
-            flat = array(UINT_TYPECODES[width], blob)
-            if sys.byteorder == "big":
-                flat.byteswap()
+            flat = _unpack(blob, width)
             stride = row // width
             cols = [flat[j::stride] for j in range(count)]
         else:
@@ -100,27 +99,23 @@ class RandomSource:
                     col[i] = v
         return cols
 
-    def _refill(self) -> None:
-        block = self.counter.to_bytes(8, "little")
-        self._buf = _sha256(self.seed + block).digest()
-        self._pos = 0
-        self.counter += 1
-
     def bytes(self, k: int) -> bytes:
-        if k and self._pos == len(self._buf):
-            self._refill()
-        pos = self._pos
-        if pos + k <= len(self._buf):
+        buf, pos = self._buf, self._pos
+        if pos + k <= len(buf):
             self._pos = pos + k
-            return self._buf[pos:pos + k]
-        out = bytearray()
-        while len(out) < k:
-            if self._pos >= len(self._buf):
-                self._refill()
-            take = min(k - len(out), len(self._buf) - self._pos)
-            out += self._buf[self._pos:self._pos + take]
-            self._pos += take
-        return bytes(out)
+            return buf[pos:pos + k]
+        # The rest of this block, then every further block it needs, hashed
+        # in one pass; the last of them stays buffered.
+        head = buf[pos:]
+        need = k - len(head)
+        blocks = (need + 31) // 32
+        seed, counter = self.seed, self.counter
+        blob = b"".join([_sha256(seed + c.to_bytes(8, "little")).digest()
+                         for c in range(counter, counter + blocks)])
+        self.counter = counter + blocks
+        self._buf = blob[-32:]
+        self._pos = need - 32 * (blocks - 1)
+        return head + blob[:need]
 
     def randbits(self, k: int) -> int:
         nbytes = (k + 7) // 8
@@ -149,17 +144,27 @@ class RandomSource:
         k = (n - 1).bit_length() or 1
         width = (k + 7) // 8
         shift = width * 8 - k
-        typecode = UINT_TYPECODES.get(width)
         bound = n << shift          # v >> shift < n exactly when v < bound
         out: list[int] = []
         while len(out) < count:
-            blob = self.bytes((count - len(out)) * width)
-            if typecode:
-                draws = array(typecode, blob)
-                if sys.byteorder == "big":
-                    draws.byteswap()
-            else:
-                draws = [int.from_bytes(blob[i:i + width], "little")
-                         for i in range(0, len(blob), width)]
+            draws = _unpack(self.bytes((count - len(out)) * width), width)
             out += [v >> shift for v in draws if v < bound]
         return out
+
+
+def _unpack(blob: bytes, width: int) -> Sequence[int]:
+    """The little-endian unsigned integers of `width` bytes in `blob`."""
+    if width == 3:
+        # Widen each draw to four bytes, so that one array reads them all.
+        wide = bytearray(len(blob) // 3 * 4)
+        for j in range(3):
+            wide[j::4] = blob[j::3]
+        blob, width = wide, 4
+    typecode = UINT_TYPECODES.get(width)
+    if typecode is None:
+        return [int.from_bytes(blob[i:i + width], "little")
+                for i in range(0, len(blob), width)]
+    draws = array(typecode, blob)
+    if sys.byteorder == "big":
+        draws.byteswap()
+    return draws

@@ -11,6 +11,7 @@ forced randomness reproduces golden test vectors, are its reference.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Generator, Iterator, Sequence
 
@@ -277,7 +278,7 @@ def shamir_mult_party(me: int, params: ShamirParams,
         (rows[j - 1],) = yield from recv(j, step, [(zp, k)])
 
     weights = lagrange_zero_coefficients(params.field(), list(range(1, n + 1)))
-    return [sum(w * v for w, v in zip(weights, col)) % params.p
+    return [sum(map(operator.mul, weights, col)) % params.p
             for col in zip(*rows)]
 
 

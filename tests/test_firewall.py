@@ -8,6 +8,7 @@ import sys
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import obfw
 from obfw import firewall
@@ -855,3 +856,60 @@ class TestFileLayer:
         assert proc.returncode == 0, proc.stderr
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def _parse_ipv4_per_octet(text: str) -> bytes:
+    """The per-octet parser that the table of canonical octets replaced."""
+    parts = text.strip().split(".")
+    if len(parts) != 4:
+        raise ValueError(f"not a dotted quad: {text!r}")
+    out = bytearray()
+    for p in parts:
+        if not (p.isascii() and p.isdigit()) or not 0 <= int(p) <= 255 \
+                or (p != "0" and p[0] == "0"):
+            raise ValueError(f"bad octet {p!r} in {text!r}")
+        out.append(int(p))
+    return bytes(out)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestParseIpv4:
+    def test_every_octet_in_every_place(self):
+        for o in range(256):
+            for place in range(4):
+                text = ".".join(str(o) if k == place else "7" for k in range(4))
+                assert parse_ipv4(text) == _parse_ipv4_per_octet(text)
+
+    TEXTS = [
+        *(f"10.{o}.0.1" for o in ("00", "01", "007", "0255", "256", "999", "1000")),
+        # Digits that are not ASCII, signs, underscores and spaces: int()
+        # would take some of them.
+        "1.2.3.\u0661", "1.2.\u00b2.4", "\uff11.2.3.4", "+1.2.3.4", "-0.1.2.3",
+        "1_0.1.1.1", "1. 2.3.4", "1.2 .3.4",
+        " 1.2.3.4", "1.2.3.4\n", "\t10.0.0.1 ", "\u20031.2.3.4\u2003",
+        "", ".", "...", "....", "1.2.3", "1.2.3.4.5", "1..3.4", "1.2.3.",
+    ]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_same_as_per_octet_parser(self, text):
+        assert _parsed(parse_ipv4, text) == _parsed(_parse_ipv4_per_octet, text)
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.text(max_size=20),
+        st.lists(st.text(alphabet="0123456789 .\u0661\u00b2+-_x", max_size=4),
+                 min_size=1, max_size=6).map(".".join)))
+    def test_same_as_per_octet_parser_on_any_text(self, text):
+        assert _parsed(parse_ipv4, text) == _parsed(_parse_ipv4_per_octet, text)
+
+    def test_messages(self):
+        with pytest.raises(ValueError, match="not a dotted quad"):
+            parse_ipv4("1.2.3")
+        with pytest.raises(ValueError, match="bad octet '01' in '1.01.3.4'"):
+            parse_ipv4("1.01.3.4")

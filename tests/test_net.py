@@ -33,7 +33,9 @@ from obfw.net import (
     run_tcp_session,
     send,
 )
-from obfw.net.envelope import MAX_FRAME, frame, take_frames, PROTO_SC_SEMI_HONEST
+from obfw.net.envelope import (HEADER_LEN, MAX_FRAME, frame, take_frames,
+                               PROTO_SC_SEMI_HONEST)
+from obfw.net.groups import _CHUNK_BITS, Group
 from obfw.net.tcp import FORGET_AFTER, TICK
 from obfw.rng import RandomSource
 
@@ -105,6 +107,103 @@ class TestCodec:
             decode_elements(bytes([250, 251]), [(group_zp(251), 2)])
 
 
+def _encode_per_element(segments):
+    """The per-element codec: check each value, then OR it into one int."""
+    acc = nbits = 0
+    for group, values in segments:
+        for v in values:
+            group.check(v)
+            acc |= v << nbits
+            nbits += group.raw_bits
+    return acc.to_bytes((nbits + 7) // 8, "little") if nbits else b""
+
+
+def _decode_per_element(payload, schema):
+    total_bits = sum(g.raw_bits * n for g, n in schema)
+    if len(payload) != (total_bits + 7) // 8:
+        raise TruncatedPayload(
+            f"payload {len(payload)}B does not match schema {(total_bits + 7) // 8}B")
+    if total_bits % 8 and payload[-1] >> (total_bits % 8):
+        raise TruncatedPayload("nonzero padding bits")
+    bits, out = int.from_bytes(payload, "little"), []
+    for group, count in schema:
+        vals = []
+        for _ in range(count):
+            v = bits & ((1 << group.raw_bits) - 1)
+            group.check(v)
+            vals.append(v)
+            bits >>= group.raw_bits
+        out.append(vals)
+    return out
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:    # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+
+
+@st.composite
+def _segments(draw):
+    """1-4 segments of widths 1-64; some payloads pass _CHUNK_BITS."""
+    segs = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.integers(1, 64))
+        modulus = draw(st.integers(1, 1 << w))
+        count = draw(st.integers(0, 40))
+        values = draw(st.lists(st.integers(0, modulus - 1),
+                               min_size=count, max_size=count))
+        segs.append((Group(f"w{w}", modulus, w, w), values))
+    return segs
+
+
+class TestCodecOracle:
+    @settings(max_examples=200)
+    @given(_segments())
+    def test_encode_and_decode_match_per_element_codec(self, segs):
+        payload = encode_elements(segs)
+        assert payload == _encode_per_element(segs)
+        schema = [(g, len(v)) for g, v in segs]
+        assert decode_elements(payload, schema) == [v for _, v in segs]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_decode_of_any_bytes_matches_per_element_codec(self, data):
+        # Random bytes give out-of-range values and nonzero padding too.
+        schema = [(g, len(v)) for g, v in data.draw(_segments())]
+        size = (sum(g.raw_bits * n for g, n in schema) + 7) // 8
+        payload = data.draw(st.binary(min_size=size, max_size=size))
+        assert _outcome(decode_elements, payload, schema) == \
+            _outcome(_decode_per_element, payload, schema)
+
+    def test_long_payloads_match_per_element_codec(self):
+        rng = RandomSource("long")
+        for n in (15, 16, 17, 33, 200):     # 64 * 16 bits is _CHUNK_BITS
+            groups = [Group("w64", 1 << 64, 64, 64), group_zp(251), group_z2()]
+            segs = [(g, rng.randbelow_many(g.modulus, n)) for g in groups]
+            payload = encode_elements(segs)
+            assert payload == _encode_per_element(segs)
+            schema = [(g, n) for g in groups]
+            assert decode_elements(payload, schema) == [v for _, v in segs]
+        assert len(payload) * 8 > 2 * _CHUNK_BITS
+
+    @pytest.mark.parametrize("count", [3, 300])   # one int, sliding window
+    def test_first_value_out_of_range_is_named(self, count):
+        zp = group_zp(251)
+        values = [5] * count
+        values[1], values[-1] = 300, 999
+        with pytest.raises(OutOfRange, match=r"^300 outside zp"):
+            encode_elements([(group_z2(), [1, 0]), (zp, values)])
+        with pytest.raises(OutOfRange, match=r"^-1 outside zp"):
+            encode_elements([(zp, [0, -1, 300])])
+        wide = Group("byte", 256, 8, 8)
+        payload = encode_elements([(group_z2(), [1]), (wide, [5, 252, 255] + [0] * count)])
+        with pytest.raises(OutOfRange, match=r"^252 outside zp"):
+            decode_elements(payload, [(group_z2(), 1), (zp, 3 + count)])
+
+
 class TestEnvelope:
     def test_round_trip(self):
         env = Envelope(4, 7, 0x1122334455667788, 2, b"\x01\x02\x03")
@@ -153,6 +252,43 @@ class TestEnvelope:
         # An implausible length is refused from the header alone.
         with pytest.raises(FrameCorrupt):
             take_frames(bytearray(b"OBF1" + (MAX_FRAME + 1).to_bytes(4, "little")))
+
+
+    @pytest.mark.parametrize("env", [
+        Envelope(0, 0, 0, 0, b""),
+        Envelope(255, 255, 2 ** 64 - 1, 255, b""),
+        Envelope(255, 0, 2 ** 64 - 1, 0, bytes(range(256)) * 3),
+    ])
+    def test_boundary_round_trip(self, env):
+        raw = env.encode()
+        assert len(raw) == HEADER_LEN + len(env.payload)
+        assert Envelope.decode(raw) == env
+        buf = bytearray(frame(env))
+        assert buf[8:] == raw
+        assert take_frames(buf) == [env] and buf == bytearray()
+
+    def test_header_fields_keep_their_low_byte(self):
+        assert Envelope(260, 263, 5, 258, b"x").encode() == \
+            Envelope(4, 7, 5, 2, b"x").encode()
+
+    @pytest.mark.parametrize("session_id", [-1, 2 ** 64])
+    def test_session_id_out_of_range(self, session_id):
+        env = Envelope(4, 7, session_id, 2, b"x")
+        with pytest.raises(OverflowError):
+            frame(env)
+        with pytest.raises(OverflowError):
+            env.encode()
+
+    def test_take_frames_at_every_split(self):
+        envs = [Envelope(9, 1, 5, 0, b"x"), Envelope(10, 2, 2 ** 64 - 1, 3, b""),
+                Envelope(1, 255, 0, 255, bytes(range(200)))]
+        stream = b"".join(frame(e) for e in envs)
+        for cut in range(len(stream) + 1):
+            buf = bytearray(stream[:cut])
+            got = take_frames(buf)
+            buf += stream[cut:]
+            got += take_frames(buf)
+            assert got == envs and buf == bytearray()
 
 
 def _ping_pong(me, peer, payload):
@@ -506,6 +642,50 @@ class TestNodeThread:
                 # Finished ids are forgotten by age.
                 assert set(node._finished) == {10 ** 6, 5000}
                 assert node._live == set()
+        finally:
+            node.close()
+
+    def test_frames_before_a_false_sender_are_delivered(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=5)
+        try:
+            with _handshake_as(node, 2) as c:
+                payload = encode_elements([(group_zp(251), [7])])
+                # One write: a good envelope, then one that claims party 3.
+                c.sendall(frame(Envelope(4, 1, 77, 2, payload))
+                          + frame(Envelope(4, 1, 77, 3, payload)))
+                assert node.run_program(_recv_one(2), 77, 4)[0] == 7
+                try:
+                    assert c.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            assert 2 not in node._conns
+        finally:
+            node.close()
+
+    def test_refinished_session_is_forgotten_at_its_later_time(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=0.5)
+        forget = FORGET_AFTER * node.timeout
+
+        def nothing():
+            return None
+            yield
+
+        def sleep_past(session_id):
+            time.sleep(max(0.0, node._finished[session_id] - time.monotonic())
+                       + 0.05)
+
+        try:
+            node.run_program(nothing(), 1, 4)
+            node.run_program(nothing(), 2, 4)
+            time.sleep(forget / 2)
+            node.run_program(nothing(), 1, 4)
+            assert list(node._finished) == [2, 1]
+            sleep_past(2)
+            node.run_program(nothing(), 3, 4)
+            assert list(node._finished) == [1, 3]
+            sleep_past(1)
+            node.run_program(nothing(), 4, 4)
+            assert list(node._finished) == [3, 4]
         finally:
             node.close()
 

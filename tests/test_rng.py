@@ -86,3 +86,41 @@ def test_sha256_is_hashlibs():
         break
     else:
         assert rng_module._sha256 is hashlib.sha256
+
+
+def _stream(seed: bytes, n: int) -> bytes:
+    """The first n bytes of a seed's stream, hashed one block at a time."""
+    blocks = [hashlib.sha256(seed + c.to_bytes(8, "little")).digest()
+              for c in range((n + 31) // 32)]
+    return b"".join(blocks)[:n]
+
+
+@pytest.mark.parametrize("skip", [0, 1, 31, 32, 33])
+def test_bytes_equals_byte_at_a_time(skip):
+    # Every read of 0..100 bytes, from every offset in a block, hashes the
+    # blocks it crosses in one pass; it and the reads after it give the
+    # stream, as a reader of one byte at a time sees it.
+    seed = bytes(range(32))
+    stream = _stream(seed, skip + 100 + 64)
+    for k in range(101):
+        rng, single = RandomSource(seed), RandomSource(seed)
+        assert rng.bytes(skip) == stream[:skip]
+        assert rng.bytes(k) == stream[skip:skip + k]
+        assert rng.bytes(64) == stream[skip + k:skip + k + 64]
+        assert b"".join(single.bytes(1) for _ in range(skip + k + 64)) \
+            == stream[:skip + k + 64]
+        assert rng.counter == single.counter
+        assert rng.randbits(13) == single.randbits(13)
+
+
+# Width-3 draws: 17 bits with about half of them rejected, 24 bits with
+# few, and 100_003.
+@pytest.mark.parametrize("n", [2 ** 16 + 1, 2 ** 24 - 3, 100_003])
+@pytest.mark.parametrize("skip", [0, 2, 30])
+def test_width3_randbelow_many_equals_randbelow(n, skip):
+    one, many = RandomSource(b"w3" * 16), RandomSource(b"w3" * 16)
+    assert one.bytes(skip) == many.bytes(skip)
+    for count in (1, 10, 11, 500):
+        assert many.randbelow_many(n, count) == [one.randbelow(n)
+                                                 for _ in range(count)]
+    assert many.bytes(7) == one.bytes(7)
