@@ -9,7 +9,9 @@ constant-round primitive, so round counts are reported with that caveat.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Generator, Iterator, Sequence
 
@@ -36,6 +38,19 @@ def _xor_batch(me: int, sp: ShamirParams, xs: Sequence[int], ys: Sequence[int],
     return [(x + y - 2 * p) % sp.p for x, y, p in zip(xs, ys, prods)]
 
 
+@functools.cache
+def _triangle(W: int) -> tuple:
+    """The xor triangle of W bits, laid out once: its cells (i, k), k < i, in
+    row order (cell (i, k) at i(i-1)/2 + k), getters of the e_i and e_k that
+    each cell xors, and one getter per column k < W - 1 over `tri + e`."""
+    coords = [(i, k) for i in range(1, W) for k in range(i)]
+    columns = [operator.itemgetter(len(coords) + k, *[i * (i - 1) // 2 + k
+                                                      for i in range(k + 1, W)])
+               for k in range(W - 1)]
+    return (tuple(coords), operator.itemgetter(*[i for i, _ in coords]),
+            operator.itemgetter(*[k for _, k in coords]), tuple(columns))
+
+
 def malicious_party(me: int, sp: ShamirParams, lbits: int,
                     a_bit_shares: Sequence[int], b_bit_shares: Sequence[int],
                     rng: RandomSource, taps: TapRecorder | None = None
@@ -56,22 +71,17 @@ def malicious_party(me: int, sp: ShamirParams, lbits: int,
         taps.put("e", me, e, p)
 
     # Triangle E[i][k] = xor(e_i, e_k) for k < i, batched in one round.
-    xi, xk, coords = [], [], []
-    for i in range(1, W):
-        for k in range(i):
-            xi.append(e[i])
-            xk.append(e[k])
-            coords.append((i, k))
-    tri = yield from _xor_batch(me, sp, xi, xk, rng.child("tri"), steps)
-    E = {coord: v for coord, v in zip(coords, tri)}
+    coords, pick_i, pick_k, pick_columns = _triangle(W)
+    tri = yield from _xor_batch(me, sp, pick_i(e), pick_k(e), rng.child("tri"),
+                                steps)
     if taps is not None:
-        taps.put("E", me, [E[c] for c in coords], p)
-        taps.put_plain("E_coords", coords)
+        taps.put("E", me, tri, p)
+        taps.put_plain("E_coords", list(coords))
 
     # Column k collects e_k and every xor against more significant bits;
     # its product is 1 exactly at the most significant difference.
-    columns = [[e[k]] + [E[(i, k)] for i in range(k + 1, W)]
-               for k in range(W - 1)]
+    cells = tri + e
+    columns = [pick(cells) for pick in pick_columns]
     v_low = yield from tree_products(me, sp, columns, rng.child("prod"), steps)
     v = v_low + [e[W - 1]]
     if taps is not None:

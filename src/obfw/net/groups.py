@@ -9,6 +9,7 @@ while the wire needs l+1).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -43,35 +44,42 @@ class Group:
             raise OutOfRange(f"{v} outside {self.name} range [0, {self.modulus})")
 
 
+@functools.cache
 def group_z2() -> Group:
     return Group("z2", 2, 1, 1)
 
 
+@functools.cache
 def group_zn2(n2: int, lbits: int) -> Group:
     w = 2 + ceil_log2(lbits)
     return Group("zn2", n2, w, w)
 
 
+@functools.cache
 def group_zn_compare(n: int, lbits: int) -> Group:
     # Ledger convention: a Z_N element counts l bits although the smallest
     # prime above 2^l needs l+1 on the wire.
     return Group("zn", n, lbits + 1, lbits)
 
 
+@functools.cache
 def group_shift(lbits: int) -> Group:
     w = 1 + ceil_log2(lbits)
     return Group("shift", lbits + 1, w, w)
 
 
+@functools.cache
 def group_zp(p: int) -> Group:
     w = max(1, (p - 1).bit_length())
     return Group("zp", p, w, w)
 
 
+@functools.cache
 def group_addr32() -> Group:
     return Group("addr", 1 << 32, 32, 32)
 
 
+@functools.cache
 def group_index(limit: int) -> Group:
     w = max(1, (limit - 1).bit_length())
     return Group("index", limit, w, w)

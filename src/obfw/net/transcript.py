@@ -20,6 +20,7 @@ class _Event:
     peer: int
     step: int
     accounting_bits: int
+    payload: bytes = b""   # what a send carried, for payload_digest()
 
 
 def _pack_rounds(events: list[_Event]) -> int:
@@ -48,20 +49,12 @@ class Transcript:
     step_raw_bits: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     party_events: dict[int, list[_Event]] = field(default_factory=lambda: defaultdict(list))
     messages: int = 0
-    # Rolling digest over every sent payload, keyed per sender so the value
-    # is independent of delivery interleaving; replaying a seeded session
-    # must reproduce it byte for byte.
-    payload_digests: dict[int, "hashlib._Hash"] = field(
-        default_factory=lambda: defaultdict(lambda: hashlib.sha256()))
 
     def record_send(self, sender: int, receiver: int, step: int,
                     acc_bits: int, raw_bits: int, payload: bytes = b"") -> None:
         self.step_acc_bits[step] += acc_bits
         self.step_raw_bits[step] += raw_bits
-        self.party_events[sender].append(_Event("S", receiver, step, acc_bits))
-        digest = self.payload_digests[sender]
-        digest.update(bytes((receiver & 0xFF, step & 0xFF)))
-        digest.update(payload)
+        self.party_events[sender].append(_Event("S", receiver, step, acc_bits, payload))
         self.messages += 1
 
     def record_recv(self, receiver: int, sender: int, step: int) -> None:
@@ -76,7 +69,6 @@ class Transcript:
             self.step_raw_bits[step] += bits
         for party, evs in other.party_events.items():
             self.party_events[party].extend(evs)
-        self.payload_digests.update(other.payload_digests)
         self.messages += other.messages
 
     def accounting_total(self) -> int:
@@ -91,9 +83,15 @@ class Transcript:
         return max(_pack_rounds(evs) for evs in self.party_events.values())
 
     def payload_digest(self) -> str:
+        """A digest of every sent payload, one rolling hash per sender so
+        the value is independent of delivery interleaving; replaying a
+        seeded session must reproduce it byte for byte."""
         acc = hashlib.sha256()
-        for party in sorted(self.payload_digests):
-            acc.update(self.payload_digests[party].digest())
+        for party, evs in sorted(self.party_events.items()):
+            sent = b"".join([bytes((ev.peer & 0xFF, ev.step & 0xFF)) + ev.payload
+                             for ev in evs if ev.kind == "S"])
+            if sent:                    # two header bytes per send
+                acc.update(hashlib.sha256(sent).digest())
         return acc.hexdigest()
 
     def to_dict(self) -> dict:

@@ -9,6 +9,7 @@ which is portable across Python versions (unlike the Mersenne state of
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from array import array
 from typing import Sequence
@@ -62,8 +63,8 @@ class RandomSource:
         count)[j]` for every label l, in label order.
 
         Every child seed and its counter blocks are hashed in one pass and
-        unpacked column by column.  A row with an out-of-range draw is
-        redrawn from its own stream, so every value is the exact one.
+        unpacked column by column.  A row with an out-of-range draw takes the
+        in-range draws of its blocks, or else redraws from its own stream.
         """
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
@@ -94,8 +95,11 @@ class RandomSource:
         if any(max(col, default=0) >= n for col in cols):
             rejected = {i for col in cols for i, v in enumerate(col) if v >= n}
             for i in rejected:
-                row = RandomSource(seeds[i]).randbelow_many(n, count)
-                for col, v in zip(cols, row):
+                draws = _unpack(blob[i * row:i * row + row // width * width], width)
+                kept = [v >> shift for v in draws if v >> shift < n]
+                if len(kept) < count:
+                    kept = RandomSource(seeds[i]).randbelow_many(n, count)
+                for col, v in zip(cols, kept):
                     col[i] = v
         return cols
 
@@ -136,8 +140,9 @@ class RandomSource:
         """`count` calls to randbelow(n): the same bytes in the same order.
 
         Each attempt reads whole bytes, so the accepted values are the first
-        `count` in-range chunks of the stream; a rejection redraws only the
-        shortfall.
+        `count` in-range chunks of the stream.  One read takes enough draws
+        to cover the expected rejections, and the stream then moves back to
+        just after the last draw kept.
         """
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
@@ -145,11 +150,28 @@ class RandomSource:
         width = (k + 7) // 8
         shift = width * 8 - k
         bound = n << shift          # v >> shift < n exactly when v < bound
+        q = bound / (1 << (width * 8))      # the share of draws in range
         out: list[int] = []
+        if count <= 0:
+            return out
         while len(out) < count:
-            draws = _unpack(self.bytes((count - len(out)) * width), width)
+            need = count - len(out)
+            # The mean number of draws holding `need` in range, plus one sigma.
+            ahead = round(need / q + math.sqrt(need * (1 - q)) / q)
+            draws = _unpack(self.bytes(ahead * width), width)
             out += [v >> shift for v in draws if v < bound]
-        return out
+        # Give back the draws after the count-th in-range one.
+        drop, i = len(out) - count, len(draws)
+        while drop or draws[i - 1] >= bound:
+            i -= 1
+            drop -= draws[i] < bound
+        end = 32 * self.counter - 32 + self._pos - (len(draws) - i) * width
+        block = (end - 1) >> 5          # the block that holds byte end - 1
+        if block != self.counter - 1:
+            self.counter = block + 1
+            self._buf = _sha256(self.seed + block.to_bytes(8, "little")).digest()
+        self._pos = end - 32 * block
+        return out[:count]
 
 
 def _unpack(blob: bytes, width: int) -> Sequence[int]:

@@ -10,6 +10,7 @@ forced randomness reproduces golden test vectors, are its reference.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -301,25 +302,36 @@ def run_shamir_mult(a_shares: Sequence[ShamirShare], b_shares: Sequence[ShamirSh
     return shares, net
 
 
+@functools.cache
+def _tree_rounds(lengths: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Each round of tree_products on columns of these lengths: where its
+    factors sit in the values, and the next values in `prods + values`."""
+    rounds = []
+    while max(lengths, default=1) > 1:
+        nprods = sum(n // 2 for n in lengths)
+        left, right, nxt = [], [], []
+        for n, start in zip(lengths, itertools.accumulate(lengths, initial=0)):
+            nxt += range(len(left), len(left) + n // 2)
+            left += range(start, start + n - 1, 2)
+            right += range(start + 1, start + n, 2)
+            nxt += [nprods + start + n - 1] * (n & 1)   # an odd last value
+        rounds.append((left, right, nxt))
+        lengths = tuple((n + 1) // 2 for n in lengths)
+    return tuple(rounds)
+
+
 def tree_products(me: int, params: ShamirParams, columns: list[list[int]],
                   rng: RandomSource, steps: Iterator[int]) -> Generator:
     """Each column's product via a pairwise tree: every column advances one
     level per round (an odd last value is carried up), so k values take
     ceil(log2 k) rounds.  Each round takes its step id from `steps`."""
-    layers = [list(col) for col in columns]
-    while any(len(l) > 1 for l in layers):
-        ax, bx = [], []
-        for layer in layers:
-            ax += layer[0:len(layer) - 1:2]
-            bx += layer[1::2]
-        prods = yield from shamir_mult_party(me, params, ax, bx, rng,
-                                             step=next(steps))
-        pos = 0
-        for ci, layer in enumerate(layers):
-            half = len(layer) // 2
-            layers[ci] = prods[pos:pos + half] + layer[2 * half:]
-            pos += half
-    return [l[0] for l in layers]
+    cur = [v for col in columns for v in col]
+    for left, right, nxt in _tree_rounds(tuple(map(len, columns))):
+        prods = yield from shamir_mult_party(
+            me, params, list(map(cur.__getitem__, left)),
+            list(map(cur.__getitem__, right)), rng, step=next(steps))
+        cur = list(map((prods + cur).__getitem__, nxt))
+    return cur
 
 
 def mult_fanin_party(me: int, params: ShamirParams, values: Sequence[int],

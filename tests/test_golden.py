@@ -7,7 +7,9 @@ faster codec) must leave all three byte-identical.  The first fifteen
 values were recorded before the field and Lagrange-weight memoisation
 landed; the extra comparison cases (forced shift with a < b, alg5 on
 equal inputs, alg6 at m = 3 and m = 4) before the alg4/alg5/alg6 role
-programs were merged onto one P1/P2 core and one helper core.
+programs were merged onto one P1/P2 core and one helper core; alg7 at
+l = 16 before its xor triangle was laid out once per bit width, draws
+read ahead and payloads were hashed only on demand.
 """
 import pytest
 
@@ -129,6 +131,10 @@ CASES = {
         201, 200, 8, m=4, seed="golden/alg6/m4", force_pi=6).transcript),
     "alg7": (PROTO_SC_MALICIOUS, lambda: run_malicious(
         77, 200, 8, t=1, seed="golden/alg7").transcript),
+    # The sim-protocols benchmark shape (l = 16, t = 1); the xor triangle
+    # and its columns grow with l, so l = 8 alone pins a smaller layout.
+    "alg7_l16": (PROTO_SC_MALICIOUS, lambda: run_malicious(
+        40000, 52345, 16, t=1, seed="golden/alg7/l16").transcript),
     "mult_fanin": (PROTO_SC_MALICIOUS, _mult_fanin),
     "eval_sum_additive": (PROTO_FW_EVAL_SUM, lambda: _eval_sum("additive", 3, 0)),
     "eval_sum_shamir": (PROTO_FW_EVAL_SUM, lambda: _eval_sum("shamir", 5, 2)),
@@ -150,6 +156,7 @@ GOLDEN = {
     "alg6_m3": ("aa94436da12376b7c7bb52986a1a0c67c2d2104d62e045ad7cda660d8c92acae", 583, 5),
     "alg6_m4": ("eb3a3c87c12540962b98b5778ed8d8ba9397a32be5c5163ea40b5dbdcd71895a", 615, 5),
     "alg7": ("5a39fc5738646dbc53a2d9d4a726b276702f446dd47d24ed09a5f6b2fa2dc74b", 4860, 7),
+    "alg7_l16": ("a4b6d5613725641743b366d6222c34deb82c1985cbb8113db609909c39c35b6a", 31212, 8),
     "eval_bw": ("6a012dca3437ac1f9e3b3a5a27ed132844f4a9154f1e8df8041bec0b89c2fe7a", 2175, 3),
     "eval_product": ("8fbf5827639ab35124ed7d3e92993f9e35f7ceefe891ce22e3adb2901a5c31a1", 2175, 3),
     "eval_sum_additive": ("4026f0717113c2c6fdd032528ad5560ca18cb1e4c9a582eab78c2b9b11e13f86", 189, 1),

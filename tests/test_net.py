@@ -408,6 +408,21 @@ class TestRoundPacking:
         assert tr.rounds() == 1
 
 
+def test_merge_keeps_every_send_of_a_party():
+    # Two transcripts with sends by the same party merge into what one
+    # transcript recording both sends holds: events and payload digest.
+    from obfw.net.transcript import Transcript
+    a, b, both = Transcript(), Transcript(), Transcript()
+    a.record_send(1, 2, 1, 8, 8, payload=b"x")
+    b.record_send(1, 3, 2, 8, 8, payload=b"y")
+    both.record_send(1, 2, 1, 8, 8, payload=b"x")
+    both.record_send(1, 3, 2, 8, 8, payload=b"y")
+    a.merge(b)
+    assert a.to_dict()["events"] == both.to_dict()["events"]
+    assert a.payload_digest() == both.payload_digest()
+    assert a.payload_digest() != b.payload_digest()
+
+
 class TestTcp:
     def test_loopback_matches_sim(self):
         from obfw.compare import ComparisonParams, build_programs, run_semi_honest

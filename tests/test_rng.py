@@ -1,8 +1,10 @@
 """RandomSource: batched draws read the stream exactly as single draws."""
+import copy
 import hashlib
 import importlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obfw import rng as rng_module
 from obfw.rng import RandomSource
@@ -124,3 +126,81 @@ def test_width3_randbelow_many_equals_randbelow(n, skip):
         assert many.randbelow_many(n, count) == [one.randbelow(n)
                                                  for _ in range(count)]
     assert many.bytes(7) == one.bytes(7)
+
+
+class _ShortfallSource(RandomSource):
+    """randbelow_many as a loop that reads only the shortfall on each pass:
+    the oracle for the read-ahead form, which must give the same values and
+    leave the stream at the same place."""
+    __slots__ = ()
+
+    def randbelow_many(self, n, count):
+        if n <= 0:
+            raise ValueError("randbelow needs n >= 1")
+        k = (n - 1).bit_length() or 1
+        width = (k + 7) // 8
+        shift = width * 8 - k
+        bound = n << shift
+        out = []
+        while len(out) < count:
+            draws = rng_module._unpack(self.bytes((count - len(out)) * width), width)
+            out += [v >> shift for v in draws if v < bound]
+        return out
+
+
+# Draw widths 1 to 8 bytes.  At 2^31 + 11 (32 bits, no spare high bits)
+# about half the draws are rejected, as at 65537 and 257.
+ORACLE_MODULI = [2, 3, 257, 65537, 100_003, 2 ** 31 - 1, 2 ** 31 + 11,
+                 2 ** 61 - 1, 2 ** 32 + 15, 2 ** 40 + 1, 2 ** 48 + 21,
+                 2 ** 56 - 5]
+MODULUS = st.one_of(st.sampled_from(ORACLE_MODULI), st.integers(1, 2 ** 64))
+LABEL = st.one_of(st.text(max_size=4), st.integers(0, 2 ** 64 - 1))
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("bytes"), st.integers(0, 70)),
+    st.tuples(st.just("randbits"), st.integers(1, 64)),
+    st.tuples(st.just("randbelow"), MODULUS),
+    st.tuples(st.just("randbelow_many"), MODULUS, st.integers(0, 64)),
+    st.tuples(st.just("child"), LABEL),
+    st.tuples(st.just("child_draws"), st.lists(LABEL, max_size=4), MODULUS,
+              st.integers(0, 9)),
+), max_size=12)
+
+
+def _apply(src, op):
+    name, *args = op
+    if name == "child":
+        return src.child(*args).seed
+    if name == "child_draws":
+        labels, n, count = args
+        return src.child_draws(labels, n, count)
+    return getattr(src, name)(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=32, max_size=32), OPS)
+def test_randbelow_many_equals_shortfall_loop(seed, ops):
+    fast, oracle = RandomSource(seed), _ShortfallSource(seed)
+    for op in ops:
+        assert _apply(fast, op) == _apply(oracle, op), op
+        if op[0] == "child_draws":
+            labels, n, count = op[1:]
+            rows = [_ShortfallSource(oracle.child(label).seed).randbelow_many(
+                n, count) for label in labels]
+            assert _apply(fast, op) == [[row[j] for row in rows]
+                                        for j in range(count)]
+        assert fast.counter == oracle.counter
+        # Peek at the next 64 bytes without moving either stream.
+        assert copy.copy(fast).bytes(64) == copy.copy(oracle).bytes(64), op
+
+
+@pytest.mark.parametrize("n", ORACLE_MODULI)
+@pytest.mark.parametrize("skip", [0, 1, 17, 31, 32])
+def test_randbelow_many_rewinds_across_blocks(n, skip):
+    # Counts up to 300 draw past several blocks; every count leaves the
+    # stream where the shortfall loop leaves it.
+    fast, oracle = RandomSource(b"rewind"), _ShortfallSource(b"rewind")
+    assert fast.bytes(skip) == oracle.bytes(skip)
+    for count in (1, 2, 5, 31, 136, 300):
+        assert fast.randbelow_many(n, count) == oracle.randbelow_many(n, count)
+        assert fast.counter == oracle.counter
+        assert copy.copy(fast).bytes(64) == copy.copy(oracle).bytes(64)
