@@ -5,7 +5,9 @@ per party owns a listening socket plus one connection per peer; any number
 of sessions multiplex over those connections, demultiplexed by
 (session_id, sender).  The sender is the peer that the connection's
 handshake named: an envelope whose sender byte says otherwise closes the
-connection.
+connection.  Every peer socket sets TCP_NODELAY: a session trades many
+envelopes of a few bytes each, and Nagle's algorithm would hold each one
+behind an unacknowledged one until the peer's delayed ACK fires.
 
 Each node has one reader thread, started with the node.  It runs a
 selectors loop over the listener, the peer sockets and the handshakes of
@@ -13,13 +15,16 @@ peers that dialled in, parses frames from a buffer per connection and
 appends each envelope to its (session, sender) queue.  `run_program`
 runs a party program under `kernel.drive`.  One driven from another
 thread (the gateway's connection threads, run_tcp_session, tests) waits
-for its envelopes on the node's condition; one driven on the node thread
-keeps reading the sockets while it waits.
+on a lock of its own, which the reader releases only when an envelope
+for that (session, sender) arrives; one driven on the node thread keeps
+reading the sockets while it waits.
 
-A serving node (see `serve`) runs each session that a peer starts on the
-node thread itself.  It starts a thread only for a session that arrives
-while another session is in flight on the node thread: two servers that
-each queued the other's next session behind a blocked one would deadlock.
+A serving node (see `serve`) queues each session that a peer starts and
+runs the queue on the node thread, one session after another.  Once the
+session on the node thread has to wait for an envelope, every queued
+session gets a thread of its own: two servers that each queued the other's
+next session behind a blocked one would deadlock.  A session that never
+waits never costs a thread.
 """
 from __future__ import annotations
 
@@ -87,26 +92,25 @@ class TcpNode:
         self._conns: dict[int, socket.socket] = {}
         self._send_locks: dict[int, threading.Lock] = {}
         self._closed = False
-        # Guarded by _lock, which _cond wakes waiting readers on: the
-        # received envelopes; the live sessions; the finished ones, each
-        # with the time to forget it, soonest first; the sessions that
-        # nothing runs yet, each with its protocol and the time to drop it;
-        # the serving callback; the node thread's tasks.
+        # Guarded by _lock: the received envelopes; the lock that each
+        # thread other than the node thread waits on for its next one; the
+        # live sessions; the finished ones, each with the time to forget it,
+        # soonest first; the sessions that nothing runs yet, each with its
+        # protocol and the time to drop it; the serving callback; the node
+        # thread's tasks.
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._forget = FORGET_AFTER * timeout
         self._queues: dict[tuple[int, int], deque[Envelope]] = {}
+        self._waiters: dict[tuple[int, int], threading.Lock] = {}
         self._live: set[int] = set()
         self._finished: OrderedDict[int, float] = OrderedDict()
         self._unserved: dict[int, tuple[int, float]] = {}
         self._program_for: ProgramFor | None = None
         self._tasks: list[Callable[[], None]] = []
         # Node thread only: accepted sockets awaiting their index byte, with
-        # deadlines; sessions to run once the current events are handled;
-        # whether a session is in flight on the node thread.
+        # deadlines; started sessions that wait for the node thread.
         self._handshakes: dict[_Conn, float] = {}
-        self._starts: list[tuple[Generator, int, int]] = []
-        self._inline = False
+        self._starts: deque[tuple[Generator, int, int]] = deque()
 
         self._server = socket.create_server((listen.host, listen.port))
         self._server.setblocking(False)
@@ -160,6 +164,7 @@ class TcpNode:
         # Non-blocking: reads wait in select and _send waits for room itself,
         # where a socket with a timeout would poll before every call.
         sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self._lock:
             self._send_locks.setdefault(peer, threading.Lock())
             self._conns[peer] = sock
@@ -180,15 +185,8 @@ class TcpNode:
         try:
             while not self._closed:
                 self._poll(TICK)
-                starts, self._starts = self._starts, []
-                for args in starts[1:]:
-                    self._spawn(*args)
-                if starts:
-                    self._inline = True
-                    try:
-                        self._serve_session(*starts[0])
-                    finally:
-                        self._inline = False
+                while self._starts:
+                    self._serve_session(*self._starts.popleft())
         finally:
             self._shut()
 
@@ -293,8 +291,9 @@ class TcpNode:
         conn.sock.close()
 
     def _deliver(self, envs: list[Envelope]) -> None:
-        """Queue the envelopes of one read, starting the sessions they open."""
-        starts = []
+        """Queue the envelopes of one read, waking their waiters and
+        starting the sessions they open."""
+        starts, woken = [], []
         with self._lock:
             for env in envs:
                 sid = env.session_id
@@ -305,6 +304,9 @@ class TcpNode:
                 if q is None:
                     q = self._queues[key] = deque()
                 q.append(env)
+                waiter = self._waiters.pop(key, None)
+                if waiter is not None:
+                    woken.append(waiter)
                 if sid in self._live or sid in self._unserved:
                     continue
                 if self._program_for is None:
@@ -313,7 +315,8 @@ class TcpNode:
                     continue
                 self._live.add(sid)
                 starts.append((sid, env.protocol_id))
-            self._cond.notify_all()
+        for waiter in woken:
+            waiter.release()
         for sid, protocol_id in starts:
             self._start(sid, protocol_id)
 
@@ -329,14 +332,8 @@ class TcpNode:
         if program is None:
             with self._lock:
                 self._finish(session_id)
-        elif self._inline:
-            self._spawn(program, session_id, protocol_id)
         else:
             self._starts.append((program, session_id, protocol_id))
-
-    def _spawn(self, program: Generator, session_id: int, protocol_id: int) -> None:
-        threading.Thread(target=self._serve_session, daemon=True,
-                         args=(program, session_id, protocol_id)).start()
 
     def _serve_session(self, program: Generator, session_id: int,
                        protocol_id: int) -> None:
@@ -353,7 +350,9 @@ class TcpNode:
         with self._lock:
             self._program_for = None
             self._tasks.clear()
-            self._cond.notify_all()
+            waiters, self._waiters = self._waiters, {}
+        for waiter in waiters.values():
+            waiter.release()
         for key in list(self._sel.get_map().values()):
             key.fileobj.close()
         for sock in list(self._conns.values()):
@@ -430,18 +429,25 @@ class TcpNode:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._closed:
                     break
+                # No session waits behind this blocked one.
+                while self._starts:
+                    threading.Thread(target=self._serve_session, daemon=True,
+                                     args=self._starts.popleft()).start()
                 # Keep reading the sockets, this session's included.
                 self._poll(min(remaining, TICK))
         else:
-            with self._lock:
-                while True:
+            while True:
+                with self._lock:
                     q = self._queues.get(key)
                     if q:
                         return q.popleft()
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or self._closed:
+                        self._waiters.pop(key, None)
                         break
-                    self._cond.wait(remaining)
+                    waiter = self._waiters[key] = threading.Lock()
+                    waiter.acquire()
+                waiter.acquire(timeout=remaining)
         raise PartyTimeout(f"party {self.index} timed out waiting for "
                            f"party {frm} in session {session_id}")
 

@@ -14,9 +14,11 @@ Wire surfaces:
         servers; firewall.py builds each (gateway_session, server_program).
 
 Each daemon's TcpNode reads all of its peer connections on one thread.  A
-server runs the evaluation sessions the gateway starts on that thread (see
-TcpNode.serve); the gateway runs each CHECK on the thread of the client
-connection that asked for it.
+server runs the evaluation sessions the gateway starts on that thread, one
+after another; while one waits for an envelope, the sessions queued behind
+it get threads of their own (see TcpNode.serve).  A sum-mode session never
+waits, so it never costs a server a thread.  The gateway runs each CHECK on
+the thread of the client connection that asked for it.
 """
 from __future__ import annotations
 

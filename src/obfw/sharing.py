@@ -179,13 +179,18 @@ def share_columns(secrets: Sequence[int], draws: Sequence[Sequence[int]],
         for col in draws:
             last = [a - c for a, c in zip(last, col)]
         return [*draws, [a % modulus for a in last]]
+    if not draws:
+        return [[a % modulus for a in secrets] for _ in range(m)]
+    *inner, outer = draws
     cols = []
     for x in range(1, m + 1):
         acc, power = secrets, 1
-        for col in draws:
+        for col in inner:
             power = power * x % modulus
             acc = [a + power * c for a, c in zip(acc, col)]
-        cols.append([a % modulus for a in acc])
+        # The last coefficient's pass also reduces.
+        power = power * x % modulus
+        cols.append([(a + power * c) % modulus for a, c in zip(acc, outer)])
     return cols
 
 

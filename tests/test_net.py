@@ -714,3 +714,108 @@ class TestNodeThread:
         assert not thread.is_alive()
         assert time.monotonic() - t0 < TICK + 0.5
         assert node._program_for is None
+
+    def test_mesh_sockets_set_nodelay(self):
+        nodes = build_mesh([0, 1, 2])
+        try:
+            # Node 0 dialled both peers, node 2 accepted both, node 1 each.
+            for node in nodes.values():
+                assert len(node._conns) == 2
+                for sock in node._conns.values():
+                    assert sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY) == 1
+        finally:
+            for node in nodes.values():
+                node.close()
+
+    def test_sessions_that_never_wait_run_on_the_node_thread(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=5)
+        ran_on = {}
+
+        def reply(session_id):
+            ran_on[session_id] = threading.current_thread().name
+            yield from _send_one(2, session_id)
+
+        node.serve(lambda session_id, protocol_id: reply(session_id))
+        try:
+            with _handshake_as(node, 2) as c:
+                payload = encode_elements([(group_zp(251), [7])])
+                # Both sessions start in one read of the node thread.
+                c.sendall(frame(Envelope(4, 1, 31, 2, payload))
+                          + frame(Envelope(4, 1, 32, 2, payload)))
+                buf, envs = bytearray(), []
+                while len(envs) < 2:
+                    buf += c.recv(1 << 16)
+                    envs += take_frames(buf)
+            assert sorted(e.session_id for e in envs) == [31, 32]
+            assert ran_on == {31: "obfw-node-1", 32: "obfw-node-1"}
+        finally:
+            node.close()
+
+    def test_session_queued_behind_a_blocked_one_still_runs(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=5)
+        zp = group_zp(251)
+
+        def waits_for_second(session_id):
+            yield from _recv_one(2)
+            (got,) = yield from recv(2, 2, [(zp, 1)])
+            yield from send(2, 3, [(zp, got)])
+
+        def replies_at_once(session_id):
+            yield from _recv_one(2)
+            yield from _send_one(2, session_id)
+
+        programs = {41: waits_for_second, 42: replies_at_once}
+        node.serve(lambda session_id, protocol_id:
+                   programs[session_id](session_id))
+        try:
+            with _handshake_as(node, 2) as c:
+                payload = encode_elements([(zp, [7])])
+                c.sendall(frame(Envelope(4, 1, 41, 2, payload))
+                          + frame(Envelope(4, 1, 42, 2, payload)))
+                buf = bytearray()
+
+                def next_reply():
+                    while True:
+                        envs = take_frames(buf)
+                        if envs:
+                            assert len(envs) == 1
+                            return envs[0]
+                        buf.extend(c.recv(1 << 16))
+
+                # Session 42 answers while session 41 waits for its second
+                # envelope, which goes only once that answer is read.
+                first = next_reply()
+                assert first.session_id == 42
+                assert decode_elements(first.payload, [(zp, 1)]) == [[42]]
+                c.sendall(frame(Envelope(4, 2, 41, 2,
+                                         encode_elements([(zp, [9])]))))
+                second = next_reply()
+                assert second.session_id == 41
+                assert decode_elements(second.payload, [(zp, 1)]) == [[9]]
+        finally:
+            node.close()
+
+    def test_close_ends_a_waiting_session_off_the_node_thread(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=30)
+        outcome = []
+
+        def run():
+            try:
+                node.run_program(_recv_one(2), 51, 4)
+            except PartyTimeout:
+                outcome.append(time.monotonic())
+
+        try:
+            with _handshake_as(node, 2):
+                t = threading.Thread(target=run)
+                t.start()
+                time.sleep(0.2)     # the session waits for party 2
+                assert t.is_alive()
+                closed_at = time.monotonic()
+                node.close()
+                t.join(1)
+                assert not t.is_alive()
+                assert outcome and outcome[0] - closed_at < 1
+        finally:
+            node.close()

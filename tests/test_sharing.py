@@ -364,6 +364,33 @@ class TestShareColumns:
             ref = additive_share(secret, params, rng.child(f"s/{i}"))
             assert [col[i] for col in cols] == [s.value for s in ref]
 
+    @staticmethod
+    def _two_pass_shamir(secrets, draws, modulus, m):
+        """Every coefficient's pass, then a pass that reduces each sum."""
+        cols = []
+        for x in range(1, m + 1):
+            acc, power = secrets, 1
+            for col in draws:
+                power = power * x % modulus
+                acc = [a + power * c for a, c in zip(acc, col)]
+            cols.append([a % modulus for a in acc])
+        return cols
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           modulus=st.sampled_from([2, 11, 251, 2 ** 31 - 1, 4294967291]),
+           k=st.integers(0, 20), m=st.integers(1, 7), t=st.integers(0, 4))
+    def test_shamir_matches_two_pass_form(self, data, modulus, k, m, t):
+        # Secrets may be unreduced: callers pass bits and products alike.
+        secrets = data.draw(st.lists(st.integers(0, 3 * modulus),
+                                     min_size=k, max_size=k))
+        draws = [data.draw(st.lists(st.integers(0, modulus - 1),
+                                    min_size=k, max_size=k))
+                 for _ in range(t)]
+        cols = share_columns(secrets, draws, modulus, m, shamir=True)
+        assert cols == self._two_pass_shamir(secrets, draws, modulus, m)
+        assert len({id(col) for col in cols}) == m
+
     @pytest.mark.parametrize("p,t", [(11, 1), (2 ** 31 - 1, 2)])
     def test_deal_triples_matches_per_triple_reference(self, p, t):
         from obfw.dual import DualParams, DualShare, deal_triples
