@@ -47,13 +47,16 @@ class Envelope:
         return frame(self)[_RECORD.size:]
 
     @classmethod
-    def decode(cls, raw: bytes) -> "Envelope":
-        if len(raw) < HEADER_LEN:
+    def decode(cls, data: bytes, start: int = 0, end: int | None = None) -> "Envelope":
+        """The envelope in data[start:end]; `end` defaults to len(data)."""
+        if end is None:
+            end = len(data)
+        if end - start < HEADER_LEN:
             raise FrameCorrupt("short envelope header")
-        protocol_id, step_id, session_id, sender, plen = _HEADER.unpack_from(raw)
-        if len(raw) != HEADER_LEN + plen:
+        protocol_id, step_id, session_id, sender, plen = _HEADER.unpack_from(data, start)
+        if end - start != HEADER_LEN + plen:
             raise FrameCorrupt("payload length mismatch")
-        return cls(protocol_id, step_id, session_id, sender, raw[HEADER_LEN:])
+        return cls(protocol_id, step_id, session_id, sender, data[start + HEADER_LEN:end])
 
 
 def frame(env: Envelope) -> bytes:
@@ -68,28 +71,38 @@ def frame(env: Envelope) -> bytes:
     return head + payload
 
 
+def read_records(data: bytes, out: list[Envelope]) -> tuple[int, int]:
+    """Append the envelope of each complete record in `data` to `out`.
+
+    Returns (pos, need): a partial record starts at `pos` and needs `need`
+    bytes.  A bad magic or an implausible length raises FrameCorrupt as
+    soon as its header is in, with the records before it in `out`.
+    """
+    decode = Envelope.decode
+    pos, size = 0, len(data)
+    while size - pos >= 8:
+        magic, n = _RECORD.unpack_from(data, pos)
+        if magic != FRAME_MAGIC:
+            raise FrameCorrupt(f"bad frame magic {magic!r}")
+        if n > MAX_FRAME:
+            raise FrameCorrupt("frame length implausible")
+        end = pos + 8 + n
+        if size < end:
+            return pos, 8 + n
+        out.append(decode(data, pos + 8, end))
+        pos = end
+    if size - pos >= 4 and data[pos:pos + 4] != FRAME_MAGIC:
+        raise FrameCorrupt(f"bad frame magic {data[pos:pos + 4]!r}")
+    return pos, 8
+
+
 def take_frames(buf: bytearray) -> list[Envelope]:
     """Remove every complete record from the front of `buf` and decode it.
 
     A partial record stays in `buf` for the next read.  A bad magic or an
     implausible length raises FrameCorrupt as soon as its header is in.
     """
-    out = []
-    pos = 0
-    size = len(buf)
-    with memoryview(buf) as view:
-        while size - pos >= 8:
-            magic, n = _RECORD.unpack_from(buf, pos)
-            if magic != FRAME_MAGIC:
-                raise FrameCorrupt(f"bad frame magic {magic!r}")
-            if n > MAX_FRAME:
-                raise FrameCorrupt("frame length implausible")
-            end = pos + 8 + n
-            if size < end:
-                break
-            out.append(Envelope.decode(bytes(view[pos + 8:end])))
-            pos = end
-    if size - pos >= 4 and buf[pos:pos + 4] != FRAME_MAGIC:
-        raise FrameCorrupt(f"bad frame magic {bytes(buf[pos:pos + 4])!r}")
+    out: list[Envelope] = []
+    pos, _ = read_records(bytes(buf), out)
     del buf[:pos]
     return out

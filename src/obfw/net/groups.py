@@ -142,15 +142,17 @@ def decode_elements(payload: bytes, schema: list[tuple[Group, int]]) -> list[lis
     read from a window of about _CHUNK_BITS that slides along it, so
     decoding is linear in the payload.
     """
-    total_bits = sum(g.raw_bits * n for g, n in schema)
+    total_bits = 0
+    for g, n in schema:
+        total_bits += g.raw_bits * n
     if len(payload) != (total_bits + 7) // 8:
         raise TruncatedPayload(
             f"payload {len(payload)}B does not match schema {(total_bits + 7) // 8}B")
-    if total_bits % 8 and payload[-1] >> (total_bits % 8):
-        raise TruncatedPayload("nonzero padding bits")
     out = []
     if total_bits <= _CHUNK_BITS:
         window = int.from_bytes(payload, "little")
+        if window >> total_bits:
+            raise TruncatedPayload("nonzero padding bits")
         for group, count in schema:
             w = group.raw_bits
             mask = (1 << w) - 1
@@ -164,6 +166,8 @@ def decode_elements(payload: bytes, schema: list[tuple[Group, int]]) -> list[lis
                 window >>= w
             out.append(vals)
         return out
+    if total_bits % 8 and payload[-1] >> (total_bits % 8):
+        raise TruncatedPayload("nonzero padding bits")
     window = window_bits = base = pos = 0     # window holds bits from byte `base`
     for group, count in schema:
         w = group.raw_bits

@@ -10,9 +10,11 @@ envelopes of a few bytes each, and Nagle's algorithm would hold each one
 behind an unacknowledged one until the peer's delayed ACK fires.
 
 Each node has one reader thread, started with the node.  It runs a
-selectors loop over the listener, the peer sockets and the handshakes of
-peers that dialled in, parses frames from a buffer per connection and
-appends each envelope to its (session, sender) queue.  `run_program`
+`poll` loop over a table of file descriptors: the listener, the peer
+sockets and the handshakes of peers that dialled in.  It parses the
+records of each read in place, keeping a buffer only for a record that
+the read left partial, and appends each envelope to its (session,
+sender) queue.  `run_program`
 runs a party program under `kernel.drive`.  One driven from another
 thread (the gateway's connection threads, run_tcp_session, tests) waits
 on a lock of its own, which the reader releases only when an envelope
@@ -28,8 +30,8 @@ waits never costs a thread.
 """
 from __future__ import annotations
 
+import functools
 import select
-import selectors
 import socket
 import threading
 import time
@@ -37,7 +39,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Generator
 
-from .envelope import Envelope, FrameCorrupt, frame, take_frames
+from .envelope import Envelope, FrameCorrupt, frame, read_records
 from .kernel import PartyTimeout, drive
 from .transcript import Transcript
 
@@ -49,7 +51,7 @@ def _log():
     return logging.getLogger(__name__)
 
 
-# Longest the node thread sleeps in select before it looks at the clock
+# Longest the node thread sleeps in poll before it looks at the clock
 # (handshake deadlines; a waiting session's deadline).
 TICK = 0.2
 # How long, in node timeouts, a node remembers a finished session, so that a
@@ -73,14 +75,16 @@ class Endpoint:
 
 
 class _Conn:
-    """The read side of one socket: its peer (None until the handshake)."""
+    """The read side of one socket: its peer (None until the handshake), and
+    the partial record its last read left, parsed again at `need` bytes."""
 
-    __slots__ = ("sock", "peer", "buf")
+    __slots__ = ("sock", "peer", "buf", "need")
 
     def __init__(self, sock: socket.socket, peer: int | None):
         self.sock = sock
         self.peer = peer
         self.buf = bytearray()
+        self.need = 0
 
 
 class TcpNode:
@@ -107,8 +111,10 @@ class TcpNode:
         self._unserved: dict[int, tuple[int, float]] = {}
         self._program_for: ProgramFor | None = None
         self._tasks: list[Callable[[], None]] = []
-        # Node thread only: accepted sockets awaiting their index byte, with
-        # deadlines; started sessions that wait for the node thread.
+        # Node thread only: the polled peer sockets by file descriptor;
+        # accepted sockets awaiting their index byte, with deadlines;
+        # started sessions that wait for the node thread.
+        self._fds: dict[int, _Conn] = {}
         self._handshakes: dict[_Conn, float] = {}
         self._starts: deque[tuple[Generator, int, int]] = deque()
 
@@ -118,9 +124,10 @@ class TcpNode:
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._sel = selectors.DefaultSelector()
-        self._sel.register(self._server, selectors.EVENT_READ)
-        self._sel.register(self._wake_r, selectors.EVENT_READ)
+        self._poller = select.poll()
+        self._poller.register(self._server, select.POLLIN)
+        self._poller.register(self._wake_r, select.POLLIN)
+        self._ident: int | None = None     # the node thread's, once it runs
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name=f"obfw-node-{index}")
         self._thread.start()
@@ -161,7 +168,7 @@ class TcpNode:
         self._call_soon(start_pending)
 
     def _install(self, peer: int, sock: socket.socket) -> None:
-        # Non-blocking: reads wait in select and _send waits for room itself,
+        # Non-blocking: reads wait in poll and _send waits for room itself,
         # where a socket with a timeout would poll before every call.
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -182,6 +189,7 @@ class TcpNode:
 
     # -- the node thread ---------------------------------------------------
     def _loop(self) -> None:
+        self._ident = threading.get_ident()
         try:
             while not self._closed:
                 self._poll(TICK)
@@ -192,13 +200,15 @@ class TcpNode:
 
     def _poll(self, timeout: float) -> None:
         """Handle what the sockets have for up to `timeout` seconds."""
-        for key, _ in self._sel.select(timeout):
-            if key.fileobj is self._server:
+        fds = self._fds
+        for fd, _ in self._poller.poll(timeout * 1000):
+            conn = fds.get(fd)
+            if conn is not None:
+                self._read(conn)
+            elif fd == self._server.fileno():
                 self._accept()
-            elif key.fileobj is self._wake_r:
+            elif fd == self._wake_r.fileno():
                 self._run_tasks()
-            else:
-                self._read(key.data)
         if self._handshakes:
             now = time.monotonic()
             for conn, deadline in list(self._handshakes.items()):
@@ -238,9 +248,11 @@ class TcpNode:
 
     def _watch(self, conn: _Conn) -> None:
         try:
-            self._sel.register(conn.sock, selectors.EVENT_READ, conn)
+            self._poller.register(conn.sock, select.POLLIN)
         except (ValueError, OSError):
             conn.sock.close()   # closed before the node thread got to it
+        else:
+            self._fds[conn.sock.fileno()] = conn
 
     def _read(self, conn: _Conn) -> None:
         try:
@@ -264,27 +276,41 @@ class TcpNode:
                 self._drop(conn, None)
                 return
             data = data[1:]
-        conn.buf += data
+        buf = conn.buf
+        if buf:
+            buf += data
+            if len(buf) < conn.need:
+                return
+            data = bytes(buf)
+            buf.clear()
+        # The records before the first bad one are delivered, then it closes.
+        envs: list[Envelope] = []
+        bad = None
         try:
-            envs = take_frames(conn.buf)
+            pos, conn.need = read_records(data, envs)
         except FrameCorrupt as exc:
-            self._drop(conn, str(exc))
-            return
+            bad = str(exc)
+        else:
+            if pos < len(data):
+                buf += memoryview(data)[pos:]
         peer = conn.peer
         for i, env in enumerate(envs):
             if env.sender != peer:
-                self._deliver(envs[:i])
-                self._drop(conn, f"envelope claims sender {env.sender}")
-                return
+                bad = f"envelope claims sender {env.sender}"
+                del envs[i:]
+                break
         if envs:
             self._deliver(envs)
+        if bad is not None:
+            self._drop(conn, bad)
 
     def _drop(self, conn: _Conn, why: str | None) -> None:
         if why is not None:
             _log().warning("party %d: closing the connection from party %s: %s",
                            self.index, conn.peer, why)
         self._handshakes.pop(conn, None)
-        self._sel.unregister(conn.sock)
+        self._poller.unregister(conn.sock)
+        del self._fds[conn.sock.fileno()]
         with self._lock:
             if conn.peer is not None and self._conns.get(conn.peer) is conn.sock:
                 del self._conns[conn.peer]
@@ -353,11 +379,12 @@ class TcpNode:
             waiters, self._waiters = self._waiters, {}
         for waiter in waiters.values():
             waiter.release()
-        for key in list(self._sel.get_map().values()):
-            key.fileobj.close()
+        for conn in self._fds.values():
+            conn.sock.close()
         for sock in list(self._conns.values()):
             sock.close()
-        self._sel.close()
+        self._server.close()
+        self._wake_r.close()
         self._wake_w.close()
 
     # -- session driving -------------------------------------------------
@@ -373,7 +400,7 @@ class TcpNode:
         with self._lock:
             self._claim(session_id)
         steps = drive(program, self.index, session_id, protocol_id, tr,
-                      self._send, lambda frm: self._take(session_id, frm))
+                      self._send, functools.partial(self._take, session_id))
         try:
             while True:
                 next(steps)     # never yields: _take waits itself
@@ -419,35 +446,31 @@ class TcpNode:
         """The next envelope from `frm` in this session; PartyTimeout if
         none arrives within the node timeout."""
         key = (session_id, frm)
-        deadline = time.monotonic() + self.timeout
-        if threading.current_thread() is self._thread:
-            while True:
-                with self._lock:
-                    q = self._queues.get(key)
-                    if q:
-                        return q.popleft()
+        deadline = None
+        while True:
+            with self._lock:
+                q = self._queues.get(key)
+                if q:
+                    return q.popleft()
+                if deadline is None:    # the envelope is not in yet
+                    deadline = time.monotonic() + self.timeout
+                    on_node = threading.get_ident() == self._ident
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._closed:
+                    self._waiters.pop(key, None)
                     break
-                # No session waits behind this blocked one.
-                while self._starts:
-                    threading.Thread(target=self._serve_session, daemon=True,
-                                     args=self._starts.popleft()).start()
-                # Keep reading the sockets, this session's included.
-                self._poll(min(remaining, TICK))
-        else:
-            while True:
-                with self._lock:
-                    q = self._queues.get(key)
-                    if q:
-                        return q.popleft()
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._closed:
-                        self._waiters.pop(key, None)
-                        break
+                if not on_node:
                     waiter = self._waiters[key] = threading.Lock()
                     waiter.acquire()
+            if not on_node:
                 waiter.acquire(timeout=remaining)
+                continue
+            # No session waits behind this blocked one.
+            while self._starts:
+                threading.Thread(target=self._serve_session, daemon=True,
+                                 args=self._starts.popleft()).start()
+            # Keep reading the sockets, this session's included.
+            self._poll(min(remaining, TICK))
         raise PartyTimeout(f"party {self.index} timed out waiting for "
                            f"party {frm} in session {session_id}")
 

@@ -204,6 +204,17 @@ class TestCodecOracle:
             decode_elements(payload, [(group_z2(), 1), (zp, 3 + count)])
 
 
+    # The last payload of one int and the first of the sliding window.
+    @pytest.mark.parametrize("bits", [_CHUNK_BITS - 1, _CHUNK_BITS + 1])
+    def test_nonzero_padding_bit_is_refused(self, bits):
+        schema = [(group_z2(), bits)]
+        payload = bytearray((bits + 7) // 8)
+        assert decode_elements(bytes(payload), schema) == [[0] * bits]
+        payload[-1] = 0x80          # the top padding bit
+        with pytest.raises(TruncatedPayload, match="padding"):
+            decode_elements(bytes(payload), schema)
+
+
 class TestEnvelope:
     def test_round_trip(self):
         env = Envelope(4, 7, 0x1122334455667788, 2, b"\x01\x02\x03")
@@ -674,6 +685,88 @@ class TestNodeThread:
                 except ConnectionResetError:
                     pass
             assert 2 not in node._conns
+        finally:
+            node.close()
+
+    @pytest.mark.parametrize("junk", [
+        b"JUNKJUNKJUNKJUNK",
+        b"OBF1" + (MAX_FRAME + 1).to_bytes(4, "little"),
+    ])
+    def test_frames_before_a_bad_record_are_delivered(self, junk):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=2)
+        try:
+            with _handshake_as(node, 2) as c:
+                payload = encode_elements([(group_zp(251), [7])])
+                # One write: a good envelope, then a record that is not one.
+                c.sendall(frame(Envelope(4, 1, 78, 2, payload)) + junk)
+                assert node.run_program(_recv_one(2), 78, 4)[0] == 7
+                try:
+                    assert c.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            assert 2 not in node._conns
+        finally:
+            node.close()
+
+    def test_record_written_byte_by_byte_arrives_whole(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=5)
+        try:
+            with _handshake_as(node, 2) as c:
+                c.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                record = frame(Envelope(
+                    4, 1, 61, 2, encode_elements([(group_zp(251), [7])])))
+                for i in range(len(record)):
+                    c.sendall(record[i:i + 1])
+                    time.sleep(0.002)
+                assert node.run_program(_recv_one(2), 61, 4)[0] == 7
+        finally:
+            node.close()
+
+    def test_records_of_one_read_are_queued_together(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=5)
+        zp = group_zp(251)
+
+        def four():
+            got = []
+            for step in range(1, 5):
+                (v,) = yield from recv(2, step, [(zp, 1)])
+                got += v
+            return got
+
+        try:
+            with _handshake_as(node, 2) as c:
+                records = [frame(Envelope(4, k + 1, 62, 2,
+                                          encode_elements([(zp, [k])])))
+                           for k in range(4)]
+                half = len(records[3]) // 2
+                c.sendall(b"".join(records[:3]) + records[3][:half])
+                deadline = time.monotonic() + 5
+                while True:
+                    with node._lock:
+                        queued = len(node._queues.get((62, 2), ()))
+                    if queued or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.005)
+                assert queued == 3
+                c.sendall(records[3][half:])
+                assert node.run_program(four(), 62, 4)[0] == [0, 1, 2, 3]
+        finally:
+            node.close()
+
+    def test_peer_that_reconnects_after_a_drop_is_read(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=5)
+        payload = encode_elements([(group_zp(251), [7])])
+        try:
+            with _handshake_as(node, 2) as c:
+                c.sendall(frame(Envelope(4, 1, 63, 3, payload)))   # not party 2
+                try:
+                    assert c.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            # The new socket may reuse the dropped one's descriptor.
+            with _handshake_as(node, 2) as c:
+                c.sendall(frame(Envelope(4, 1, 64, 2, payload)))
+                assert node.run_program(_recv_one(2), 64, 4)[0] == 7
         finally:
             node.close()
 
