@@ -337,6 +337,7 @@ def _bench_rows(variant: str, lvalues: list[int], m: int, seed: bytes) -> list[d
             "measured_rounds": out.transcript.rounds(),
             "formula_rounds": rounds if rounds is not None else "",
             "note": note(l, m),
+            "transcript": out.transcript,
         })
     return rows
 
@@ -344,6 +345,9 @@ def _bench_rows(variant: str, lvalues: list[int], m: int, seed: bytes) -> list[d
 def cmd_bench(args) -> int:
     lvalues = [int(x) for x in args.l.split(",")]
     rows = _bench_rows(args.variant, lvalues, args.m, args.seed or bytes(32))
+    if args.transcript:
+        with open(args.transcript, "w") as fh:
+            fh.writelines(r["transcript"].to_json() + "\n" for r in rows)
     cols = ["variant", "l", "measured_bits", "formula_bits", "bits_match",
             "measured_rounds", "formula_rounds", "note"]
     if args.format == "csv":
@@ -378,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON run config (or $OBFW_CONFIG)")
     ap.add_argument("--seed", type=bytes.fromhex,
                     help="hex seed; with a config, test mode only")
-    ap.add_argument("--transcript", help="write the session transcript JSON here")
+    ap.add_argument("--transcript",
+                    help="write the session transcript JSON here (compare; "
+                         "bench writes one line per measured run)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("fw-init", help="build and share the blacklist filter")
@@ -415,8 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The subcommands that honour the global --transcript flag; the daemons
+# keep no session records yet.
+_WRITES_TRANSCRIPTS = ("compare", "bench")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.transcript and args.cmd not in _WRITES_TRANSCRIPTS:
+        print(f"--transcript: {args.cmd} records no session transcript",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -1,8 +1,20 @@
-"""Wire envelope shared by the simulator and the TCP transport."""
+"""The envelope that carries one message, in the simulator and over TCP.
+
+An envelope carries its payload either as bytes or as the values of the
+Send that made it.  `kernel.drive` hands the transport values.  A socket
+needs bytes, so `frame` encodes them, once, and the envelope keeps the
+bytes that went out; one read off a socket carries bytes.  The simulator
+keeps the values instead (`freeze`), and a receiver whose schema is the
+send's own gets them without a codec round trip (`values`).  Whatever an
+envelope holds, a receiver gets what `decode_elements` would give it for
+the encoded values, or the error it would raise.
+"""
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+
+from .groups import Group, Segment, decode_elements, encode_elements
 
 FRAME_MAGIC = b"OBF1"
 HEADER_LEN = 1 + 1 + 8 + 1 + 4
@@ -41,10 +53,56 @@ class Envelope:
     step_id: int
     session_id: int
     sender: int
-    payload: bytes
+    payload: bytes | None = None
+    # The values, when `payload` is None: the Send's own segments until the
+    # transport takes them, then `freeze`'s snapshot.
+    segments: list[Segment] | None = None
 
     def encode(self) -> bytes:
         return frame(self)[_RECORD.size:]
+
+    def packed(self) -> bytes:
+        """The payload as bytes: those carried, or the values encoded."""
+        if self.payload is not None:
+            return self.payload
+        return encode_elements(self.segments)
+
+    def freeze(self) -> None:
+        """Fix the values as they are now, after the checks encode_elements
+        makes.  A value that is not an int in its group's range is left to
+        encode_elements: it raises what it raises, or the envelope carries
+        the bytes it gives (for a bool, say)."""
+        segs = []
+        ok = True
+        for group, values in self.segments:
+            vals = tuple(values)
+            segs.append((group, vals))
+            if ok:
+                top = group.modulus
+                for v in vals:
+                    if type(v) is not int or not 0 <= v < top:
+                        ok = False
+                        break
+        if ok:
+            self.segments = segs
+        else:
+            self.payload = encode_elements(segs)
+            self.segments = None
+
+    def values(self, schema: list[tuple[Group, int]]) -> list[list[int]]:
+        """The payload read as `schema`: fresh lists of the values when
+        the schema is the send's own (the same Group objects, the same
+        counts), and decode_elements of the bytes otherwise."""
+        segs = self.segments
+        if segs is not None and len(segs) == len(schema):
+            out = []
+            for (group, vals), (want, count) in zip(segs, schema):
+                if group is not want or len(vals) != count:
+                    break
+                out.append(list(vals))
+            else:
+                return out
+        return decode_elements(self.packed(), schema)
 
     @classmethod
     def decode(cls, data: bytes, start: int = 0, end: int | None = None) -> "Envelope":
@@ -60,7 +118,12 @@ class Envelope:
 
 
 def frame(env: Envelope) -> bytes:
+    """The record that carries `env`.  An envelope of values is encoded
+    here, once, and keeps the bytes in place of the values."""
     payload = env.payload
+    if payload is None:
+        payload = env.payload = encode_elements(env.segments)
+        env.segments = None
     try:
         head = _FRAMED.pack(FRAME_MAGIC, HEADER_LEN + len(payload),
                             env.protocol_id & 0xFF, env.step_id & 0xFF,

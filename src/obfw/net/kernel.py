@@ -1,12 +1,17 @@
 """Protocol kernel: party programs are generators yielding Send/Recv.
 
 A party program never touches a socket or a queue; it yields commands and
-is resumed with decoded values.  `drive` alone turns those commands into
-envelopes and back; the simulator and the TCP runtime supply only the
-posting and taking of envelopes, so a peer's message is handled the same
-way under both, which is what makes transport-equivalence testable.  A
-corrupt party is an honest program wrapped in `rewrite_sends`, so it too
-runs the same way under both.
+is resumed with values.  `drive` alone turns those commands into
+envelopes and back, and records them; the simulator and the TCP runtime
+supply only the posting and taking of envelopes.  "Handled the same way
+under both" means: every message is posted as an envelope of the Send's
+values, and whichever transport carries it, the send fails with what
+`encode_elements` raises for those values, and the receiver gets what
+`decode_elements` gives for them under its schema, or fails the same way.
+Only the transport decides whether bytes are made: TCP frames each
+envelope, while the simulator keeps a snapshot of its values (see
+`envelope.py`).  A corrupt party is an honest program wrapped in
+`rewrite_sends`, so it too runs the same way under both.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator
 
 from .envelope import Envelope
-from .groups import CodecError, Group, Segment, decode_elements, encode_elements
+from .groups import CodecError, Group, Segment
 from .transcript import Transcript
 
 
@@ -78,8 +83,10 @@ def drive(program: Generator, me: int, session_id: int, protocol_id: int,
           take: Callable[[int], Envelope | None]) -> Generator:
     """Run party `me`'s program to its end; returns the program's value.
 
-    `post(to, envelope)` sends.  `take(frm)` returns the next envelope from
-    `frm` in this session, or None while there is none: this generator
+    `post(to, envelope)` sends an envelope of the Send's values; it
+    encodes or snapshots them before it returns, and raises what
+    encode_elements raises for them.  `take(frm)` returns the next envelope
+    from `frm` in this session, or None while there is none: this generator
     then yields the Recv it waits on and asks again when resumed.  Either
     may raise PartyTimeout.  An envelope with the wrong step or a payload
     that does not decode fails the party the same way.  A PartyTimeout,
@@ -95,15 +102,14 @@ def drive(program: Generator, me: int, session_id: int, protocol_id: int,
         resume = None
         if isinstance(cmd, Send):
             segments = cmd.segments
-            payload = encode_elements(segments)
             acc_bits = raw_bits = 0
             for group, values in segments:
                 acc_bits += group.accounting_bits * len(values)
                 raw_bits += group.raw_bits * len(values)
+            env = Envelope(protocol_id, cmd.step, session_id, me, None, segments)
+            post(cmd.to, env)
             transcript.record_send(me, cmd.to, cmd.step, acc_bits, raw_bits,
-                                   payload=payload)
-            post(cmd.to, Envelope(protocol_id, cmd.step, session_id, me,
-                                  payload))
+                                   payload=env)
         elif isinstance(cmd, Recv):
             env = take(cmd.frm)
             while env is None:
@@ -115,7 +121,7 @@ def drive(program: Generator, me: int, session_id: int, protocol_id: int,
                     f"where step {cmd.step} was due")
             transcript.record_recv(me, cmd.frm, env.step_id)
             try:
-                resume = decode_elements(env.payload, cmd.schema)
+                resume = env.values(cmd.schema)
             except CodecError as exc:
                 raise PartyTimeout(
                     f"party {me}: step {cmd.step} from party {cmd.frm} "

@@ -4,8 +4,11 @@ Each registered party program runs under `kernel.drive`; the scheduler
 advances them in index order, delivering every sendable message of a
 step before the next step begins.  FIFO order holds per ordered party
 pair, and the whole run is a pure function of the registered programs.
-The network is honest: a corrupt party is a program wrapped in
-`kernel.rewrite_sends`, which runs the same way over TCP.
+No message is packed into bytes: each envelope keeps a snapshot of the
+values its Send carried (`Envelope.freeze`), made after the checks that
+`encode_elements` makes, and a receiver whose schema matches gets fresh
+lists of them.  The network is honest: a corrupt party is a program
+wrapped in `kernel.rewrite_sends`, which runs the same way over TCP.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ class SimNetwork:
         self._programs[index] = program
 
     def _deliver(self, to: int, env: Envelope) -> None:
+        env.freeze()
         queue = self._inbox.get((env.sender, to))
         if queue is None:
             queue = self._inbox[env.sender, to] = deque()

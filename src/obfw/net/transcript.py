@@ -5,13 +5,21 @@ Transmitted bits are tallied once, at the sender, in the ledger convention
 send-and-receive-cycle definition: a party's event sequence is greedily
 packed into cycles holding at most one send block and one receive block,
 and the session's round count is the maximum over its parties.
+
+Recording appends one flat tuple per event and nothing else; the per-step
+bit counts, the per-party event lists and the message count are built from
+those tuples when first read after a change.  A send records what it
+carried: bytes, or the envelope itself, whose bytes `payload_digest` takes
+as the socket framed them, or encodes from the simulator's snapshot.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .envelope import Envelope
 
 
 @dataclass(slots=True)
@@ -20,7 +28,7 @@ class _Event:
     peer: int
     step: int
     accounting_bits: int
-    payload: bytes = b""   # what a send carried, for payload_digest()
+    payload: bytes | Envelope = b""   # what a send carried, for payload_digest()
 
 
 def _pack_rounds(events: list[_Event]) -> int:
@@ -41,35 +49,67 @@ def _pack_rounds(events: list[_Event]) -> int:
     return rounds + (1 if have else 0)
 
 
-@dataclass
 class Transcript:
-    session_id: int = 0
-    protocol_id: int = 0
-    step_acc_bits: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    step_raw_bits: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    party_events: dict[int, list[_Event]] = field(default_factory=lambda: defaultdict(list))
-    messages: int = 0
+    def __init__(self, session_id: int = 0, protocol_id: int = 0):
+        self.session_id = session_id
+        self.protocol_id = protocol_id
+        # (kind, party, peer, step, accounting bits, raw bits, payload)
+        self._log: list[tuple] = []
+        self._built = -1        # len(_log) when the views below were built
+        self._step_acc: dict[int, int] = {}
+        self._step_raw: dict[int, int] = {}
+        self._events: dict[int, list[_Event]] = {}
+        self._messages = 0
 
     def record_send(self, sender: int, receiver: int, step: int,
-                    acc_bits: int, raw_bits: int, payload: bytes = b"") -> None:
-        self.step_acc_bits[step] += acc_bits
-        self.step_raw_bits[step] += raw_bits
-        self.party_events[sender].append(_Event("S", receiver, step, acc_bits, payload))
-        self.messages += 1
+                    acc_bits: int, raw_bits: int,
+                    payload: bytes | Envelope = b"") -> None:
+        self._log.append(("S", sender, receiver, step, acc_bits, raw_bits, payload))
 
     def record_recv(self, receiver: int, sender: int, step: int) -> None:
-        self.party_events[receiver].append(_Event("R", sender, step, 0))
+        self._log.append(("R", receiver, sender, step, 0, 0, b""))
 
     def merge(self, other: "Transcript") -> None:
         """Add the events of other parties of the same session, as recorded
         by their own transcripts (one per TCP node)."""
-        for step, bits in other.step_acc_bits.items():
-            self.step_acc_bits[step] += bits
-        for step, bits in other.step_raw_bits.items():
-            self.step_raw_bits[step] += bits
-        for party, evs in other.party_events.items():
-            self.party_events[party].extend(evs)
-        self.messages += other.messages
+        self._log.extend(other._log)
+
+    def _build(self) -> None:
+        if self._built == len(self._log):
+            return
+        step_acc: defaultdict[int, int] = defaultdict(int)
+        step_raw: defaultdict[int, int] = defaultdict(int)
+        events: defaultdict[int, list[_Event]] = defaultdict(list)
+        messages = 0
+        for kind, party, peer, step, acc_bits, raw_bits, payload in self._log:
+            if kind == "S":
+                step_acc[step] += acc_bits
+                step_raw[step] += raw_bits
+                messages += 1
+            events[party].append(_Event(kind, peer, step, acc_bits, payload))
+        self._step_acc, self._step_raw = step_acc, step_raw
+        self._events, self._messages = events, messages
+        self._built = len(self._log)
+
+    @property
+    def step_acc_bits(self) -> dict[int, int]:
+        self._build()
+        return self._step_acc
+
+    @property
+    def step_raw_bits(self) -> dict[int, int]:
+        self._build()
+        return self._step_raw
+
+    @property
+    def party_events(self) -> dict[int, list[_Event]]:
+        self._build()
+        return self._events
+
+    @property
+    def messages(self) -> int:
+        self._build()
+        return self._messages
 
     def accounting_total(self) -> int:
         return sum(self.step_acc_bits.values())
@@ -88,7 +128,7 @@ class Transcript:
         seeded session must reproduce it byte for byte."""
         acc = hashlib.sha256()
         for party, evs in sorted(self.party_events.items()):
-            sent = b"".join([bytes((ev.peer & 0xFF, ev.step & 0xFF)) + ev.payload
+            sent = b"".join([bytes((ev.peer & 0xFF, ev.step & 0xFF)) + _bytes(ev.payload)
                              for ev in evs if ev.kind == "S"])
             if sent:                    # two header bytes per send
                 acc.update(hashlib.sha256(sent).digest())
@@ -113,3 +153,7 @@ class Transcript:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _bytes(payload: bytes | Envelope) -> bytes:
+    return payload if isinstance(payload, bytes) else payload.packed()

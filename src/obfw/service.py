@@ -9,7 +9,9 @@ Wire surfaces:
         "HMAC <hex over the UPDATE line>\n" -> "OK\n" | "AUTHFAIL\n" |
         "ERROR <why>\n" (the store file could not be written)
   * on either text port, a line longer than MAX_LINE characters is answered
-        "ERROR line too long\n", and the connection closes
+        "ERROR line too long\n", and the connection closes; a connection
+        made while MAX_CONNECTIONS others are open is answered
+        "ERROR busy\n" and closed at once
   * server eval port     -- envelope sessions with the gateway and the other
         servers; firewall.py builds each (gateway_session, server_program).
 
@@ -47,12 +49,16 @@ from .rng import RandomSource
 
 # Characters a text line may hold, newline included (UPDATE lines stay under 800).
 MAX_LINE = 4096
+# Connections a text port serves at once, one thread each.
+MAX_CONNECTIONS = 64
 
 
 class _LineServer:
     """A text port: one accept thread, and one thread per connection that
     writes `answer(line, read_line)` for each line, in the order the lines
-    came; `answer` reads further lines of its request with `read_line()`."""
+    came; `answer` reads further lines of its request with `read_line()`.
+    At most MAX_CONNECTIONS connections are served at once; one more is
+    answered "ERROR busy" and closed."""
 
     def __init__(self, listen: Endpoint, answer: Callable[[str, Callable], str]):
         self._answer = answer
@@ -90,7 +96,16 @@ class _LineServer:
                 if self._open is None:
                     conn.close()
                     return
-                self._open.add(conn)
+                busy = len(self._open) > MAX_CONNECTIONS    # the listener too
+                if not busy:
+                    self._open.add(conn)
+            if busy:
+                with conn:
+                    try:
+                        conn.sendall(b"ERROR busy\n")    # fits an empty buffer
+                    except OSError:
+                        pass
+                continue
             threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
 
     def _serve(self, conn: socket.socket) -> None:

@@ -993,3 +993,67 @@ class TestCli:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_OK
         assert "a >= b" in proc.stdout
+
+
+class TestConnectionCap:
+    """A text port serves at most MAX_CONNECTIONS connections at once, so
+    idle connections cannot hold an unbounded number of daemon threads."""
+
+    def test_connection_past_the_cap_is_refused(self):
+        from obfw.service import MAX_CONNECTIONS, _LineServer
+        server = _LineServer(Endpoint("127.0.0.1", 0), lambda line, _: "OK\n")
+        before = threading.active_count()
+        server.start()
+        conns = []
+        try:
+            for _ in range(MAX_CONNECTIONS):
+                conns.append(socket.create_connection(("127.0.0.1", server.port),
+                                                      timeout=5))
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=2) as extra:
+                assert reply_until_eof(extra) == b"ERROR busy\n"
+            # The accept thread plus one thread per served connection.
+            assert threading.active_count() <= before + 1 + MAX_CONNECTIONS
+            conns[0].sendall(b"x\n")
+            assert conns[0].makefile("r").readline() == "OK\n"
+            # A closed connection frees its place.
+            conns.pop().close()
+            deadline = time.monotonic() + 5
+            while True:
+                with socket.create_connection(("127.0.0.1", server.port),
+                                              timeout=2) as again:
+                    again.sendall(b"x\n")
+                    reply = again.makefile("r").readline()
+                if reply == "OK\n" or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert reply == "OK\n"
+        finally:
+            for c in conns:
+                c.close()
+            server.stop()
+
+
+class TestTranscriptFlag:
+    def test_bench_writes_one_line_per_run(self, tmp_path, capsys):
+        out = tmp_path / "bench.jsonl"
+        assert main(["--transcript", str(out), "bench", "alg7", "--l", "8,16",
+                     "--format", "csv"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(rows) == 2
+        for line, row in zip(lines, rows):
+            data = json.loads(line)
+            assert len(data["payload_digest"]) == 64
+            int(data["payload_digest"], 16)
+            assert str(data["total_accounting_bits"]) == row.split(",")[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["fw-init", "bl.txt"], ["serve"], ["gateway"],
+        ["admin-update", "10.0.0.1"], ["run", "--role", "party"],
+    ])
+    def test_other_subcommands_refuse_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "tr.json"
+        assert main(["--transcript", str(out)] + argv) == EXIT_USAGE
+        assert "--transcript" in capsys.readouterr().err
+        assert not out.exists()
