@@ -13,7 +13,7 @@ offsets its sigma share by 1, -1 or -1/L_j(0) (L_j(0) its weight over
 points 1..m), with every server live and with each other server dead, on
 a blacklisted and a fresh address.  Reports the outcomes by the number of
 live servers; a cheat must be caught once more than t servers answer, and
-the cheater named once more than 2t do.
+the cheater named once 2t or more do.  At these shapes that is every cheat.
 
 Product mode, m = 5, t = 2, under the combination, Berlekamp-Welch and
 vote decoders.  Every server offsets its result share by 1, -1 or
@@ -27,6 +27,8 @@ Two cheaters, at m/t = 5/2 and 7/3 with every server live: every pair of
 servers offsets its result shares, by 1 each and by -1/L_j(0) each, on a
 blacklisted and a fresh address, in Shamir sum mode and under the three
 product decoders.  Each such cheat must be detected, with no exception.
+At 7/3 the decoder's budget is two errors, so each must name both
+cheaters; at 5/2 it is one error, and the alert names no one.
 
 The last line is JSON: {family: {attack: {outcome: count}}}, where the
 outcome is `detected`, `detected_named` (the alert or decoder names
@@ -138,8 +140,11 @@ def shamir_sum_sweep():
     for (m, t, live, kind), count in outcome.items():
         assert kind not in ("BLOCK", "FORWARD"), \
             f"m={m} t={t} live={live}: {count} cheats answered {kind}"
-        assert live <= 2 * t or kind == "ALERT cheater", \
+        assert live < 2 * t or kind == "ALERT cheater", \
             f"m={m} t={t} live={live}: {count} cheats answered {kind}"
+    named = TALLY[("shamir-sum", "result-offset", "detected_named")]
+    assert named == sum(outcome.values()) == 660, \
+        f"{named} of {sum(outcome.values())} sigma offsets named the cheater"
 
 
 def local_product_shift(delta, last_step, N):
@@ -242,6 +247,9 @@ def two_cheater_sweep():
         for silent in ("silent_wrong", "silent_right"):
             count = TALLY[(family, "two-result-offsets", silent)]
             assert count == 0, f"{family}: {count} cheater pairs {silent}"
+        # Every one of the C(7, 2) * 2 * 2 = 84 cheats at 7/3.
+        named = TALLY[(family, "two-result-offsets", "detected_named")]
+        assert named == 84, f"{family}: {named} of 84 cheater pairs named at 7/3"
 
 
 def main():

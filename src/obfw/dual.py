@@ -360,24 +360,15 @@ class CheatPlan:
 
 def locate_suspects(field: PrimeField, points: Sequence[tuple[int, int]],
                     t: int, n: int) -> frozenset[int]:
-    """Name the manipulated index after a degree violation.
-
-    With n >= 3t+1 the points decode as a Reed-Solomon word; otherwise we
-    report the unique index whose exclusion drops the interpolation back to
-    degree <= t, or nothing when that index is not unique.
-    """
-    if n >= 3 * t + 1:
-        e = (n - t - 1) // 2
-        res = berlekamp_welch(field, points, t, e)
-        if res is not None and res.bad_indices:
-            return res.bad_indices
-        return frozenset()
-    candidates = []
-    for drop in range(len(points)):
-        rest = [pt for k, pt in enumerate(points) if k != drop]
-        if interpolate(field, rest).degree <= t:
-            candidates.append(points[drop][0])
-    return frozenset(candidates) if len(candidates) == 1 else frozenset()
+    """Name the manipulated indices after a degree violation: the points
+    decoded as a Reed-Solomon word of degree t with an error budget of
+    max(0, min((n-t-1)//2, n-2t)), or no one when that decoding fails.
+    Past n-2t, a polynomial that t-1 colluders move their points onto
+    could lie within the budget, and the decoder would name honest
+    parties.  At n = 2t+1 the budget is one error (none at t = 1)."""
+    budget = max(0, min((n - t - 1) // 2, n - 2 * t))
+    res = berlekamp_welch(field, points, t, budget)
+    return frozenset() if res is None else res.bad_indices
 
 
 def output_check_party(me: int, params: DualParams, dual: DualShare

@@ -4,15 +4,17 @@ An admin builds the plaintext filter from the blacklist, shares every
 position among the servers (additive m-of-m or Shamir), and distributes
 one share store per server.  A gateway evaluates membership obliviously:
 the sum variant reconstructs the count of set positions, the product
-variant reconstructs an AND bit.  Every Shamir verdict comes from one core,
-`_shamir_verdict`: it reconstructs over every reveal subset and compares.
-Product results can also be decoded by Berlekamp-Welch (`decide_bw`) or
-settled by a majority vote over the verdicts the servers return.  No rule
-raises for a cheat: a decoding past its budget or a split vote is an alert.
+variant reconstructs an AND bit.  Every Shamir verdict decodes the result
+shares once, with `field.berlekamp_welch` under `_locate`'s error budget:
+while at most t-1 servers cheat, every decision is right or an alert, and
+every server an alert names did cheat.  `decide_bw` answers the decoded
+bit; a majority vote settles the verdicts the servers return.  No rule
+raises for a cheat: a failed decoding or a split vote is an alert.
 
 Reveal convention: reconstruction subsets have size `t` over polynomials
 of degree t-1, so a filter with m = 2t+1 servers yields C(m, t) reveal
-combinations of which a single cheater touches exactly t/(2t+1).
+combinations of which a single cheater touches exactly t/(2t+1).  The
+paper's analysis of them stays below; no verdict runs it.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from typing import Generator, Iterable, Sequence
 from .bloom import (BloomFilter, BloomParams, SipHashFamily, read_obfw_file,
                     write_obfw_file)
 from .errors import BadParams, IoError
-from .field import (NotPrime, PrimeField, berlekamp_welch, interpolate,
+from .field import (BWResult, NotPrime, PrimeField, berlekamp_welch,
                     interpolate_at_zero)
 from .net import (
     PROTO_FW_EVAL_PRODUCT,
@@ -389,20 +391,9 @@ def influence_bound(m: int, t: int, x: int) -> tuple[int, int, bool]:
 def reveal_combinations(field: PrimeField, shares: dict[int, int],
                         reveal_size: int) -> dict[tuple[int, ...], int]:
     """The reconstruction at zero of every size-`reveal_size` subset of
-    `shares`, keyed by its sorted indices.
-
-    When every share lies on the polynomial through the first
-    `reveal_size` by index, as honest shares do, each subset reconstructs
-    that polynomial's constant term: one interpolation and a check at the
-    other indices stand for all C(m, t) of them.
-    """
-    xs = sorted(shares)
-    combos = itertools.combinations(xs, reveal_size)
-    poly = interpolate(field, [(i, shares[i]) for i in xs[:reveal_size]])
-    if all(poly.evaluate(i) == shares[i] for i in xs[reveal_size:]):
-        return dict.fromkeys(combos, poly.constant_term())
+    `shares`, keyed by its sorted indices."""
     return {combo: interpolate_at_zero(field, [(i, shares[i]) for i in combo])
-            for combo in combos}
+            for combo in itertools.combinations(sorted(shares), reveal_size)}
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +405,6 @@ class EvalVerdict:
     decision: str               # 'block' | 'forward' | 'alert'
     value: int | None = None
     suspects: frozenset[int] = dc_field(default_factory=frozenset)
-    reveals: dict = dc_field(default_factory=dict)
 
 
 def _decision(value: int, top: int) -> str:
@@ -426,18 +416,33 @@ def _decision(value: int, top: int) -> str:
     return "block" if value == top else "forward"
 
 
+def _locate(cfg: FirewallConfig, shares: dict[int, int]) -> BWResult | None:
+    """Decode the result shares as a word of degree t-1 with an error
+    budget of max(0, min((live-t)//2, live-2t+1)).  Past (live-t)//2 the
+    decoding is not unique.  Past live-2t+1, a polynomial that t-1
+    cheaters move their shares onto could lie within the budget, so the
+    decoder would name honest servers and hand back the cheaters' value."""
+    live = len(shares)
+    budget = max(0, min((live - cfg.t) // 2, live - 2 * cfg.t + 1))
+    return berlekamp_welch(cfg.field(), sorted(shares.items()), cfg.t - 1,
+                           budget)
+
+
 def _shamir_verdict(cfg: FirewallConfig, shares: dict[int, int],
                     top: int) -> EvalVerdict:
-    """The verdict on Shamir result shares: reconstruct over every size-t
-    subset and compare.  Agreement gives `_decision(value, top)`; any
-    dissent is an alert naming the analysis's suspects, none without a
-    strict majority.  Exactly t shares make one subset: nothing to check."""
+    """The verdict on Shamir result shares: `_decision(value, top)` when
+    they lie on one polynomial, an alert naming the servers `_locate`
+    corrects, with the decoded value, and an alert naming no one when it
+    fails.  Exactly t shares leave nothing to check."""
     if len(shares) < cfg.t:
         raise ServerTimeout(f"need {cfg.t} responses, got {len(shares)}")
-    report = combinational_analysis(reveal_combinations(cfg.field(), shares, cfg.t))
-    decision = _decision(report.value, top) if report.kind == "agree" else "alert"
-    return EvalVerdict(decision, value=report.value, suspects=report.suspects,
-                       reveals=report.reveals)
+    res = _locate(cfg, shares)
+    if res is None:
+        return EvalVerdict("alert")
+    value = res.polynomial.constant_term()
+    if res.bad_indices:
+        return EvalVerdict("alert", value=value, suspects=res.bad_indices)
+    return EvalVerdict(_decision(value, top), value=value)
 
 
 @dataclass(frozen=True)
@@ -525,16 +530,14 @@ def decide_product(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
 
 
 def decide_bw(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
-    """The verdict on product result shares by Berlekamp-Welch decoding:
-    the decoded bit, naming the shares it corrected; an alert naming no
-    one when no polynomial of degree t-1 lies within the error budget."""
-    pts = sorted(shares.items())
-    res = berlekamp_welch(cfg.field(), pts, cfg.t - 1, (len(pts) - cfg.t) // 2)
+    """The verdict on product result shares that corrects what `_locate`
+    finds: the decoded bit, naming the servers it corrected; an alert
+    naming no one when the decoding fails."""
+    res = _locate(cfg, shares)
     if res is None:
         return EvalVerdict("alert")
     value = res.polynomial.constant_term()
-    return EvalVerdict(_decision(value, 1), value=value, suspects=res.bad_indices,
-                       reveals={tuple(sorted(shares)): value})
+    return EvalVerdict(_decision(value, 1), value=value, suspects=res.bad_indices)
 
 
 def check_product_config(cfg: FirewallConfig) -> None:

@@ -222,6 +222,25 @@ class TestAttribution:
             assert res is not None and res.bad_indices == frozenset({bad_idx})
             assert locate_suspects(f, pts, t=1, n=5) == frozenset({bad_idx})
 
+    def test_colluders_below_t_name_no_honest_party(self):
+        # t = 4, n = 9: parties 7, 8 and 9 shift their phase-2 values so
+        # that their reversal points lie on g = f + c(X-1)(X-2)(X-3)(X-4).
+        # The word is two errors from g (at 5 and 6) and three from f; a
+        # two-error budget would decode g and name honest parties 5 and 6.
+        params = DualParams(101, 4, 9)
+        f = params.field()
+        indices = list(range(1, 10))
+        duals = dual_share(23, params, RandomSource(31))
+        cheats = {}
+        for j in (7, 8, 9):
+            shift = 5 * (j - 1) * (j - 2) * (j - 3) * (j - 4)
+            cheats[j] = CheatPlan(phase2_delta=shift * f.inv(
+                delta_prime(f, 1, j, indices)) % f.p)
+        verdicts, _ = run_output_check(duals, cheats=cheats)
+        for j in range(1, 7):
+            assert verdicts[j].status is VerdictStatus.DEGREE_VIOLATION
+            assert verdicts[j].suspects == frozenset()
+
 
 class TestCircuits:
     def test_malformed_forward_reference(self):

@@ -343,6 +343,32 @@ class TestBerlekampWelch:
             assert (res is None) == (oracle is None)
             if res is not None:
                 assert res.polynomial == oracle[0]
+        # 0 to e+1 planted errors at the full budget e = (n-t-1)//2, small
+        # and large moduli, and honest polynomial 0 in the first trial of
+        # each shape, where the remainder sequence can reach zero.
+        for field in (F11, F_M31):
+            for n, t in ((4, 1), (5, 2), (7, 2), (9, 3), (10, 4), (10, 1)):
+                e = (n - t - 1) // 2
+                for k in range(e + 2):
+                    for trial in range(3):
+                        poly = (Polynomial(field, [0]) if trial == 0 else
+                                random_polynomial(field, t, rng.randbelow(
+                                    field.p), rng))
+                        pts = [(i, poly.evaluate(i)) for i in range(1, n + 1)]
+                        idx = list(range(n))
+                        for i in range(k):    # k distinct positions
+                            j = i + rng.randbelow(n - i)
+                            idx[i], idx[j] = idx[j], idx[i]
+                            x, y = pts[idx[i]]
+                            pts[idx[i]] = (x, (y + 1 + rng.randbelow(
+                                field.p - 1)) % field.p)
+                        res = berlekamp_welch(field, pts, t=t, max_errors=e)
+                        oracle = _brute_force_bw(field, pts, t, e)
+                        assert (res is None) == (oracle is None)
+                        if res is not None:
+                            assert (res.polynomial, res.bad_indices) == oracle
+                            if k <= e:
+                                assert res.polynomial == poly
 
 
 class TestLemma1:

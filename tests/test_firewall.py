@@ -40,7 +40,8 @@ from obfw.firewall import (
     run_product_with_vote,
     run_update,
 )
-from obfw.field import PrimeField, interpolate_at_zero, lagrange_zero_coefficients
+from obfw.field import (PrimeField, berlekamp_welch, interpolate_at_zero,
+                        lagrange_zero_coefficients)
 from obfw.rng import RandomSource
 from obfw.sharing import AdditiveParams, additive_share, shamir_share
 
@@ -266,7 +267,7 @@ def cheat_offsets(cfg, j):
 
 class TestShamirSumCheater:
     """Shamir sum mode reads every response: a server that offsets its
-    sigma share is named once more than 2t servers answer, and caught
+    sigma share is named once 2t or more servers answer, and caught
     without a name once more than t do."""
 
     @pytest.mark.parametrize("offset", [0, 1], ids=["minus_one", "minus_inv_weight"])
@@ -285,20 +286,25 @@ class TestShamirSumCheater:
     @pytest.mark.parametrize("cheater", range(1, 6))
     def test_one_dead_server_alerts_without_suspects(self, cheat_filter,
                                                      cheater):
+        # 4 = 2t servers answer: the decoder's budget is one error, so the
+        # alert names exactly the cheater and carries the honest sigma.
         cfg, stores, addrs = cheat_filter
-        for delta in cheat_offsets(cfg, cheater):
-            for dead in set(range(1, 6)) - {cheater}:
-                for addr in addrs:
+        for addr in addrs:
+            honest, _ = run_eval_sum(stores, addr)
+            for delta in cheat_offsets(cfg, cheater):
+                for dead in set(range(1, 6)) - {cheater}:
                     v, _ = run_eval_sum(stores, addr, dead=frozenset({dead}),
                                         tampers={cheater: ServerTamper(delta)})
                     assert v.decision == "alert"
-                    assert v.suspects == frozenset() and v.value is None
+                    assert v.suspects == frozenset({cheater})
+                    assert v.value == honest.value
 
 
 class TestNoMajorityAlerts:
-    """Two servers with different offsets leave no majority among the
-    C(5, 2) reveals: an alert naming no one, at the gateway and in every
-    honest server's local verdict."""
+    """Cheats past the decoder's budget: an alert naming no one, at the
+    gateway and in every honest server's local verdict.  Two servers with
+    different offsets at m/t = 5/2 also leave no majority among the C(5, 2)
+    reveals."""
 
     def test_product(self, cheat_filter):
         _, stores, addrs = cheat_filter
@@ -332,6 +338,24 @@ class TestNoMajorityAlerts:
             v, _ = run_eval_bw(stores, addr, seed=3, tampers={
                 1: ServerTamper(1), 3: ServerTamper(1)})
             assert v == EvalVerdict("alert")
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_four_colluders_cannot_flip_the_bit(self, bit):
+        # m/t = 11/5: servers 8..11 move their result shares onto
+        # g = f + c(X-1)(X-2)(X-3)(X-4), which flips the bit.  The word is
+        # 4 errors from f and 3 from g; the budget, min((11-5)//2,
+        # 11-10+1) = 2, reaches neither, so no one is named and no bit
+        # decoded.  A budget of 3 decodes g and names servers 5, 6 and 7.
+        cfg = FirewallConfig(scheme="shamir", m=11, t=5, N=2 ** 31 - 1,
+                             bloom=TOY_BP)
+        f = cfg.field()
+        c = (1 - 2 * bit) * f.inv(24) % cfg.N     # g(0) = f(0) + 24c = 1 - bit
+        shares = {s.index: s.value for s in
+                  shamir_share(bit, cfg.shamir_params(), RandomSource(11))}
+        for x in (8, 9, 10, 11):
+            shares[x] = (shares[x] + c * (x - 1) * (x - 2) * (x - 3) * (x - 4)) % cfg.N
+        assert decide_product(cfg, shares) == EvalVerdict("alert")
+        assert decide_bw(cfg, shares) == EvalVerdict("alert")
 
 
 def test_bw_names_two_cheaters_within_budget():
@@ -382,14 +406,38 @@ class TestEvalProduct:
     def test_single_tamper_alert_names_server(self):
         _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
         for offset in (1, 5, 10):
-            v, _ = run_eval_product(
+            v, net = run_eval_product(
                 stores, parse_ipv4("0.0.0.5"), seed=offset,
                 tampers={4: ServerTamper(result_offset=offset)})
             assert v.decision == "alert"
             assert v.suspects == frozenset({4})
-            assert v.value == 1  # majority still reconstructs the truth
-            agreeing = sum(1 for val in v.reveals.values() if val == 1)
-            assert len(v.reveals) == 35 and agreeing == 20
+            assert v.value == 1  # the decoder corrects the one bad share
+            # The paper's analysis of the same shares agrees.
+            rep = combinational_analysis(reveal_combinations(
+                stores[0].config.field(), net.results[firewall.GATEWAY], 3))
+            agreeing = sum(1 for val in rep.reveals.values() if val == 1)
+            assert len(rep.reveals) == 35 and agreeing == 20
+            assert rep.suspects == v.suspects and rep.value == v.value
+
+    def test_single_tamper_at_15_7_is_named_by_one_decoding(self, monkeypatch):
+        # The verdict interpolates the 15 shares once and decodes; the
+        # analysis would interpolate all C(15, 7) = 6435 reveal subsets.
+        from obfw import field as field_module
+        cfg = FirewallConfig(scheme="shamir", m=15, t=7, N=2 ** 31 - 1,
+                             bloom=TOY_BP)
+        shares = {s.index: s.value for s in
+                  shamir_share(1, cfg.shamir_params(), RandomSource(15))}
+        shares[9] = (shares[9] + 1) % cfg.N
+        calls = []
+        for module, name in ((field_module, "interpolate"),
+                             (firewall, "interpolate_at_zero")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        v = decide_product(cfg, shares)
+        assert v == EvalVerdict("alert", value=1, suspects=frozenset({9}))
+        assert calls == ["interpolate"]
 
     def test_requires_enough_servers(self):
         _, _, stores = toy_stores(scheme="shamir", m=5, t=3)
@@ -449,22 +497,23 @@ class TestCombinational:
 
 
 def per_subset_verdict(cfg, shares, top):
-    """The Shamir verdict with one interpolation per reveal subset: the
-    reference the consistency-first reveal must equal."""
+    """The Shamir verdict of the paper's analysis, with one interpolation
+    per reveal subset: the reference the decoder's verdict is held to."""
     f = cfg.field()
     reveals = {combo: interpolate_at_zero(f, [(i, shares[i]) for i in combo])
                for combo in itertools.combinations(sorted(shares), cfg.t)}
     rep = combinational_analysis(reveals)
     decision = firewall._decision(rep.value, top) if rep.kind == "agree" else "alert"
-    return EvalVerdict(decision, value=rep.value, suspects=rep.suspects,
-                       reveals=rep.reveals)
+    return EvalVerdict(decision, value=rep.value, suspects=rep.suspects)
 
 
 class TestConsistencyFirstReveal:
-    """Honest shares skip the per-subset interpolations; every verdict is
-    the one the per-subset path gives."""
+    """The decoder's verdict against the per-subset analysis: the same
+    decision, and the same value where both give one.  It names every
+    suspect the analysis names and no server whose share is honest."""
 
-    @pytest.mark.parametrize("m,t", [(3, 2), (5, 2), (5, 3), (7, 3)])
+    @pytest.mark.parametrize("m,t", [(3, 2), (5, 2), (5, 3), (6, 2), (7, 3),
+                                     (9, 4)])
     def test_verdicts_equal_per_subset_path(self, m, t):
         N = 101
         cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=N,
@@ -483,10 +532,29 @@ class TestConsistencyFirstReveal:
                     live = {i: v for i, v in shares.items() if i != dead}
                     if len(live) < t:
                         continue
-                    assert decide_sum(cfg, live) == per_subset_verdict(
-                        cfg, live, cfg.bloom.kappa)
-                    assert decide_product(cfg, live) == per_subset_verdict(
-                        cfg, live, 1)
+                    cheaters = {i for i in offset if i in live}
+                    for decide, top in ((decide_sum, cfg.bloom.kappa),
+                                        (decide_product, 1)):
+                        got = decide(cfg, live)
+                        ref = per_subset_verdict(cfg, live, top)
+                        assert got.decision == ref.decision
+                        assert ref.suspects <= got.suspects <= cheaters
+                        assert None in (got.value, ref.value) or got.value == ref.value
+                        if ref.decision != "alert":
+                            assert got == ref
+
+    def test_two_offsets_at_5_3_name_no_one(self):
+        # The offsets lie one error from 52(X-3)(X-4), a degree-2
+        # polynomial, so a budget of (5-3)//2 = 1 decodes the word to the
+        # wrong polynomial and names honest server 1.  Five live servers
+        # at t = 3 leave a budget of 0: the verdict names no one.
+        cfg = FirewallConfig(scheme="shamir", m=5, t=3, N=101, bloom=TOY_BP)
+        shares = {s.index: (s.value + {2: 3, 5: 3}.get(s.index, 0)) % 101
+                  for s in shamir_share(4, cfg.shamir_params(), RandomSource(5))}
+        wrong = berlekamp_welch(cfg.field(), sorted(shares.items()), 2, 1)
+        assert wrong.bad_indices == frozenset({1})
+        assert decide_product(cfg, shares) == EvalVerdict("alert")
+        assert decide_sum(cfg, shares) == EvalVerdict("alert")
 
 
 class TestBWPath:
@@ -505,14 +573,15 @@ class TestBWPath:
 
     def test_beyond_budget_fails(self):
         from obfw.sharing import shamir_share
-        # m = 5, degree 2 (t = 3): budget is (5-3)//2 = 1 error; two
-        # corruptions must fail unless they imitate a codeword (oracle-checked).
-        # A failed decoding is an alert with no value and no suspects.
+        # m = 5, degree 2 (t = 3): the budget is min((5-3)//2, 5-6+1) = 0
+        # errors, so every two-corruption word fails: an alert with no value
+        # and no suspects.  The oracle counts the words a budget of one
+        # error would decode, always to a wrong polynomial.
         cfg = FirewallConfig(scheme="shamir", m=5, t=3, N=11, bloom=TOY_BP)
         f = PrimeField(11)
         sp = cfg.shamir_params()
         rng = RandomSource(13)
-        fails = 0
+        imitated = 0
         for trial in range(40):
             shares = {s.index: s.value
                       for s in shamir_share(1, sp, rng.child(str(trial)))}
@@ -524,14 +593,9 @@ class TestBWPath:
                 sum(1 for x, y in shares.items()
                     if interpolate(f, [(i, shares[i]) for i in combo]).evaluate(x) == y) >= 4
                 for combo in itertools.combinations(sorted(shares), 3))
-            v = decide_bw(cfg, shares)
-            if v.value is None:
-                fails += 1
-                assert v == EvalVerdict("alert")
-                assert not ok
-            else:
-                assert ok
-        assert fails > 0
+            assert decide_bw(cfg, shares) == EvalVerdict("alert")
+            imitated += ok
+        assert imitated > 0
 
 
 class TestMajorityVote:
