@@ -18,9 +18,9 @@ from typing import Generator, Sequence
 from .field import (
     PrimeField,
     Polynomial,
-    berlekamp_welch,
     interpolate,
     lagrange_zero_inverses,
+    locate,
 )
 from .net import (PROTO_DUAL_OUTPUT_CHECK, Rewrite, Send, add_to_send,
                   group_zp, recv, rewrite_sends, run_session, send)
@@ -358,19 +358,6 @@ class CheatPlan:
                 else cmd)
 
 
-def locate_suspects(field: PrimeField, points: Sequence[tuple[int, int]],
-                    t: int, n: int) -> frozenset[int]:
-    """Name the manipulated indices after a degree violation: the points
-    decoded as a Reed-Solomon word of degree t with an error budget of
-    max(0, min((n-t-1)//2, n-2t)), or no one when that decoding fails.
-    Past n-2t, a polynomial that t-1 colluders move their points onto
-    could lie within the budget, and the decoder would name honest
-    parties.  At n = 2t+1 the budget is one error (none at t = 1)."""
-    budget = max(0, min((n - t - 1) // 2, n - 2 * t))
-    res = berlekamp_welch(field, points, t, budget)
-    return frozenset() if res is None else res.bad_indices
-
-
 def output_check_party(me: int, params: DualParams, dual: DualShare
                        ) -> Generator:
     """Algorithm step (d): zero-check broadcast, then additive reveal.
@@ -418,7 +405,8 @@ def output_check_party(me: int, params: DualParams, dual: DualShare
     if poly2.degree <= params.t and poly2.constant_term() == candidate:
         return OutputVerdict(VerdictStatus.HONEST, secret=candidate,
                              phase1_polynomial=poly1, reversal_polynomial=poly2)
-    suspects = locate_suspects(f, reversal_pts, params.t, n)
+    res = locate(f, reversal_pts, params.t, params.t - 1)
+    suspects = frozenset() if res is None else res.bad_indices
     return OutputVerdict(VerdictStatus.DEGREE_VIOLATION, secret=candidate,
                          phase1_polynomial=poly1, reversal_polynomial=poly2,
                          suspects=suspects)

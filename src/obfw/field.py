@@ -1,5 +1,5 @@
-"""Prime-field arithmetic, Lagrange interpolation, degree detection and
-Reed-Solomon decoding.
+"""Prime-field arithmetic, Lagrange interpolation and Reed-Solomon
+decoding under one error budget (`locate`).
 
 All values are plain Python integers reduced into [0, p); a PrimeField
 instance carries the modulus and provides the arithmetic.  Polynomials are
@@ -297,28 +297,6 @@ def interpolate_at_zero(field: PrimeField, points: Sequence[tuple[int, int]]) ->
 
 
 @dataclass(frozen=True)
-class DegreeCheck:
-    polynomial: Polynomial
-    threshold: int
-
-    @property
-    def clean(self) -> bool:
-        return self.polynomial.degree <= self.threshold
-
-
-def detect_degree(field: PrimeField, points: Sequence[tuple[int, int]],
-                  t: int) -> DegreeCheck:
-    """Interpolate all points and compare the degree against t.
-
-    Requires at least 2t+1 points so that a degree-t sharing and a
-    degree-2t manipulation are distinguishable.
-    """
-    if len(points) < 2 * t + 1:
-        raise InsufficientPoints(f"need >= {2 * t + 1} points, got {len(points)}")
-    return DegreeCheck(interpolate(field, points), t)
-
-
-@dataclass(frozen=True)
 class BWResult:
     polynomial: Polynomial
     bad_indices: frozenset[int]
@@ -355,6 +333,26 @@ def berlekamp_welch(field: PrimeField, points: Sequence[tuple[int, int]],
         return None
     bad = frozenset([x for x, y in points if f.evaluate(x) != y % p])
     return BWResult(f, bad) if len(bad) <= max_errors else None
+
+
+def locate(field: PrimeField, points: Sequence[tuple[int, int]], degree: int,
+           colluders: int) -> BWResult | None:
+    """`berlekamp_welch` on `points` at `degree`, with the largest error
+    budget e at which, while at most `colluders` points lie, a decoding
+    is the honest polynomial and names only lying points:
+    e = max(0, min((n-degree-1)//2, n-degree-colluders-1)).
+
+    Past (n-degree-1)//2 a decoding need not be unique.  Past
+    n-degree-colluders-1 the colluders can win it: moving their points
+    onto g = f + c*prod(X - x_h), over `degree` honest x_h, puts g of
+    degree <= `degree` within n-degree-colluders points of the word, and
+    no g != f comes closer, as g meets f in at most `degree` of the
+    n-colluders honest points.  So any decoding within e is f, and every
+    point it disagrees with lies.
+    """
+    n = len(points)
+    e = max(0, min((n - degree - 1) // 2, n - degree - colluders - 1))
+    return berlekamp_welch(field, points, degree, e)
 
 
 @functools.cache

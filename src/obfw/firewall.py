@@ -5,9 +5,9 @@ position among the servers (additive m-of-m or Shamir), and distributes
 one share store per server.  A gateway evaluates membership obliviously:
 the sum variant reconstructs the count of set positions, the product
 variant reconstructs an AND bit.  Every Shamir verdict decodes the result
-shares once, with `field.berlekamp_welch` under `_locate`'s error budget:
-while at most t-1 servers cheat, every decision is right or an alert, and
-every server an alert names did cheat.  `decide_bw` answers the decoded
+shares once, with `field.locate` at degree t-1 and t-1 colluders: while
+at most t-1 servers cheat, every decision is right or an alert, and every
+server an alert names did cheat.  `decide_bw` answers the decoded
 bit; a majority vote settles the verdicts the servers return.  No rule
 raises for a cheat: a failed decoding or a split vote is an alert.
 
@@ -33,8 +33,7 @@ from typing import Generator, Iterable, Sequence
 from .bloom import (BloomFilter, BloomParams, SipHashFamily, read_obfw_file,
                     write_obfw_file)
 from .errors import BadParams, IoError
-from .field import (BWResult, NotPrime, PrimeField, berlekamp_welch,
-                    interpolate_at_zero)
+from .field import NotPrime, PrimeField, interpolate_at_zero, locate
 from .net import (
     PROTO_FW_EVAL_PRODUCT,
     PROTO_FW_EVAL_SUM,
@@ -52,7 +51,7 @@ from .net import (
     run_session,
     send,
 )
-from .rng import UINT_TYPECODES, RandomSource
+from .rng import UINT_TYPECODES, RandomSource, unpack_uints
 from .sharing import ShamirParams, mult_fanin_party, share_columns
 
 # Share columns are unsigned 32-bit arrays: 4 bytes a share, so N < 2^32
@@ -259,14 +258,8 @@ def _pack_shares(values: array, width: int) -> bytes:
 
 def _unpack_shares(body: bytes, width: int) -> array:
     """The share column that `_pack_shares(values, width)` wrote as `body`."""
-    typecode = UINT_TYPECODES.get(width)
-    if typecode is None:
-        return array(SHARE_TYPECODE, (int.from_bytes(body[i:i + width], "little")
-                                      for i in range(0, len(body), width)))
-    values = array(typecode, body)
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values if typecode == SHARE_TYPECODE else array(SHARE_TYPECODE, values)
+    values = unpack_uints(body, width)
+    return values if values.typecode == SHARE_TYPECODE else array(SHARE_TYPECODE, values)
 
 
 # ---------------------------------------------------------------------------
@@ -416,27 +409,15 @@ def _decision(value: int, top: int) -> str:
     return "block" if value == top else "forward"
 
 
-def _locate(cfg: FirewallConfig, shares: dict[int, int]) -> BWResult | None:
-    """Decode the result shares as a word of degree t-1 with an error
-    budget of max(0, min((live-t)//2, live-2t+1)).  Past (live-t)//2 the
-    decoding is not unique.  Past live-2t+1, a polynomial that t-1
-    cheaters move their shares onto could lie within the budget, so the
-    decoder would name honest servers and hand back the cheaters' value."""
-    live = len(shares)
-    budget = max(0, min((live - cfg.t) // 2, live - 2 * cfg.t + 1))
-    return berlekamp_welch(cfg.field(), sorted(shares.items()), cfg.t - 1,
-                           budget)
-
-
 def _shamir_verdict(cfg: FirewallConfig, shares: dict[int, int],
                     top: int) -> EvalVerdict:
     """The verdict on Shamir result shares: `_decision(value, top)` when
-    they lie on one polynomial, an alert naming the servers `_locate`
+    they lie on one polynomial, an alert naming the servers `locate`
     corrects, with the decoded value, and an alert naming no one when it
     fails.  Exactly t shares leave nothing to check."""
     if len(shares) < cfg.t:
         raise ServerTimeout(f"need {cfg.t} responses, got {len(shares)}")
-    res = _locate(cfg, shares)
+    res = locate(cfg.field(), sorted(shares.items()), cfg.t - 1, cfg.t - 1)
     if res is None:
         return EvalVerdict("alert")
     value = res.polynomial.constant_term()
@@ -530,10 +511,10 @@ def decide_product(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
 
 
 def decide_bw(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
-    """The verdict on product result shares that corrects what `_locate`
+    """The verdict on product result shares that corrects what `locate`
     finds: the decoded bit, naming the servers it corrected; an alert
     naming no one when the decoding fails."""
-    res = _locate(cfg, shares)
+    res = locate(cfg.field(), sorted(shares.items()), cfg.t - 1, cfg.t - 1)
     if res is None:
         return EvalVerdict("alert")
     value = res.polynomial.constant_term()

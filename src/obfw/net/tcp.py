@@ -266,7 +266,8 @@ class TcpNode:
             return
         if conn.peer is None:
             # Handshake: the peer names its index and we answer with ours,
-            # once the connection is installed for sends.
+            # once the connection is installed for sends (`build_mesh`
+            # relies on this order).
             del self._handshakes[conn]
             conn.peer = data[0]
             self._install(conn.peer, conn.sock)
@@ -509,22 +510,15 @@ class TcpNode:
 
 
 def build_mesh(indices: list[int], timeout: float = 10.0) -> dict[int, TcpNode]:
-    """Fully connected loopback mesh for tests and demos."""
+    """Fully connected loopback mesh for tests and demos.  Both directions
+    of a link are registered once its `connect` returns: the acceptor
+    installs the connection before it sends the ack `connect` awaits."""
     nodes = {i: TcpNode(i, Endpoint("127.0.0.1", 0), timeout=timeout)
              for i in indices}
     for i in indices:
         for j in indices:
             if i < j:
                 nodes[i].connect(j, Endpoint("127.0.0.1", nodes[j].port))
-    # Wait until both directions are registered.
-    deadline = time.monotonic() + timeout
-    for i in indices:
-        for j in indices:
-            if i != j:
-                while j not in nodes[i]._conns:
-                    if time.monotonic() > deadline:
-                        raise ConnectFail("mesh wiring timed out")
-                    time.sleep(0.001)
     return nodes
 
 

@@ -26,7 +26,7 @@ except ImportError:
 
 # array typecodes of unsigned integers of 1, 2 and 4 bytes, which hold
 # little-endian values once byteswapped on a big-endian host; other widths
-# go through int.from_bytes and int.to_bytes (`_unpack` widens 3-byte
+# go through int.from_bytes and int.to_bytes (`unpack_uints` widens 3-byte
 # draws to 4 bytes first).
 UINT_TYPECODES = {1: "B", 2: "H", 4: "I"}
 
@@ -84,7 +84,7 @@ class RandomSource:
                          for seed in seeds for ctr in ctrs])
         row = 32 * len(ctrs)
         if width in UINT_TYPECODES:
-            flat = _unpack(blob, width)
+            flat = unpack_uints(blob, width)
             stride = row // width
             cols = [flat[j::stride] for j in range(count)]
         else:
@@ -95,7 +95,8 @@ class RandomSource:
         if any(max(col, default=0) >= n for col in cols):
             rejected = {i for col in cols for i, v in enumerate(col) if v >= n}
             for i in rejected:
-                draws = _unpack(blob[i * row:i * row + row // width * width], width)
+                draws = unpack_uints(
+                    blob[i * row:i * row + row // width * width], width)
                 kept = [v >> shift for v in draws if v >> shift < n]
                 if len(kept) < count:
                     kept = RandomSource(seeds[i]).randbelow_many(n, count)
@@ -158,7 +159,7 @@ class RandomSource:
             need = count - len(out)
             # The mean number of draws holding `need` in range, plus one sigma.
             ahead = round(need / q + math.sqrt(need * (1 - q)) / q)
-            draws = _unpack(self.bytes(ahead * width), width)
+            draws = unpack_uints(self.bytes(ahead * width), width)
             out += [v >> shift for v in draws if v < bound]
         # Give back the draws after the count-th in-range one.
         drop, i = len(out) - count, len(draws)
@@ -174,7 +175,7 @@ class RandomSource:
         return out[:count]
 
 
-def _unpack(blob: bytes, width: int) -> Sequence[int]:
+def unpack_uints(blob: bytes, width: int) -> Sequence[int]:
     """The little-endian unsigned integers of `width` bytes in `blob`."""
     if width == 3:
         # Widen each draw to four bytes, so that one array reads them all.

@@ -1,4 +1,6 @@
 """Dual-sharing compiler: golden vectors, circuits, cheater detection."""
+import math
+
 import pytest
 
 from obfw.dual import (
@@ -205,8 +207,7 @@ class TestCheaterDetectionSweep:
 class TestAttribution:
     def test_bw_names_cheater_n5_t1(self):
         # n = 5 >= 3t+1 = 4: the Reed-Solomon view can name the index.
-        from obfw.dual import locate_suspects
-        from obfw.field import berlekamp_welch
+        from obfw.field import berlekamp_welch, locate
         from obfw.sharing import ShamirParams, shamir_share
         rng = RandomSource(17)
         sp = ShamirParams(101, 1, 5)
@@ -220,26 +221,37 @@ class TestAttribution:
             pts = [(x, (y + delta) % 101 if x == bad_idx else y) for x, y in pts]
             res = berlekamp_welch(f, pts, t=1, max_errors=1)
             assert res is not None and res.bad_indices == frozenset({bad_idx})
-            assert locate_suspects(f, pts, t=1, n=5) == frozenset({bad_idx})
+            # t - 1 = 0 colluders: the budget is the unique-decoding radius.
+            assert locate(f, pts, 1, 0) == res
 
     def test_colluders_below_t_name_no_honest_party(self):
-        # t = 4, n = 9: parties 7, 8 and 9 shift their phase-2 values so
-        # that their reversal points lie on g = f + c(X-1)(X-2)(X-3)(X-4).
-        # The word is two errors from g (at 5 and 6) and three from f; a
-        # two-error budget would decode g and name honest parties 5 and 6.
-        params = DualParams(101, 4, 9)
-        f = params.field()
-        indices = list(range(1, 10))
-        duals = dual_share(23, params, RandomSource(31))
-        cheats = {}
-        for j in (7, 8, 9):
-            shift = 5 * (j - 1) * (j - 2) * (j - 3) * (j - 4)
-            cheats[j] = CheatPlan(phase2_delta=shift * f.inv(
-                delta_prime(f, 1, j, indices)) % f.p)
-        verdicts, _ = run_output_check(duals, cheats=cheats)
-        for j in range(1, 7):
-            assert verdicts[j].status is VerdictStatus.DEGREE_VIOLATION
-            assert verdicts[j].suspects == frozenset()
+        # n = 2t+1: the last t-1 parties shift their phase-2 values so that
+        # their reversal points lie on g = f + 5(X-1)...(X-t).  The word is
+        # t-1 errors from f and two from g (at t+1 and t+2); the output
+        # check's budget is one error, so it names the one colluder at
+        # t = 2 and no one at t = 3 and 4.  At t = 4 a budget of two, still
+        # within the unique-decoding radius, decodes g and names honest
+        # parties 5 and 6.
+        from obfw.field import berlekamp_welch
+        for t, named in ((2, {5}), (3, set()), (4, set())):
+            n = 2 * t + 1
+            params = DualParams(101, t, n)
+            f = params.field()
+            indices = list(range(1, n + 1))
+            duals = dual_share(23, params, RandomSource(31))
+            cheats = {}
+            for j in range(t + 3, n + 1):
+                shift = 5 * math.prod(j - h for h in range(1, t + 1))
+                cheats[j] = CheatPlan(phase2_delta=shift * f.inv(
+                    delta_prime(f, 1, j, indices)) % f.p)
+            verdicts, _ = run_output_check(duals, cheats=cheats)
+            for j in range(1, t + 3):
+                assert verdicts[j].status is VerdictStatus.DEGREE_VIOLATION
+                assert verdicts[j].suspects == named
+            if t == 4:
+                word = verdicts[1].reversal_polynomial
+                pts = [(j, word.evaluate(j)) for j in indices]
+                assert berlekamp_welch(f, pts, t, 2).bad_indices == {5, 6}
 
 
 class TestCircuits:

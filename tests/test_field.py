@@ -1,4 +1,4 @@
-"""Field arithmetic, interpolation, degree detection and BW decoding."""
+"""Field arithmetic, interpolation and BW decoding."""
 import itertools
 
 import pytest
@@ -13,7 +13,6 @@ from obfw.field import (
     PrimeField,
     ZeroInverse,
     berlekamp_welch,
-    detect_degree,
     interpolate,
     inverse_vandermonde,
     is_probable_prime,
@@ -119,6 +118,11 @@ class TestInterpolate:
     def test_degree_two_shares(self):
         poly = interpolate(F101, [(1, 62), (2, 10), (3, 56), (4, 99), (5, 38)])
         assert poly.coeffs == [10, 3, 49]  # 49x^2+3x+10
+        # One tampered share lifts the degree to 4; zero shares give the
+        # zero polynomial, of degree -1.
+        poly = interpolate(F101, [(1, 62), (2, 10), (3, 46), (4, 99), (5, 38)])
+        assert poly.coeffs == [11, 97, 78, 30, 48] and poly.degree == 4
+        assert interpolate(F251, [(i, 0) for i in range(1, 6)]).degree == -1
 
     def test_single_point_constant(self):
         assert interpolate(F101, [(1, 7)]).coeffs == [7]
@@ -220,32 +224,6 @@ class TestInverseVandermonde:
             weights = lagrange_zero_coefficients(field, idx)
             inverses = lagrange_zero_inverses(field, idx)
             assert [w * v % field.p for w, v in zip(weights, inverses)] == [1] * 5
-
-
-class TestDetectDegree:
-    def test_honest_degree_two(self):
-        chk = detect_degree(F101, [(1, 62), (2, 10), (3, 56), (4, 99), (5, 38)], t=2)
-        assert chk.clean and chk.polynomial.coeffs == [10, 3, 49]
-
-    def test_tampered_degree_four(self):
-        chk = detect_degree(F101, [(1, 62), (2, 10), (3, 46), (4, 99), (5, 38)], t=2)
-        assert not chk.clean
-        assert chk.polynomial.coeffs == [11, 97, 78, 30, 48]
-
-    def test_fresh_sharing_clean(self):
-        rng = RandomSource(99)
-        poly = random_polynomial(F251, 2, 77, rng)
-        pts = [(i, poly.evaluate(i)) for i in range(1, 6)]
-        assert detect_degree(F251, pts, t=2).clean
-
-    def test_zero_sharing_clean(self):
-        pts = [(i, 0) for i in range(1, 6)]
-        chk = detect_degree(F251, pts, t=2)
-        assert chk.polynomial.degree == -1 and chk.clean
-
-    def test_insufficient_points(self):
-        with pytest.raises(InsufficientPoints):
-            detect_degree(F101, [(1, 1), (2, 2)], t=2)
 
 
 class TestVandermondeRow:

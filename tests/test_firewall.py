@@ -341,21 +341,38 @@ class TestNoMajorityAlerts:
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_four_colluders_cannot_flip_the_bit(self, bit):
-        # m/t = 11/5: servers 8..11 move their result shares onto
-        # g = f + c(X-1)(X-2)(X-3)(X-4), which flips the bit.  The word is
-        # 4 errors from f and 3 from g; the budget, min((11-5)//2,
-        # 11-10+1) = 2, reaches neither, so no one is named and no bit
-        # decoded.  A budget of 3 decodes g and names servers 5, 6 and 7.
-        cfg = FirewallConfig(scheme="shamir", m=11, t=5, N=2 ** 31 - 1,
-                             bloom=TOY_BP)
-        f = cfg.field()
-        c = (1 - 2 * bit) * f.inv(24) % cfg.N     # g(0) = f(0) + 24c = 1 - bit
-        shares = {s.index: s.value for s in
-                  shamir_share(bit, cfg.shamir_params(), RandomSource(11))}
-        for x in (8, 9, 10, 11):
-            shares[x] = (shares[x] + c * (x - 1) * (x - 2) * (x - 3) * (x - 4)) % cfg.N
-        assert decide_product(cfg, shares) == EvalVerdict("alert")
-        assert decide_bw(cfg, shares) == EvalVerdict("alert")
+        # m = 2t+1: the last t-1 servers move their result shares onto
+        # g = f + c(X-1)...(X-(t-1)), which flips the bit.  The word is t-1
+        # errors from f and 3 from g (at t, t+1 and t+2); the budget is
+        # min((m-t)//2, m-2t+1) = 1, 2, 2 and 2 at 5/2, 7/3, 11/5 and 15/7.
+        # At 5/2 and 7/3 it reaches the colluders, and both verdicts name
+        # them and keep f's bit.  At 11/5 and 15/7 it reaches neither word,
+        # so no one is named and no bit decoded; there a budget of 3, still
+        # within (m-t)//2, decodes g and names three honest servers.
+        for t in (2, 3, 5, 7):
+            m = 2 * t + 1
+            cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
+                                 bloom=TOY_BP)
+            f = cfg.field()
+            lift = math.prod(-h for h in range(1, t))   # (X-1)...(X-(t-1)) at 0
+            c = (1 - 2 * bit) * f.inv(lift) % cfg.N     # g(0) = 1 - bit
+            shares = {s.index: s.value for s in
+                      shamir_share(bit, cfg.shamir_params(), RandomSource(m))}
+            colluders = frozenset(range(t + 3, m + 1))
+            for x in colluders:
+                shares[x] = (shares[x] + c * math.prod(
+                    x - h for h in range(1, t))) % cfg.N
+            if t <= 3:
+                assert decide_product(cfg, shares) == EvalVerdict(
+                    "alert", value=bit, suspects=colluders)
+                assert decide_bw(cfg, shares) == EvalVerdict(
+                    ("forward", "block")[bit], value=bit, suspects=colluders)
+            else:
+                assert decide_product(cfg, shares) == EvalVerdict("alert")
+                assert decide_bw(cfg, shares) == EvalVerdict("alert")
+                wrong = berlekamp_welch(f, sorted(shares.items()), t - 1, 3)
+                assert wrong.bad_indices == frozenset({t, t + 1, t + 2})
+                assert wrong.polynomial.constant_term() == 1 - bit
 
 
 def test_bw_names_two_cheaters_within_budget():
@@ -419,25 +436,26 @@ class TestEvalProduct:
             assert len(rep.reveals) == 35 and agreeing == 20
             assert rep.suspects == v.suspects and rep.value == v.value
 
-    def test_single_tamper_at_15_7_is_named_by_one_decoding(self, monkeypatch):
-        # The verdict interpolates the 15 shares once and decodes; the
-        # analysis would interpolate all C(15, 7) = 6435 reveal subsets.
+    def test_single_tamper_at_15_7_is_named_by_one_decoding(self):
+        # The verdict interpolates the 15 shares once, from one inverse
+        # Vandermonde table, and decodes; the analysis would interpolate
+        # all C(15, 7) = 6435 reveal subsets at zero, each through the
+        # zero weights.
         from obfw import field as field_module
         cfg = FirewallConfig(scheme="shamir", m=15, t=7, N=2 ** 31 - 1,
                              bloom=TOY_BP)
         shares = {s.index: s.value for s in
                   shamir_share(1, cfg.shamir_params(), RandomSource(15))}
         shares[9] = (shares[9] + 1) % cfg.N
-        calls = []
-        for module, name in ((field_module, "interpolate"),
-                             (firewall, "interpolate_at_zero")):
-            def counted(*args, real=getattr(module, name), name=name):
-                calls.append(name)
-                return real(*args)
-            monkeypatch.setattr(module, name, counted)
+        tables = (field_module.inverse_vandermonde, field_module._zero_weights)
+
+        def lookups():
+            return [fn.cache_info().hits + fn.cache_info().misses
+                    for fn in tables]
+        before = lookups()
         v = decide_product(cfg, shares)
         assert v == EvalVerdict("alert", value=1, suspects=frozenset({9}))
-        assert calls == ["interpolate"]
+        assert [b - a for a, b in zip(before, lookups())] == [1, 0]
 
     def test_requires_enough_servers(self):
         _, _, stores = toy_stores(scheme="shamir", m=5, t=3)

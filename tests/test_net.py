@@ -441,6 +441,9 @@ class TestTcp:
         sim = run_semi_honest(123, 45, 8, seed=5)
         nodes = build_mesh([1, 2, 3])
         try:
+            # Both directions of every link are registered on return.
+            for i, node in nodes.items():
+                assert set(node._conns) == {1, 2, 3} - {i}
             progs = build_programs(123, 45, params, 5)
             results, errors, tr = run_tcp_session(
                 nodes, progs, session_id=1, protocol_id=PROTO_SC_SEMI_HONEST)

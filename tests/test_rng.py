@@ -143,7 +143,7 @@ class _ShortfallSource(RandomSource):
         bound = n << shift
         out = []
         while len(out) < count:
-            draws = rng_module._unpack(self.bytes((count - len(out)) * width), width)
+            draws = rng_module.unpack_uints(self.bytes((count - len(out)) * width), width)
             out += [v >> shift for v in draws if v < bound]
         return out
 
