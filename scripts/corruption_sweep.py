@@ -15,8 +15,11 @@ a blacklisted and a fresh address.  Reports the outcomes by the number of
 live servers; a cheat must be caught once more than t servers answer, and
 the cheater named once 2t or more do.  At these shapes that is every cheat.
 
-Product mode, m = 5, t = 2, under the combination, Berlekamp-Welch and
-vote decoders.  Every server offsets its result share by 1, -1 or
+Product mode, m = 5, t = 2, under three decoders: `run_eval_product`,
+whose verdict is `decide_product`'s one decoding of the result shares,
+Berlekamp-Welch and the vote.  The first keeps the family name
+`product-combination`, after the combination analysis that decoding
+replaced, so that the JSON line keeps its keys.  Every server offsets its result share by 1, -1 or
 -1/L_j(0) on a blacklisted and a fresh address: each cheat must be
 detected and the cheater named.  Every server also shifts its last local
 product by -1/L_j(0) before resharing it, and its result share by -1, on
@@ -159,7 +162,9 @@ def local_product_shift(delta, last_step, N):
 
 
 def product_decoders(stores):
-    """decoder -> decode(addr, tampers, seed), the final verdict on `stores`."""
+    """decoder -> decode(addr, tampers, seed), the final verdict on `stores`.
+    "combination" is `decide_product`'s one decoding; the name keeps the
+    JSON line's keys."""
     return {
         "combination": lambda addr, tampers, seed: run_eval_product(
             stores, addr, seed=seed, tampers=tampers)[0],

@@ -241,8 +241,6 @@ class FixedHashFamily:
 class BloomParams:
     beta: int
     kappa: int
-    eta: int
-    target_fp: float
 
     def __post_init__(self):
         if self.kappa < 1 or self.beta < self.kappa:
@@ -263,7 +261,7 @@ def derive_params(eta: int, target_fp: float) -> BloomParams:
     kappa = max(1, round(beta / eta * math.log(2)))
     kappa = min(kappa, 64)
     beta = max(beta, kappa)
-    return BloomParams(beta=beta, kappa=kappa, eta=eta, target_fp=target_fp)
+    return BloomParams(beta, kappa)
 
 
 class BloomFilter:
@@ -321,8 +319,7 @@ class BloomFilter:
         if len(body) != 16 + (beta + 7) // 8:
             raise IoError("truncated bit array")
         try:
-            flt = cls(BloomParams(beta=beta, kappa=kappa, eta=1,
-                                  target_fp=0.5), body[:16])
+            flt = cls(BloomParams(beta, kappa), body[:16])
         except BadParams as exc:
             raise IoError(f"filter header: {exc}") from exc
         flt.bits = bytearray(body[16:])

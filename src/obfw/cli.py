@@ -134,8 +134,7 @@ def _bloom_params(cfg: dict) -> BloomParams:
         if key in b and other not in b:
             raise ConfigError(f"bloom has {key!r} but no {other!r}")
     if "beta" in b:
-        return BloomParams(beta=b["beta"], kappa=b["kappa"],
-                           eta=b.get("eta", 1), target_fp=b.get("target_fp", 0.5))
+        return BloomParams(b["beta"], b["kappa"])
     return derive_params(b.get("eta", 1000), b.get("target_fp", 0.01))
 
 

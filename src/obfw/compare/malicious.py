@@ -100,8 +100,7 @@ def malicious_party(me: int, sp: ShamirParams, lbits: int,
     return f
 
 
-def run_mult_fanin(value_shares: list[list[ShamirShare]], seed=0,
-                   session_id: int = 0):
+def run_mult_fanin(value_shares: list[list[ShamirShare]], seed=0):
     """Drive a fan-in product of k shared values; returns (shares, net).
 
     `value_shares` is a list of k share vectors, each sorted by party.
@@ -114,8 +113,7 @@ def run_mult_fanin(value_shares: list[list[ShamirShare]], seed=0,
                             rng.child(f"fanin/{j}"))
         for j in range(1, n + 1)
     }
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_SC_MALICIOUS)
+    net = run_session(programs, protocol_id=PROTO_SC_MALICIOUS)
     shares = [ShamirShare(j, net.results[j], sp) for j in sorted(net.results)]
     return shares, net
 
@@ -129,7 +127,7 @@ class MaliciousOutcome:
 
 
 def run_malicious(a: int, b: int, lbits: int, t: int = 1, seed=0,
-                  with_taps: bool = False, session_id: int = 0) -> MaliciousOutcome:
+                  with_taps: bool = False) -> MaliciousOutcome:
     params = ComparisonParams.for_bitwidth(lbits)
     params.check_input(a)
     params.check_input(b)
@@ -148,8 +146,7 @@ def run_malicious(a: int, b: int, lbits: int, t: int = 1, seed=0,
                            rng.child(f"party/{j}"), taps)
         for j in range(1, n + 1)
     }
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_SC_MALICIOUS)
+    net = run_session(programs, protocol_id=PROTO_SC_MALICIOUS)
     shares = [ShamirShare(j, net.results[j], sp) for j in sorted(net.results)]
     f = shamir_reveal(shares)
     if taps is not None:

@@ -442,13 +442,13 @@ def build_programs(a: int, b: int, params: ComparisonParams, seed,
 
 
 def run_semi_honest(a: int, b: int, lbits: int, seed=0, variant: str = "alg4",
-                    force_pi: int | None = None, with_taps: bool = False,
-                    session_id: int = 0) -> CompareOutcome:
+                    force_pi: int | None = None,
+                    with_taps: bool = False) -> CompareOutcome:
     params = ComparisonParams.for_bitwidth(lbits)
     taps = TapRecorder() if with_taps else None
     programs = build_programs(a, b, params, seed, variant, force_pi, taps)
     proto = PROTO_SC_SEMI_HONEST if variant == "alg4" else PROTO_SC_LOW_ROUNDS
-    net = run_session(programs, session_id=session_id, protocol_id=proto)
+    net = run_session(programs, protocol_id=proto)
     shares = {1: net.results[1], 2: net.results[2]}
     f = (shares[1] + shares[2]) % params.N
     if taps is not None:
@@ -475,15 +475,14 @@ def build_shared_programs(a: int, b: int, params: ComparisonParams, m: int,
 
 
 def run_shared_inputs(a: int, b: int, lbits: int, m: int = 3, seed=0,
-                      force_pi: int | None = None, with_taps: bool = False,
-                      session_id: int = 0) -> CompareOutcome:
+                      force_pi: int | None = None,
+                      with_taps: bool = False) -> CompareOutcome:
     if m < 3:
         raise ValueError("shared-input comparison needs m >= 3")
     params = ComparisonParams.for_bitwidth(lbits)
     taps = TapRecorder() if with_taps else None
     programs = build_shared_programs(a, b, params, m, seed, force_pi, taps)
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_SC_SHARED_INPUTS)
+    net = run_session(programs, protocol_id=PROTO_SC_SHARED_INPUTS)
     shares = dict(net.results)
     f = sum(shares.values()) % params.N
     if taps is not None:

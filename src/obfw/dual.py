@@ -412,7 +412,7 @@ def output_check_party(me: int, params: DualParams, dual: DualShare
                          suspects=suspects)
 
 
-def run_output_check(duals: Sequence[DualShare], session_id: int = 0,
+def run_output_check(duals: Sequence[DualShare],
                      cheats: dict[int, Rewrite] | None = None):
     """Drive the output check over the simulator; per-party verdicts.  A
     party in `cheats` runs under that rewrite of its Sends (a CheatPlan)."""
@@ -421,6 +421,5 @@ def run_output_check(duals: Sequence[DualShare], session_id: int = 0,
     programs = {d.index: output_check_party(d.index, params, d) for d in duals}
     for i, rewrite in (cheats or {}).items():
         programs[i] = rewrite_sends(programs[i], rewrite)
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_DUAL_OUTPUT_CHECK)
+    net = run_session(programs, protocol_id=PROTO_DUAL_OUTPUT_CHECK)
     return net.results, net

@@ -51,7 +51,7 @@ from .net import (
     run_session,
     send,
 )
-from .rng import UINT_TYPECODES, RandomSource, unpack_uints
+from .rng import RandomSource, unpack_uints
 from .sharing import ShamirParams, mult_fanin_party, share_columns
 
 # Share columns are unsigned 32-bit arrays: 4 bytes a share, so N < 2^32
@@ -153,7 +153,8 @@ class ShareStore:
     party_index: int
     instance_keys: list[bytes]
     values: array
-    _lock: threading.Lock = dc_field(default_factory=threading.Lock, repr=False)
+    _lock: threading.Lock = dc_field(default_factory=threading.Lock,
+                                     repr=False, compare=False)
     # Hash family over `instance_keys`, built here unless given (a stub
     # family in tests); not saved with the store.
     family: object = dc_field(default=None, repr=False, compare=False)
@@ -227,8 +228,7 @@ class ShareStore:
         off += 16 * kappa
         try:
             cfg = FirewallConfig(scheme=("additive", "shamir")[tag], m=m, N=N,
-                                 t=t, bloom=BloomParams(beta=beta, kappa=kappa,
-                                                        eta=1, target_fp=0.5))
+                                 t=t, bloom=BloomParams(beta, kappa))
             family = SipHashFamily.from_keys(keys)
         except (BadConfig, BadParams) as exc:
             raise IoError(f"share-store header: {exc}") from exc
@@ -247,13 +247,18 @@ class ShareStore:
 
 def _pack_shares(values: array, width: int) -> bytes:
     """`values` as `width`-byte little-endian integers, back to back."""
-    typecode = UINT_TYPECODES.get(width)
-    if typecode is None:
-        return b"".join(v.to_bytes(width, "little") for v in values)
-    packed = array(typecode, values)
+    packed = array(SHARE_TYPECODE, values)
     if sys.byteorder == "big":
         packed.byteswap()
-    return packed.tobytes()
+    blob = packed.tobytes()
+    if width == 4:
+        return blob
+    # Keep the low `width` bytes of each four: an array copy and `width`
+    # slice copies, where converting to a narrower array goes value by value.
+    narrow = bytearray(len(values) * width)
+    for j in range(width):
+        narrow[j::width] = blob[j::4]
+    return bytes(narrow)
 
 
 def _unpack_shares(body: bytes, width: int) -> array:
@@ -484,11 +489,8 @@ def server_product_program(store: ShareStore, rng: RandomSource,
     ((addr_int,),) = yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
     addr = addr_int.to_bytes(4, "big")
     vals = store.read(store.hash_indices(addr))
-    if len(vals) == 1:
-        result = vals[0]
-    else:
-        result = yield from mult_fanin_party(store.party_index, sp, vals,
-                                             rng.child(f"fw/{store.party_index}"))
+    result = yield from mult_fanin_party(store.party_index, sp, vals,
+                                         rng.child(f"fw/{store.party_index}"))
     yield from send(GATEWAY, RESULT_STEP, [(zn, [result])])
     if not broadcast:
         return None
@@ -554,7 +556,7 @@ def server_program(store: ShareStore, protocol_id: int, rng) -> Generator | None
 
 def _simulate(stores: Sequence[ShareStore], addr: bytes, protocol_id: int,
               seed, tampers: dict[int, Rewrite] | None,
-              dead: frozenset[int], session_id: int):
+              dead: frozenset[int]):
     """Simulate the gateway and the servers of `stores` not in `dead`; a
     server in `tampers` runs its program under that rewrite of its Sends.
     A product session, the vote's too, makes the gateway's config check."""
@@ -568,32 +570,28 @@ def _simulate(stores: Sequence[ShareStore], addr: bytes, protocol_id: int,
                                                  lambda: RandomSource(seed))
     for i, rewrite in (tampers or {}).items():
         programs[i] = rewrite_sends(programs[i], rewrite)
-    return run_session(programs, session_id=session_id, protocol_id=protocol_id)
+    return run_session(programs, protocol_id=protocol_id)
 
 
 def run_eval_sum(stores: Sequence[ShareStore], addr: bytes,
                  dead: frozenset[int] = frozenset(),
-                 tampers: dict[int, Rewrite] | None = None,
-                 session_id: int = 0):
-    net = _simulate(stores, addr, PROTO_FW_EVAL_SUM, 0, tampers, dead,
-                    session_id)
+                 tampers: dict[int, Rewrite] | None = None):
+    net = _simulate(stores, addr, PROTO_FW_EVAL_SUM, 0, tampers, dead)
     return decide_sum(stores[0].config, net.results[GATEWAY]), net
 
 
 def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
-                     tampers: dict[int, Rewrite] | None = None,
-                     session_id: int = 0):
+                     tampers: dict[int, Rewrite] | None = None):
     net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, seed, tampers,
-                    frozenset(), session_id)
+                    frozenset())
     return decide_product(stores[0].config, net.results[GATEWAY]), net
 
 
 def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
-                tampers: dict[int, Rewrite] | None = None,
-                session_id: int = 0):
+                tampers: dict[int, Rewrite] | None = None):
     """Product evaluation with Berlekamp-Welch recovery at the gateway."""
     net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, seed, tampers,
-                    frozenset(), session_id)
+                    frozenset())
     return decide_bw(stores[0].config, net.results[GATEWAY]), net
 
 
@@ -607,8 +605,7 @@ def majority_vote(verdicts: Sequence[EvalVerdict]) -> EvalVerdict:
 
 
 def run_product_with_vote(stores: Sequence[ShareStore], addr: bytes, seed=0,
-                          tampers: dict[int, Rewrite] | None = None,
-                          session_id: int = 0):
+                          tampers: dict[int, Rewrite] | None = None):
     """Product evaluation plus the share broadcast enabling a server vote.
 
     Every server reconstructs locally from the broadcast shares and returns
@@ -617,7 +614,7 @@ def run_product_with_vote(stores: Sequence[ShareStore], addr: bytes, seed=0,
     transmissions.
     """
     net = _simulate(stores, addr, PROTO_MAJORITY_VOTE, seed, tampers,
-                    frozenset(), session_id)
+                    frozenset())
     verdicts = [decide_product(stores[0].config, net.results[GATEWAY])]
     verdicts += [net.results[s.party_index] for s in stores]
     return majority_vote(verdicts), verdicts, net
@@ -654,7 +651,7 @@ def server_update_program(store: ShareStore, count: int) -> Generator:
 
 
 def run_update(stores: Sequence[ShareStore], flt: BloomFilter, addr: bytes,
-               seed=0, session_id: int = 0):
+               seed=0):
     cfg = stores[0].config
     rng = RandomSource(seed)
     per_server = fw_update_pairs(flt, cfg, addr, rng)
@@ -664,9 +661,7 @@ def run_update(stores: Sequence[ShareStore], flt: BloomFilter, addr: bytes,
         ADMIN: admin_update_program(cfg, per_server)}
     for s in stores:
         programs[s.party_index] = server_update_program(s, count)
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_FW_UPDATE)
-    return net
+    return run_session(programs, protocol_id=PROTO_FW_UPDATE)
 
 
 # ---------------------------------------------------------------------------

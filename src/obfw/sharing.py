@@ -133,9 +133,6 @@ class AdditiveParams:
         if self.modulus < 2:
             raise BadParams("modulus too small")
 
-    def field(self) -> PrimeField:
-        return PrimeField(self.modulus)
-
 
 @dataclass(frozen=True)
 class AdditiveShare:
@@ -289,7 +286,7 @@ def shamir_mult_party(me: int, params: ShamirParams,
 
 
 def run_shamir_mult(a_shares: Sequence[ShamirShare], b_shares: Sequence[ShamirShare],
-                    rng: RandomSource, session_id: int = 0,
+                    rng: RandomSource,
                     forced_h: dict[int, Sequence[int]] | None = None):
     """Drive one multiplication over the simulator; returns (shares, net)."""
     params = a_shares[0].params
@@ -302,7 +299,7 @@ def run_shamir_mult(a_shares: Sequence[ShamirShare], b_shares: Sequence[ShamirSh
         programs[a.index] = shamir_mult_party(
             a.index, params, [a.value], [b.value],
             rng.child(f"mult/{a.index}"), forced_h=force)
-    net = run_session(programs, session_id=session_id, protocol_id=PROTO_SHAMIR_MULT)
+    net = run_session(programs, protocol_id=PROTO_SHAMIR_MULT)
     shares = [ShamirShare(i, net.results[i][0], params) for i in sorted(net.results)]
     return shares, net
 
@@ -415,7 +412,7 @@ def additive_mult3_party(me: int, params: AdditiveParams, u: int, v: int,
 
 def run_additive_mult3(u_shares: Sequence[AdditiveShare],
                        v_shares: Sequence[AdditiveShare],
-                       rng: RandomSource, session_id: int = 0,
+                       rng: RandomSource,
                        forced: dict[int, Mult3Randoms] | None = None):
     params = u_shares[0].params
     if params.m != 3 or len(u_shares) != 3 or len(v_shares) != 3:
@@ -426,7 +423,6 @@ def run_additive_mult3(u_shares: Sequence[AdditiveShare],
         programs[u.index] = additive_mult3_party(
             u.index, params, u.value, v.value, rng.child(f"mult3/{u.index}"),
             forced=forced.get(u.index) if forced else None)
-    net = run_session(programs, session_id=session_id,
-                      protocol_id=PROTO_ADDITIVE_MULT3)
+    net = run_session(programs, protocol_id=PROTO_ADDITIVE_MULT3)
     shares = [AdditiveShare(i, net.results[i], params) for i in sorted(net.results)]
     return shares, net

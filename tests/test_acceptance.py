@@ -286,7 +286,8 @@ def test_criterion_7_firewall_end_to_end():
     assert abs(params.beta - 14.5e6) / 14.5e6 < 0.01
     assert params.kappa == 10
 
-    bp = derive_params(1000, 0.01)
+    target_fp = 0.01
+    bp = derive_params(1000, target_fp)
     cfg = FirewallConfig(scheme="additive", m=3, N=11, bloom=bp)
     rng = RandomSource(b"criterion7" + bytes(22))
     blacklist = [f"10.{i // 65536}.{(i // 256) % 256}.{i % 256}"
@@ -306,7 +307,7 @@ def test_criterion_7_firewall_end_to_end():
         if flt.query(addr):
             hits += 1
     rate = hits / probes
-    assert bp.target_fp / 3 <= rate <= 3 * bp.target_fp, rate
+    assert target_fp / 3 <= rate <= 3 * target_fp, rate
 
     # Protocol decisions equal the plaintext filter on a probe sample.
     for i in range(0, probes, 50):
@@ -317,7 +318,7 @@ def test_criterion_7_firewall_end_to_end():
     elapsed = time.monotonic() - start
     assert elapsed < 120
     report(7, f"0 false negatives / 1000; fp rate {rate:.4f} within "
-              f"[{bp.target_fp / 3:.4f}, {3 * bp.target_fp:.4f}]; "
+              f"[{target_fp / 3:.4f}, {3 * target_fp:.4f}]; "
               f"(1e6, 0.001) -> beta {params.beta}, kappa 10 ({elapsed:.1f}s)")
 
 
@@ -354,7 +355,7 @@ def test_criterion_8_combinational_detection():
         assert Fraction(inf, total) == Fraction(t, 2 * t + 1)
 
     # BW path on the live firewall.
-    toy_bp = BloomParams(beta=8, kappa=3, eta=1, target_fp=0.5)
+    toy_bp = BloomParams(beta=8, kappa=3)
     fam = FixedHashFamily({parse_ipv4("0.0.0.5"): [2, 4, 5]}, kappa=3)
     cfg = FirewallConfig(scheme="shamir", m=7, t=3, N=11, bloom=toy_bp)
     _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(8), family=fam)
@@ -455,7 +456,7 @@ def _transport_pairs(seed_index):
         return build, norm
     defs["sc_malicious"] = ((1, 2, 3), *mk_sc7(), 7)
 
-    toy_bp = BloomParams(beta=8, kappa=3, eta=1, target_fp=0.5)
+    toy_bp = BloomParams(beta=8, kappa=3)
     fam = FixedHashFamily({bytes([0, 0, 0, 5]): [2, 4, 5],
                            bytes([0, 0, 0, 2]): [5, 0, 4]}, kappa=3)
     cfg_add = FirewallConfig(scheme="additive", m=3, N=11, bloom=toy_bp)

@@ -161,7 +161,8 @@ class TestDeriveParams:
             derive_params(10, 1.5)
 
     def test_measured_fp_matches_estimate(self):
-        p = derive_params(1000, 0.01)
+        target_fp = 0.01
+        p = derive_params(1000, target_fp)
         rng = RandomSource(b"fp" + bytes(30))
         flt = BloomFilter(p, rng.bytes(16))
         for i in range(1000):
@@ -169,13 +170,13 @@ class TestDeriveParams:
         hits = sum(flt.query(b"out" + i.to_bytes(4, "little"))
                    for i in range(20000))
         rate = hits / 20000
-        assert p.target_fp / 3 <= rate <= 3 * p.target_fp
+        assert target_fp / 3 <= rate <= 3 * target_fp
 
 
 class TestFilterOps:
     def _toy(self):
         fam = FixedHashFamily({b"five": [2, 4, 5], b"two": [5, 0, 4]}, kappa=3)
-        params = BloomParams(beta=8, kappa=3, eta=1, target_fp=0.5)
+        params = BloomParams(beta=8, kappa=3)
         return BloomFilter(params, bytes(16), family=fam)
 
     def test_insert_sets_indices(self):
@@ -197,7 +198,7 @@ class TestFilterOps:
         assert not flt.query(b"two")  # location 0 holds a 0
 
     def test_empty_filter_rejects_everything(self):
-        params = BloomParams(beta=128, kappa=4, eta=4, target_fp=0.1)
+        params = BloomParams(beta=128, kappa=4)
         flt = BloomFilter(params, bytes(16))
         assert not any(flt.query(i.to_bytes(4, "little")) for i in range(200))
 
@@ -273,13 +274,14 @@ class TestFilterFile:
         assert back.bits == flt.bits
         assert back.params.beta == params.beta
         assert back.params.kappa == params.kappa
+        assert back.params == params
         assert back.master_key == flt.master_key
         assert all(back.query(i.to_bytes(4, "little")) for i in range(50))
 
     @pytest.mark.parametrize("offset,value", [(13, 0), (13, 65), (5, 0)],
                              ids=["kappa-zero", "kappa-above-64", "beta-zero"])
     def test_damaged_header_is_a_file_error(self, tmp_path, offset, value):
-        params = BloomParams(beta=16, kappa=2, eta=1, target_fp=0.5)
+        params = BloomParams(beta=16, kappa=2)
         path = tmp_path / "d.filter"
         BloomFilter(params, bytes(range(16))).save(str(path))
         blob = bytearray(path.read_bytes())
@@ -291,7 +293,7 @@ class TestFilterFile:
             BloomFilter.load(str(path))
 
     def test_magic_layout(self, tmp_path):
-        params = BloomParams(beta=16, kappa=2, eta=1, target_fp=0.5)
+        params = BloomParams(beta=16, kappa=2)
         flt = BloomFilter(params, bytes(range(16)))
         path = tmp_path / "m.filter"
         flt.save(str(path))

@@ -333,7 +333,7 @@ class TestCircuits:
             outs = self._run_circuit(circ, inputs, params, seed=trial)
             duals = outs[0]
             assert dual_reveal_oracle(duals) == (expected, expected)
-            verdicts, _ = run_output_check(duals, session_id=trial)
+            verdicts, _ = run_output_check(duals)
             assert all(v.status is VerdictStatus.HONEST and v.secret == expected
                        for v in verdicts.values())
 

@@ -45,7 +45,7 @@ from obfw.field import (PrimeField, berlekamp_welch, interpolate_at_zero,
 from obfw.rng import RandomSource
 from obfw.sharing import AdditiveParams, additive_share, shamir_share
 
-TOY_BP = BloomParams(beta=8, kappa=3, eta=1, target_fp=0.5)
+TOY_BP = BloomParams(beta=8, kappa=3)
 
 
 def toy_family():
@@ -99,7 +99,7 @@ class TestInit:
     def test_config_validation(self):
         with pytest.raises(BadConfig):
             FirewallConfig(scheme="additive", m=3, N=3,
-                           bloom=BloomParams(beta=8, kappa=3, eta=1, target_fp=0.5))
+                           bloom=BloomParams(beta=8, kappa=3))
         with pytest.raises(BadConfig):
             FirewallConfig(scheme="shamir", m=3, N=11, t=0, bloom=TOY_BP)
         for N, m in ((12, 3), (11, 11)):    # composite N; m not below N
@@ -457,6 +457,23 @@ class TestEvalProduct:
         assert v == EvalVerdict("alert", value=1, suspects=frozenset({9}))
         assert [b - a for a, b in zip(before, lookups())] == [1, 0]
 
+    def test_single_hash_makes_no_multiplication_round(self):
+        # At kappa = 1 each server's product is its one indexed share: the
+        # gateway's query and the m answers make the whole session.
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=11,
+                             bloom=BloomParams(beta=16, kappa=1))
+        flt, stores = fw_init([f"10.0.0.{i}" for i in range(4)], cfg,
+                              RandomSource(1))
+        decisions = set()
+        for i in range(40):
+            addr = bytes([10, 0, 0, i])
+            v, net = run_eval_product(stores, addr, seed=i)
+            assert (v.decision == "block") == flt.query(addr)
+            assert net.transcript.rounds() == 1
+            assert net.transcript.messages == 2 * cfg.m
+            decisions.add(v.decision)
+        assert decisions == {"block", "forward"}
+
     def test_requires_enough_servers(self):
         _, _, stores = toy_stores(scheme="shamir", m=5, t=3)
         with pytest.raises(BadConfig):
@@ -535,8 +552,7 @@ class TestConsistencyFirstReveal:
     def test_verdicts_equal_per_subset_path(self, m, t):
         N = 101
         cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=N,
-                             bloom=BloomParams(beta=20, kappa=3, eta=1,
-                                               target_fp=0.5))
+                             bloom=BloomParams(beta=20, kappa=3))
         rng = RandomSource(b"consistency-first" + bytes([m, t]))
         offsets = [{}, {1: 1}, {m: N - 1}, {2: 5}, {1: 1, 2: 2},
                    {2: 3, m: 3}]
@@ -822,6 +838,7 @@ class TestStoreFile:
         back = ShareStore.load(str(path))
         assert back.values.typecode == "I" and back.values == store.values
         assert back.config.N == N and back.party_index == 3
+        assert back == store
 
     def test_loaded_store_hashes_like_admin_filter(self, tmp_path):
         cfg = FirewallConfig(scheme="additive", m=3, N=2 ** 31 - 1,
@@ -851,16 +868,14 @@ class TestStoreFile:
 PINNED_FILES = {
     "additive": (
         FirewallConfig(scheme="additive", m=3, N=2 ** 31 - 1,
-                       bloom=BloomParams(beta=200, kappa=5, eta=20,
-                                         target_fp=0.01)),
+                       bloom=BloomParams(beta=200, kappa=5)),
         ["4796846827b4b4c0ffbdff0749c0b1c8136ba16502a5f07d7c6206056908cc71",
          "b066ed0ac0f3789d51e9428a0cefb4d1cc99ede5f94fd21500c78be09c865f1e",
          "3ccfa92c792e876928d6a8fdc5e3c22b5085a16790e34ce0aa0bea783bec29b6",
          "42278633519b7e0f3bb0ac6183359903489bdf2956d8d225d3fc09b5558a77e1"]),
     "shamir": (
         FirewallConfig(scheme="shamir", m=5, t=2, N=2 ** 31 - 1,
-                       bloom=BloomParams(beta=150, kappa=4, eta=20,
-                                         target_fp=0.01)),
+                       bloom=BloomParams(beta=150, kappa=4)),
         ["39eb32300abfbfca182ca554647b7f3db860e83c3be39bf4d9422cc84222e6ec",
          "51105363912879e711e6cf38874f2010444f96cb9ce7e06a24f7c2c04292d387",
          "9df00ede3b9ba27cb490b965d90a7bd416d5adc2a23f001d3d73b03977d9ea07",
