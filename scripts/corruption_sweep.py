@@ -15,9 +15,9 @@ a blacklisted and a fresh address.  Reports the outcomes by the number of
 live servers; a cheat must be caught once more than t servers answer, and
 the cheater named once 2t or more do.  At these shapes that is every cheat.
 
-Product mode, m = 5, t = 2, under three decoders: `run_eval_product`,
-whose verdict is `decide_product`'s one decoding of the result shares,
-Berlekamp-Welch and the vote.  The first keeps the family name
+The paper's product (protocol 10), m = 5, t = 2, under three decoders:
+`run_eval_tree`, whose verdict is `decide_product`'s one decoding of the
+result shares, Berlekamp-Welch and the vote.  The first keeps the family name
 `product-combination`, after the combination analysis that decoding
 replaced, so that the JSON line keeps its keys.  Every server offsets its result share by 1, -1 or
 -1/L_j(0) on a blacklisted and a fresh address: each cheat must be
@@ -33,20 +33,27 @@ product decoders.  Each such cheat must be detected, with no exception.
 At 7/3 the decoder's budget is two errors, so each must name both
 cheaters; at 5/2 it is one error, and the alert names no one.
 
+The zero test (protocol 13, the daemons' product CHECK), at m/t = 5/2 and
+7/3: every server, and every pair of servers, shifts one thing by 1 or -1
+on a blacklisted and a fresh address: a share of its store at a hashed
+position, its r, its z, or its answers y.  Up to m - 2t + 1 = 2 cheaters
+no verdict may be silently wrong.
+
 The last line is JSON: {family: {attack: {outcome: count}}}, where the
 outcome is `detected`, `detected_named` (the alert or decoder names
 exactly the cheaters), `silent_wrong` or `silent_right`.
 """
 import itertools
 import json
+from array import array
 from collections import Counter
 
 from obfw.bloom import derive_params
 from obfw.dual import DualParams, VerdictStatus, dual_share, run_output_check
 from obfw.field import lagrange_zero_coefficients
-from obfw.firewall import (FirewallConfig, ServerTamper, fw_init, parse_ipv4,
-                           run_eval_bw, run_eval_product, run_eval_sum,
-                           run_product_with_vote)
+from obfw.firewall import (FirewallConfig, ServerTamper, ShareStore, fw_init,
+                           parse_ipv4, run_eval_bw, run_eval_product,
+                           run_eval_sum, run_eval_tree, run_product_with_vote)
 from obfw.net import add_to_send, ceil_log2
 from obfw.rng import RandomSource
 
@@ -166,7 +173,7 @@ def product_decoders(stores):
     "combination" is `decide_product`'s one decoding; the name keeps the
     JSON line's keys."""
     return {
-        "combination": lambda addr, tampers, seed: run_eval_product(
+        "combination": lambda addr, tampers, seed: run_eval_tree(
             stores, addr, seed=seed, tampers=tampers)[0],
         "bw": lambda addr, tampers, seed: run_eval_bw(
             stores, addr, seed=seed, tampers=tampers)[0],
@@ -257,11 +264,79 @@ def two_cheater_sweep():
         assert named == 84, f"{family}: {named} of 84 cheater pairs named at 7/3"
 
 
+def shifted_store(store, position, delta):
+    """A copy of `store` whose share at `position` is `delta` higher."""
+    cheat = ShareStore(config=store.config, party_index=store.party_index,
+                       instance_keys=store.instance_keys,
+                       values=array("I", store.values),
+                       prss_keys=store.prss_keys, family=store.family)
+    cheat.apply_update([(position, store.values[position] + delta)])
+    return cheat
+
+
+def zero_test_cheat(stores, cheaters, target, delta, addr):
+    """The stores and send rewrites of `cheaters` shifting `target` by
+    `delta`.  A store shift runs the honest program on a shifted store; r,
+    z and y shifts rewrite what it sends: as y = r (sigma_j - kappa) + z in
+    each pair, r + d sends y + d (sigma_j - kappa), and z + d or y + d
+    sends y + d."""
+    cfg = stores[0].config
+    cheat_stores, tampers = list(stores), {}
+    for j in cheaters:
+        store = stores[j - 1]
+        if target == "store":
+            position = store.hash_indices(addr)[0]
+            cheat_stores[j - 1] = shifted_store(store, position, delta)
+        elif target == "r":
+            gap = sum(store.read(store.hash_indices(addr))) - cfg.bloom.kappa
+            tampers[j] = ServerTamper(delta * gap % cfg.N)
+        else:
+            tampers[j] = ServerTamper(delta)
+    return cheat_stores, tampers
+
+
+def zero_test_sweep():
+    outcome = Counter()
+    for m, t in ((5, 2), (7, 3)):
+        cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
+                             bloom=derive_params(100, 0.01))
+        blacklist = [f"10.9.0.{i}" for i in range(100)]
+        flt, stores = fw_init(blacklist, cfg, RandomSource(f"zero-sweep/{m}/{t}"))
+        fresh = next(a for a in (parse_ipv4(f"192.0.2.{i}") for i in range(256))
+                     if not flt.query(a))
+        cheater_sets = [set(pair) for c in (1, 2)
+                        for pair in itertools.combinations(range(1, m + 1), c)]
+        for cheaters in cheater_sets:
+            for target in ("store", "r", "z", "y"):
+                attack = (f"{target}-shift" if len(cheaters) == 1
+                          else f"two-{target}-shifts")
+                for delta in (1, cfg.N - 1):
+                    for addr, truth in ((parse_ipv4(blacklist[0]), "block"),
+                                        (fresh, "forward")):
+                        cheat_stores, tampers = zero_test_cheat(
+                            stores, cheaters, target, delta, addr)
+                        v, _ = run_eval_product(cheat_stores, addr,
+                                                session_id=delta, tampers=tampers)
+                        tally("zero-test", attack, v.decision == "alert",
+                              v.suspects, cheaters, v.decision == truth)
+                        named = " naming them" if v.suspects == cheaters else ""
+                        outcome[(m, t, len(cheaters), target,
+                                 v.decision.upper() + named)] += 1
+    print("zero-test cheats: one or two servers shift a store share, r, z or y")
+    for (m, t, c, target, kind), count in sorted(outcome.items()):
+        print(f"  m={m} t={t} cheaters={c} {target:<5} -> {kind:<19} x{count}")
+    # Two cheaters are m - 2t + 1 at both shapes: no verdict may be wrong.
+    for (family, attack, result), count in TALLY.items():
+        assert family != "zero-test" or result != "silent_wrong", \
+            f"zero-test {attack}: {count} silently wrong"
+
+
 def main():
     output_check_sweep()
     shamir_sum_sweep()
     product_sweep()
     two_cheater_sweep()
+    zero_test_sweep()
     families = {}
     for (family, attack, outcome), count in sorted(TALLY.items()):
         counts = families.setdefault(family, {}).setdefault(

@@ -33,7 +33,7 @@ def main():
     flt, stores = fw_init(blacklist, cfg, RandomSource(b"demo" + bytes(28)))
 
     nodes = build_mesh([0, 1, 2, 3])
-    daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=PSK, seed=i)
+    daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=PSK)
                for i in (1, 2, 3)]
     for d in daemons:
         d.start()

@@ -330,11 +330,7 @@ def read_obfw_file(path: str) -> tuple[int, int, bytes]:
     """(beta, kappa, the bytes after the header) of the file at `path`; a
     file that cannot be read or does not open with the header is an
     IoError."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    blob = read_file(path)
     if len(blob) < _HEADER.size or not blob.startswith(MAGIC):
         raise IoError(f"no {MAGIC.decode()} header in {path}")
     _, beta, kappa = _HEADER.unpack_from(blob)
@@ -342,15 +338,27 @@ def read_obfw_file(path: str) -> tuple[int, int, bytes]:
 
 
 def write_obfw_file(path: str, beta: int, kappa: int, *body: bytes) -> None:
-    """Write the header and `body` to `<path>.tmp`, fsync it, rename it
-    over `path` and fsync the directory, so a crash or a failed write
-    leaves the old file or the new one, never a truncated one, and a
-    power cut after the return keeps the new one.  A failure is an
-    IoError."""
+    """Write the header and `body` to `path` with `write_file`."""
+    write_file(path, _HEADER.pack(MAGIC, beta, kappa), *body)
+
+
+def read_file(path: str) -> bytes:
+    """The bytes of the file at `path`; an IoError if it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
+def write_file(path: str, *body: bytes) -> None:
+    """Write `body` to `<path>.tmp`, fsync it, rename it over `path` and
+    fsync the directory, so a crash or a failed write leaves the old file
+    or the new one, never a truncated one, and a power cut after the
+    return keeps the new one.  A failure is an IoError."""
     tmp = path + ".tmp"     # same directory, so os.replace is a rename
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, beta, kappa))
             for part in body:
                 fh.write(part)
             fh.flush()

@@ -231,15 +231,17 @@ def cmd_serve(args) -> int:
     cfg = load_config(args)
     index = _required(cfg, "party_index")
     psk = bytes.fromhex(_required(cfg, "psk"))
-    store = ShareStore.load(cfg.get("store_path") or _store_path(cfg, index))
+    path = cfg.get("store_path") or _store_path(cfg, index)
+    store = ShareStore.load(path)
+    if cfg.get("eval_mode") == "product" and not store.prss_keys:
+        raise ConfigError(f"product mode needs the PRSS keys that fw-init "
+                          f"writes to {path}.keys for a Shamir store")
     # A server dials the peers with a lower index and accepts the others;
     # the gateway dials every server.
     node = _node(index, _endpoint(cfg, "listen"),
                  [p for p in cfg.get("peers", []) if p["index"] < index])
-    daemon = FirewallServerDaemon(
-        store, node, psk=psk,
-        admin_listen=_endpoint(cfg, "admin_listen"),
-        seed=_seed_from(cfg, args.seed))
+    daemon = FirewallServerDaemon(store, node, psk=psk,
+                                  admin_listen=_endpoint(cfg, "admin_listen"))
     return _serve_until_interrupted(
         daemon, f"server {index} on eval port {node.port}, "
                 f"admin port {daemon.admin_port}")

@@ -4,12 +4,16 @@ An admin builds the plaintext filter from the blacklist, shares every
 position among the servers (additive m-of-m or Shamir), and distributes
 one share store per server.  A gateway evaluates membership obliviously:
 the sum variant reconstructs the count of set positions, the product
-variant reconstructs an AND bit.  Every Shamir verdict decodes the result
-shares once, with `field.locate` at degree t-1 and t-1 colluders: while
-at most t-1 servers cheat, every decision is right or an alert, and every
-server an alert names did cheat.  `decide_bw` answers the decoded
-bit; a majority vote settles the verdicts the servers return.  No rule
-raises for a cheat: a failed decoding or a split vote is an alert.
+variant reveals only whether every position is set.  The daemons run the
+product variant as the zero test (protocol 13): each server answers
+r(sigma - kappa) + z from PRSS shares r and z, in one round.  The paper's
+product (protocol 10), which reconstructs the AND bit through a tree of
+resharing multiplications, runs in the simulator.  Every Shamir verdict
+decodes each result word once with `field.locate`: while at most t-1
+servers cheat, every decision is right or an alert, and every server an
+alert names did cheat.  `decide_bw` answers protocol 10's decoded bit; a
+majority vote settles the verdicts the servers return.  No rule raises
+for a cheat: a failed decoding or a split vote is an alert.
 
 Reveal convention: reconstruction subsets have size `t` over polynomials
 of degree t-1, so a filter with m = 2t+1 servers yields C(m, t) reveal
@@ -22,6 +26,7 @@ import hmac as hmac_mod
 import hashlib
 import itertools
 import math
+import os
 import struct
 import sys
 import threading
@@ -30,14 +35,15 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Generator, Iterable, Sequence
 
-from .bloom import (BloomFilter, BloomParams, SipHashFamily, read_obfw_file,
-                    write_obfw_file)
+from .bloom import (BloomFilter, BloomParams, SipHashFamily, read_file,
+                    read_obfw_file, write_file, write_obfw_file)
 from .errors import BadParams, IoError
 from .field import NotPrime, PrimeField, interpolate_at_zero, locate
 from .net import (
     PROTO_FW_EVAL_PRODUCT,
     PROTO_FW_EVAL_SUM,
     PROTO_FW_UPDATE,
+    PROTO_FW_ZERO_TEST,
     PROTO_MAJORITY_VOTE,
     Rewrite,
     Send,
@@ -51,8 +57,9 @@ from .net import (
     run_session,
     send,
 )
-from .rng import RandomSource, unpack_uints
-from .sharing import ShamirParams, mult_fanin_party, share_columns
+from .rng import RandomSource, unpack_uints, widen_uints
+from .sharing import (ShamirParams, mult_fanin_party, prss_pairs, prss_sets,
+                      share_columns)
 
 # Share columns are unsigned 32-bit arrays: 4 bytes a share, so N < 2^32
 # (the store header keeps N in 4 bytes as well).
@@ -60,10 +67,22 @@ SHARE_TYPECODE = "I"
 MAX_MODULUS = (1 << 32) - 1
 # After the filter file's header fields: scheme tag, party index, t, m, N.
 _STORE_HEADER = struct.Struct("<BBBBI")
+# A store's PRSS key file, `<store>.keys`: magic, party index, t, m, key
+# count, then the keys of `prss_sets` that hold the party, in that order.
+_KEYS_MAGIC = b"OBFK1"
+_KEYS_HEADER = struct.Struct("<5sBBBH")
+_PRSS_KEY_BYTES = 32
+# The most PRSS keys a server may hold, C(m-1, t-1): 210 is m/t = 11/5.
+# There a server spends 1.3 ms of CPU per product CHECK on its PRSS pairs
+# at N = 2^31 - 1 (K = 1) and 2.3 ms at N = 101 (K = 5), against 0.02 ms
+# for the 4 keys of 5/2 (best of 30, one core of a 2-vCPU x86 host,
+# CPython 3.11).
+MAX_PRSS_KEYS = 210
 GATEWAY = 0
 RESULT_STEP = 100
-# The protocols a server daemon runs; the vote runs only in the simulator.
-CHECK_PROTOCOLS = (PROTO_FW_EVAL_SUM, PROTO_FW_EVAL_PRODUCT)
+# The protocols a server daemon runs: sum mode and the zero test.  The
+# paper's product and the vote run only in the simulator.
+CHECK_PROTOCOLS = (PROTO_FW_EVAL_SUM, PROTO_FW_ZERO_TEST)
 
 
 class FirewallError(Exception):
@@ -134,6 +153,16 @@ class FirewallConfig:
         """Bytes a share takes in a store file: the fewest that hold N-1."""
         return max(1, ((self.N - 1).bit_length() + 7) // 8)
 
+    @property
+    def zero_test_values(self) -> int:
+        """K, the values each server answers in a zero test: the fewest with
+        N^K >= 2^30.  A CHECK blocks an address wrongly only when all K
+        random multipliers are 0, with probability N^-K <= 2^-30."""
+        k = 1
+        while self.N ** k < 1 << 30:
+            k += 1
+        return k
+
 
 # ---------------------------------------------------------------------------
 # Share store
@@ -147,12 +176,15 @@ class ShareStore:
     one.  An evaluation reads its positions, and an update writes its
     positions, under one lock, so an evaluation sees all of an update or
     none of it.  A store loaded from a file keeps its `path`, and each
-    update reaches that file before it reaches memory.
+    update reaches that file before it reaches memory.  `prss_keys` maps
+    each PRSS key set that holds this server to its key; a store that can
+    run the zero test has them, and `save` writes them beside the store.
     """
     config: FirewallConfig
     party_index: int
     instance_keys: list[bytes]
     values: array
+    prss_keys: dict[tuple[int, ...], bytes] = dc_field(default_factory=dict)
     _lock: threading.Lock = dc_field(default_factory=threading.Lock,
                                      repr=False, compare=False)
     # Hash family over `instance_keys`, built here unless given (a stub
@@ -204,8 +236,16 @@ class ShareStore:
 
     # -- file format: header as the filter file plus scheme tag/index ------
     def save(self, path: str) -> None:
-        """Write the store to `path` atomically, as `write_obfw_file` does."""
+        """Write the store to `path` atomically, as `write_obfw_file` does,
+        and its PRSS keys, if it has any, to `<path>.keys`."""
         self._write(path, self.values)
+        if self.prss_keys:
+            cfg = self.config
+            sets = _prss_key_sets(cfg, self.party_index)
+            write_file(path + ".keys",
+                       _KEYS_HEADER.pack(_KEYS_MAGIC, self.party_index, cfg.t,
+                                         cfg.m, len(sets)),
+                       *[self.prss_keys[a] for a in sets])
 
     def _write(self, path: str, values: array) -> None:
         cfg = self.config
@@ -242,7 +282,36 @@ class ShareStore:
         if max(vals, default=0) >= N:
             raise IoError(f"share value outside [0, {N})")
         return cls(config=cfg, party_index=party, instance_keys=keys,
-                   values=vals, family=family, path=path)
+                   values=vals, family=family, path=path,
+                   prss_keys=_load_prss_keys(path + ".keys", cfg, party))
+
+
+def _prss_key_sets(cfg: FirewallConfig, party: int) -> list[tuple[int, ...]]:
+    """The PRSS key sets that hold `party`, in key-file order."""
+    return [a for a in prss_sets(cfg.shamir_params()) if party in a]
+
+
+def _load_prss_keys(path: str, cfg: FirewallConfig,
+                    party: int) -> dict[tuple[int, ...], bytes]:
+    """The PRSS keys in the key file at `path`, none if there is no file;
+    a file that is not the key file of server `party` under `cfg` is an
+    IoError."""
+    if not os.path.exists(path):
+        return {}
+    blob = read_file(path)
+    if len(blob) < _KEYS_HEADER.size or not blob.startswith(_KEYS_MAGIC):
+        raise IoError(f"no {_KEYS_MAGIC.decode()} header in {path}")
+    _, key_party, t, m, count = _KEYS_HEADER.unpack_from(blob)
+    if (key_party, t, m) != (party, cfg.t, cfg.m) or cfg.scheme != "shamir":
+        raise IoError(f"{path} holds the keys of server {key_party} at "
+                      f"m={m} t={t}, not of this store")
+    sets = _prss_key_sets(cfg, party)
+    body = blob[_KEYS_HEADER.size:]
+    if count != len(sets) or len(body) != count * _PRSS_KEY_BYTES:
+        raise IoError(f"{path} holds {len(body)} bytes of {count} keys; "
+                      f"server {party} at m={m} t={t} has {len(sets)}")
+    return {a: body[k * _PRSS_KEY_BYTES:(k + 1) * _PRSS_KEY_BYTES]
+            for k, a in enumerate(sets)}
 
 
 def _pack_shares(values: array, width: int) -> bytes:
@@ -263,8 +332,8 @@ def _pack_shares(values: array, width: int) -> bytes:
 
 def _unpack_shares(body: bytes, width: int) -> array:
     """The share column that `_pack_shares(values, width)` wrote as `body`."""
-    values = unpack_uints(body, width)
-    return values if values.typecode == SHARE_TYPECODE else array(SHARE_TYPECODE, values)
+    # A narrower array would convert to the share typecode value by value.
+    return unpack_uints(body if width == 4 else widen_uints(body, width), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +375,10 @@ def _deal(bits: Iterable[int], cfg: FirewallConfig, rng: RandomSource,
 
 def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
             family=None) -> tuple[BloomFilter, list[ShareStore]]:
-    """Trusted initialization: build, share and package the filter."""
+    """Trusted initialization: build, share and package the filter, and,
+    where `check_product_config` accepts `cfg`, deal the PRSS keys of the
+    zero test.  The keys come from `rng.child("prss")`, a stream that no
+    share draws from, so the shares are the same with or without them."""
     flt = BloomFilter(cfg.bloom, rng.bytes(16), family=family)
     flt.insert_many(map(parse_ipv4, blacklist))
     if isinstance(flt.family, SipHashFamily):
@@ -316,8 +388,14 @@ def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
     beta = cfg.bloom.beta
     bits = itertools.chain.from_iterable(map(_BYTE_BITS.__getitem__, flt.bits))
     cols = _deal(bits, cfg, rng, "pos/", range(beta))
+    prss = {}
+    if _product_refusal(cfg) is None:
+        keys_rng = rng.child("prss")
+        prss = {a: keys_rng.bytes(_PRSS_KEY_BYTES)
+                for a in prss_sets(cfg.shamir_params())}
     stores = [ShareStore(config=cfg, party_index=i + 1, instance_keys=keys,
-                         values=col, family=flt.family)
+                         values=col, family=flt.family,
+                         prss_keys={a: prss[a] for a in prss if i + 1 in a})
               for i, col in enumerate(cols)]
     return flt, stores
 
@@ -453,16 +531,17 @@ def server_sum_program(store: ShareStore) -> Generator:
 
 
 def _gateway_program(cfg: FirewallConfig, addr: bytes, servers: Sequence[int],
-                     result_step: int) -> Generator:
-    """Send `addr` to `servers`; {server: its result share at `result_step`}."""
+                     result_step: int, count: int | None = None) -> Generator:
+    """Send `addr` to `servers`; {server: its result share at `result_step`},
+    or its list of `count` result values."""
     zn = group_zp(cfg.N)
     addr_int = int.from_bytes(addr, "big")
     for i in servers:
         yield from send(i, 1, [(group_addr32(), [addr_int])])
-    responses: dict[int, int] = {}
+    responses: dict[int, object] = {}
     for i in servers:
-        ((v,),) = yield from recv(i, result_step, [(zn, 1)])
-        responses[i] = v
+        (values,) = yield from recv(i, result_step, [(zn, count or 1)])
+        responses[i] = values if count else values[0]
     return responses
 
 
@@ -479,6 +558,58 @@ def decide_sum(cfg: FirewallConfig, responses: dict[int, int]) -> EvalVerdict:
     sigma = sum(responses.values()) % cfg.N
     return EvalVerdict(_decision(sigma, cfg.bloom.kappa), value=sigma)
 
+
+# -- protocol 13, the zero test: the product CHECK of the daemons -----------
+
+def server_zero_test_program(store: ShareStore, session_id: int) -> Generator:
+    """Answer y_k = r_k (sigma - kappa) + z_k for each of K PRSS pairs
+    (r_k, z_k), sigma being this server's share of the count of set
+    positions.  The pairs come from one stream per key, session and
+    address.  The y_k of all servers lie on a degree-2(t-1) polynomial
+    through r_k (sigma - kappa), and no server waits on another."""
+    cfg = store.config
+    zn = group_zp(cfg.N)
+    ((addr_int,),) = yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
+    addr = addr_int.to_bytes(4, "big")
+    gap = sum(store.read(store.hash_indices(addr))) - cfg.bloom.kappa
+    pairs = prss_pairs(store.party_index, cfg.shamir_params(), store.prss_keys,
+                       f"zero-test/{session_id}/{addr.hex()}",
+                       cfg.zero_test_values)
+    yield from send(GATEWAY, 2, [(zn, [(r * gap + z) % cfg.N for r, z in pairs])])
+    return None
+
+
+def gateway_zero_test_program(cfg: FirewallConfig, addr: bytes) -> Generator:
+    return _gateway_program(cfg, addr, range(1, cfg.m + 1), 2,
+                            cfg.zero_test_values)
+
+
+def decide_zero_test(cfg: FirewallConfig,
+                     responses: dict[int, Sequence[int]]) -> EvalVerdict:
+    """The verdict on the servers' K zero-test values each: every word
+    decoded once by `locate` at degree 2(t-1) with t-1 colluders.  A word
+    that fails to decode is an alert naming no one; servers that a decoding
+    corrects are named in an alert.  Otherwise the CHECK blocks when every
+    decoded value is 0 and forwards when any is not.  The value is the bit
+    that a product reveals: 1 to block."""
+    f = cfg.field()
+    servers = sorted(responses)
+    suspects: set[int] = set()
+    bit = 1
+    for k in range(cfg.zero_test_values):
+        res = locate(f, [(i, responses[i][k]) for i in servers],
+                     2 * (cfg.t - 1), cfg.t - 1)
+        if res is None:
+            return EvalVerdict("alert")
+        suspects |= res.bad_indices
+        if res.polynomial.constant_term():
+            bit = 0
+    if suspects:
+        return EvalVerdict("alert", value=bit, suspects=frozenset(suspects))
+    return EvalVerdict(_decision(bit, 1), value=bit)
+
+
+# -- protocol 10, the paper's product, and the vote: simulator only ---------
 
 def server_product_program(store: ShareStore, rng: RandomSource,
                            broadcast: bool = False) -> Generator:
@@ -523,31 +654,63 @@ def decide_bw(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
     return EvalVerdict(_decision(value, 1), value=value, suspects=res.bad_indices)
 
 
-def check_product_config(cfg: FirewallConfig) -> None:
-    """Raise BadConfig unless product evaluation supports `cfg`."""
+# -- choosing a CHECK's programs ----------------------------------------------
+
+def _product_refusal(cfg: FirewallConfig, zero_test: bool = True) -> str | None:
+    """Why product evaluation cannot run on `cfg`, or None.  The zero test
+    also needs at most MAX_PRSS_KEYS keys a server."""
     if cfg.scheme != "shamir":
-        raise BadConfig("product evaluation is implemented for Shamir stores")
+        return "product evaluation is implemented for Shamir stores"
     if cfg.m < 2 * cfg.t + 1:
-        raise BadConfig("product evaluation needs m >= 2t+1 servers")
+        return "product evaluation needs m >= 2t+1 servers"
+    keys = math.comb(cfg.m - 1, cfg.t - 1)
+    if zero_test and keys > MAX_PRSS_KEYS:
+        return (f"the zero test at m={cfg.m} t={cfg.t} needs {keys} PRSS keys "
+                f"a server, above the limit of {MAX_PRSS_KEYS}")
+    return None
+
+
+def check_product_config(cfg: FirewallConfig) -> None:
+    """Raise BadConfig unless the product CHECK, the zero test, supports
+    `cfg`."""
+    why = _product_refusal(cfg)
+    if why is not None:
+        raise BadConfig(why)
+
+
+def gateway_program(cfg: FirewallConfig, protocol_id: int, addr: bytes,
+                    live: Sequence[int]) -> Generator:
+    """The gateway's program for a CHECK of `addr` under `protocol_id`;
+    sum mode asks `live`, a product protocol all m after its config check."""
+    if protocol_id == PROTO_FW_EVAL_SUM:
+        return gateway_sum_program(cfg, addr, live)
+    why = _product_refusal(cfg, zero_test=protocol_id == PROTO_FW_ZERO_TEST)
+    if why is not None:
+        raise BadConfig(why)
+    if protocol_id == PROTO_FW_ZERO_TEST:
+        return gateway_zero_test_program(cfg, addr)
+    return gateway_product_program(cfg, addr)
 
 
 def gateway_session(cfg: FirewallConfig, mode: str, addr: bytes,
                     live: Sequence[int]):
-    """A CHECK of `addr` in `mode` ('sum' asks `live`, 'product' all m):
-    the gateway's program, the protocol id and the verdict rule.  A product
-    CHECK first passes `check_product_config`."""
-    if mode == "product":
-        check_product_config(cfg)
-        return (gateway_product_program(cfg, addr), PROTO_FW_EVAL_PRODUCT,
-                decide_product)
-    return gateway_sum_program(cfg, addr, live), PROTO_FW_EVAL_SUM, decide_sum
+    """A CHECK of `addr` in `mode` ('sum' asks `live`, 'product' runs the
+    zero test on all m): the gateway's program, the protocol id and the
+    verdict rule."""
+    proto, decide = ((PROTO_FW_ZERO_TEST, decide_zero_test) if mode == "product"
+                     else (PROTO_FW_EVAL_SUM, decide_sum))
+    return gateway_program(cfg, proto, addr, live), proto, decide
 
 
-def server_program(store: ShareStore, protocol_id: int, rng) -> Generator | None:
-    """A server's program for `protocol_id`, or None; the vote is a product
-    that also sends its result share to the other servers, `rng()` its draws."""
+def server_program(store: ShareStore, protocol_id: int, session_id: int,
+                   rng=None) -> Generator | None:
+    """A server's program for `protocol_id` in session `session_id`, or
+    None.  The vote is a product that also sends its result share to the
+    other servers; `rng()` gives those two their draws."""
     if protocol_id == PROTO_FW_EVAL_SUM:
         return server_sum_program(store)
+    if protocol_id == PROTO_FW_ZERO_TEST:
+        return server_zero_test_program(store, session_id)
     if protocol_id in (PROTO_FW_EVAL_PRODUCT, PROTO_MAJORITY_VOTE):
         return server_product_program(store, rng(),
                                       protocol_id == PROTO_MAJORITY_VOTE)
@@ -555,43 +718,52 @@ def server_program(store: ShareStore, protocol_id: int, rng) -> Generator | None
 
 
 def _simulate(stores: Sequence[ShareStore], addr: bytes, protocol_id: int,
-              seed, tampers: dict[int, Rewrite] | None,
-              dead: frozenset[int]):
-    """Simulate the gateway and the servers of `stores` not in `dead`; a
-    server in `tampers` runs its program under that rewrite of its Sends.
-    A product session, the vote's too, makes the gateway's config check."""
+              tampers: dict[int, Rewrite] | None,
+              dead: frozenset[int] = frozenset(), seed=0, session_id: int = 0):
+    """Simulate session `session_id` of the gateway and the servers of
+    `stores` not in `dead`; a server in `tampers` runs its program under
+    that rewrite of its Sends, and the product and the vote draw from
+    `seed`."""
     live = [s for s in stores if s.party_index not in dead]
-    mode = "sum" if protocol_id == PROTO_FW_EVAL_SUM else "product"
-    gateway, _, _ = gateway_session(stores[0].config, mode, addr,
-                                    [s.party_index for s in live])
-    programs: dict[int, Generator] = {GATEWAY: gateway}
+    programs: dict[int, Generator] = {GATEWAY: gateway_program(
+        stores[0].config, protocol_id, addr, [s.party_index for s in live])}
     for s in live:
-        programs[s.party_index] = server_program(s, protocol_id,
+        programs[s.party_index] = server_program(s, protocol_id, session_id,
                                                  lambda: RandomSource(seed))
     for i, rewrite in (tampers or {}).items():
         programs[i] = rewrite_sends(programs[i], rewrite)
-    return run_session(programs, protocol_id=protocol_id)
+    return run_session(programs, session_id=session_id, protocol_id=protocol_id)
 
 
 def run_eval_sum(stores: Sequence[ShareStore], addr: bytes,
                  dead: frozenset[int] = frozenset(),
                  tampers: dict[int, Rewrite] | None = None):
-    net = _simulate(stores, addr, PROTO_FW_EVAL_SUM, 0, tampers, dead)
+    net = _simulate(stores, addr, PROTO_FW_EVAL_SUM, tampers, dead)
     return decide_sum(stores[0].config, net.results[GATEWAY]), net
 
 
-def run_eval_product(stores: Sequence[ShareStore], addr: bytes, seed=0,
+def run_eval_product(stores: Sequence[ShareStore], addr: bytes,
+                     session_id: int = 0,
                      tampers: dict[int, Rewrite] | None = None):
-    net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, seed, tampers,
-                    frozenset())
+    """The product CHECK that a product-mode gateway runs: the zero test,
+    in session `session_id`."""
+    net = _simulate(stores, addr, PROTO_FW_ZERO_TEST, tampers,
+                    session_id=session_id)
+    return decide_zero_test(stores[0].config, net.results[GATEWAY]), net
+
+
+def run_eval_tree(stores: Sequence[ShareStore], addr: bytes, seed=0,
+                  tampers: dict[int, Rewrite] | None = None):
+    """The paper's product evaluation, protocol 10: the kappa indexed shares
+    multiplied through the resharing tree, and `decide_product`."""
+    net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, tampers, seed=seed)
     return decide_product(stores[0].config, net.results[GATEWAY]), net
 
 
 def run_eval_bw(stores: Sequence[ShareStore], addr: bytes, seed=0,
                 tampers: dict[int, Rewrite] | None = None):
-    """Product evaluation with Berlekamp-Welch recovery at the gateway."""
-    net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, seed, tampers,
-                    frozenset())
+    """Protocol 10 with Berlekamp-Welch recovery at the gateway."""
+    net = _simulate(stores, addr, PROTO_FW_EVAL_PRODUCT, tampers, seed=seed)
     return decide_bw(stores[0].config, net.results[GATEWAY]), net
 
 
@@ -606,15 +778,14 @@ def majority_vote(verdicts: Sequence[EvalVerdict]) -> EvalVerdict:
 
 def run_product_with_vote(stores: Sequence[ShareStore], addr: bytes, seed=0,
                           tampers: dict[int, Rewrite] | None = None):
-    """Product evaluation plus the share broadcast enabling a server vote.
+    """Protocol 10 plus the share broadcast enabling a server vote.
 
     Every server reconstructs locally from the broadcast shares and returns
     its verdict; the final decision is the strict majority of those m
     verdicts plus the gateway's own.  The broadcast adds m(m-1) result-share
     transmissions.
     """
-    net = _simulate(stores, addr, PROTO_MAJORITY_VOTE, seed, tampers,
-                    frozenset())
+    net = _simulate(stores, addr, PROTO_MAJORITY_VOTE, tampers, seed=seed)
     verdicts = [decide_product(stores[0].config, net.results[GATEWAY])]
     verdicts += [net.results[s.party_index] for s in stores]
     return majority_vote(verdicts), verdicts, net

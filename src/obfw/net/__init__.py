@@ -6,6 +6,7 @@ from .envelope import (
     PROTO_FW_EVAL_PRODUCT,
     PROTO_FW_EVAL_SUM,
     PROTO_FW_UPDATE,
+    PROTO_FW_ZERO_TEST,
     PROTO_MAJORITY_VOTE,
     PROTO_SC_LOW_ROUNDS,
     PROTO_SC_MALICIOUS,

@@ -32,6 +32,7 @@ PROTO_FW_EVAL_SUM = 9
 PROTO_FW_EVAL_PRODUCT = 10
 PROTO_FW_UPDATE = 11
 PROTO_MAJORITY_VOTE = 12
+PROTO_FW_ZERO_TEST = 13
 
 
 class FrameCorrupt(Exception):

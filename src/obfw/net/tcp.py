@@ -26,7 +26,8 @@ runs the queue on the node thread, one session after another.  Once the
 session on the node thread has to wait for an envelope, every queued
 session gets a thread of its own: two servers that each queued the other's
 next session behind a blocked one would deadlock.  A session that never
-waits never costs a thread.
+waits never costs a thread: a firewall CHECK's server session, in sum mode
+or the zero test, is one envelope in and one out.
 """
 from __future__ import annotations
 

@@ -175,14 +175,20 @@ class RandomSource:
         return out[:count]
 
 
+def widen_uints(blob: bytes, width: int) -> bytearray:
+    """The little-endian unsigned integers of `width` < 4 bytes in `blob`,
+    each widened to four bytes by `width` slice copies."""
+    wide = bytearray(len(blob) // width * 4)
+    for j in range(width):
+        wide[j::4] = blob[j::width]
+    return wide
+
+
 def unpack_uints(blob: bytes, width: int) -> Sequence[int]:
     """The little-endian unsigned integers of `width` bytes in `blob`."""
     if width == 3:
         # Widen each draw to four bytes, so that one array reads them all.
-        wide = bytearray(len(blob) // 3 * 4)
-        for j in range(3):
-            wide[j::4] = blob[j::3]
-        blob, width = wide, 4
+        blob, width = widen_uints(blob, 3), 4
     typecode = UINT_TYPECODES.get(width)
     if typecode is None:
         return [int.from_bytes(blob[i:i + width], "little")

@@ -12,15 +12,17 @@ Wire surfaces:
         "ERROR line too long\n", and the connection closes; a connection
         made while MAX_CONNECTIONS others are open is answered
         "ERROR busy\n" and closed at once
-  * server eval port     -- envelope sessions with the gateway and the other
-        servers; firewall.py builds each (gateway_session, server_program).
+  * server eval port     -- envelope sessions with the gateway; firewall.py
+        builds each (gateway_session, server_program).  Sum mode runs
+        protocol 9 and product mode the zero test, protocol 13.
 
 Each daemon's TcpNode reads all of its peer connections on one thread.  A
 server runs the evaluation sessions the gateway starts on that thread, one
-after another; while one waits for an envelope, the sessions queued behind
-it get threads of their own (see TcpNode.serve).  A sum-mode session never
-waits, so it never costs a server a thread.  The gateway runs each CHECK on
-the thread of the client connection that asked for it.
+after another.  A session of either mode is one envelope in and one out,
+so it never waits on a peer and never costs a server a thread (a session
+that waited would hand the sessions queued behind it threads of their
+own; see TcpNode.serve).  The gateway runs each CHECK on the thread of the
+client connection that asked for it.
 """
 from __future__ import annotations
 
@@ -44,8 +46,7 @@ from .firewall import (
     server_program,
     verify_admin_mac,
 )
-from .net import Endpoint, PartyTimeout, TcpNode
-from .rng import RandomSource
+from .net import PROTO_FW_ZERO_TEST, Endpoint, PartyTimeout, TcpNode
 
 # Characters a text line may hold, newline included (UPDATE lines stay under 800).
 MAX_LINE = 4096
@@ -133,7 +134,12 @@ class _LineServer:
 
 
 class FirewallServerDaemon:
-    """Hosts one share store: envelope sessions plus the admin text port."""
+    """Hosts one share store: envelope sessions plus the admin text port.
+
+    No session a server runs draws randomness: the zero test's comes from
+    the store's PRSS keys.  `seed` is accepted and unused, so that callers
+    that pass one keep working.
+    """
 
     def __init__(self, store: ShareStore, node: TcpNode, psk: bytes,
                  admin_listen: Endpoint = Endpoint("127.0.0.1", 0),
@@ -141,8 +147,6 @@ class FirewallServerDaemon:
         self.store = store
         self.node = node
         self.psk = psk
-        # Unseeded resharing draws must be private: their session ids are not.
-        self.rng = RandomSource(os.urandom(32) if seed is None else seed)
         self._admin = _LineServer(admin_listen, self._answer)
         self.admin_port = self._admin.port
 
@@ -156,9 +160,12 @@ class FirewallServerDaemon:
 
     # -- envelope sessions -------------------------------------------------
     def _program_for(self, session_id: int, protocol_id: int):
+        # A store without PRSS keys cannot answer a zero test: the session
+        # is ignored, as a dead server's is, and the gateway times out.
+        if protocol_id == PROTO_FW_ZERO_TEST and not self.store.prss_keys:
+            return None
         if protocol_id in CHECK_PROTOCOLS:
-            return server_program(self.store, protocol_id,
-                                  lambda: self.rng.child(f"s/{session_id}"))
+            return server_program(self.store, protocol_id, session_id)
         return None
 
     # -- admin text protocol -------------------------------------------------
@@ -200,7 +207,8 @@ class GatewayDaemon:
         self.node = node
         self.mode = mode
         # Session ids start at a random 64-bit epoch, so a restarted gateway
-        # does not reuse the ids that the servers remember as finished.
+        # does not reuse the ids that the servers remember as finished, nor
+        # the zero test's random multipliers, which the id and address fix.
         self._session_counter = int.from_bytes(os.urandom(8), "little")
         self._lock = threading.Lock()
         self._lines = _LineServer(listen, self._answer)

@@ -4,9 +4,11 @@ Shamir (t, n)-threshold sharing and n-of-n additive sharing, each with
 share/reveal/add/add-const/cmul, plus the two interactive multiplication
 protocols: resharing-based degree reduction for Shamir (and the fan-in
 tree product built on it) and the three-party blinded-product protocol for
-additive shares.  All dealing turns uniform draws into shares through
-`share_columns`; the per-secret `shamir_share` and `additive_share`, whose
-forced randomness reproduces golden test vectors, are its reference.
+additive shares, and pseudo-random secret sharing, which turns dealt keys
+into fresh Shamir sharings with no message between the parties.  All
+dealing turns uniform draws into shares through `share_columns`; the
+per-secret `shamir_share` and `additive_share`, whose forced randomness
+reproduces golden test vectors, are its reference.
 """
 from __future__ import annotations
 
@@ -342,6 +344,63 @@ def mult_fanin_party(me: int, params: ShamirParams, values: Sequence[int],
     (product,) = yield from tree_products(me, params, [list(values)], rng,
                                           itertools.count(1))
     return product
+
+
+# ---------------------------------------------------------------------------
+# Pseudo-random secret sharing (Cramer, Damgard and Ishai, TCC 2005)
+# ---------------------------------------------------------------------------
+
+def prss_sets(params: ShamirParams) -> list[tuple[int, ...]]:
+    """The party sets that hold one PRSS key each: every set of n - t
+    parties, in a fixed order, so that any t parties miss exactly one key."""
+    return list(itertools.combinations(range(1, params.n + 1),
+                                       params.n - params.t))
+
+
+@functools.cache
+def _prss_weights(params: ShamirParams,
+                  me: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(A, (f_A(me) * me^l for l = 0..t)) for each key set A that holds
+    `me`, in `prss_sets` order: f_A is the degree-t polynomial with
+    f_A(0) = 1 that vanishes at the t parties outside A."""
+    p = params.p
+    out = []
+    for members in prss_sets(params):
+        if me not in members:
+            continue
+        f = 1
+        for j in range(1, params.n + 1):
+            if j not in members:
+                f = f * (j - me) * pow(j, -1, p) % p
+        out.append((members, tuple(f * pow(me, l, p) % p
+                                   for l in range(params.t + 1))))
+    return tuple(out)
+
+
+def prss_pairs(me: int, params: ShamirParams, keys: dict[tuple[int, ...], bytes],
+               label: str, count: int) -> list[tuple[int, int]]:
+    """`count` pairs (r, z), party `me`'s shares of a random degree-t
+    sharing and of a random degree-2t sharing of 0, from `keys` (key set ->
+    32-byte key) and `label`; no party talks to another.
+
+    Each key set A draws t+1 values s_0..s_t per pair from one stream, its
+    key's child at `label`.  Then r(x) = sum over A of s_0 f_A(x) and
+    z(x) = sum over A of (s_1 x + ... + s_t x^t) f_A(x), and party i needs
+    only the keys of the sets that hold it, as f_A(i) = 0 for the others.
+    Any t parties miss the key of the set that excludes them all, so r(0)
+    is uniform to them.
+    """
+    p, width = params.p, params.t + 1
+    r = [0] * count
+    z = [0] * count
+    for members, weights in _prss_weights(params, me):
+        draws = RandomSource(keys[members]).child(label).randbelow_many(
+            p, count * width)
+        for k in range(count):
+            s = draws[k * width:(k + 1) * width]
+            r[k] += weights[0] * s[0]
+            z[k] += sum(map(operator.mul, weights[1:], s[1:]))
+    return [(a % p, b % p) for a, b in zip(r, z)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from obfw.firewall import (
     parse_ipv4,
     reveal_combinations,
     run_eval_bw,
-    run_eval_product,
     run_eval_sum,
+    run_eval_tree,
 )
 from obfw.rng import RandomSource
 from obfw.sharing import (
@@ -359,7 +359,7 @@ def test_criterion_8_combinational_detection():
     fam = FixedHashFamily({parse_ipv4("0.0.0.5"): [2, 4, 5]}, kappa=3)
     cfg = FirewallConfig(scheme="shamir", m=7, t=3, N=11, bloom=toy_bp)
     _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(8), family=fam)
-    honest, _ = run_eval_product(stores, parse_ipv4("0.0.0.5"), seed=1)
+    honest, _ = run_eval_tree(stores, parse_ipv4("0.0.0.5"), seed=1)
     bw, _ = run_eval_bw(stores, parse_ipv4("0.0.0.5"), seed=1,
                         tampers={6: ServerTamper(result_offset=2)})
     assert honest.decision == bw.decision == "block"
@@ -378,8 +378,9 @@ def _transport_pairs(seed_index):
     from obfw.dual import output_check_party
     from obfw.firewall import (
         GATEWAY, ADMIN, admin_update_program, fw_update_pairs,
-        gateway_product_program, gateway_sum_program, server_product_program,
-        server_sum_program, server_update_program,
+        gateway_product_program, gateway_sum_program, gateway_zero_test_program,
+        server_product_program, server_sum_program, server_update_program,
+        server_zero_test_program,
     )
     from obfw.sharing import additive_mult3_party, shamir_mult_party
 
@@ -485,6 +486,16 @@ def _transport_pairs(seed_index):
         return build, lambda res: tuple(sorted(res[GATEWAY].items()))
     defs["fw_eval_product"] = (tuple(range(8)), *mk_fw_product(), 10)
 
+    def mk_fw_zero_test():
+        def build():
+            progs = {GATEWAY: gateway_zero_test_program(cfg_sh, addr)}
+            for s in stores_sh:
+                progs[s.party_index] = server_zero_test_program(s, seed_index)
+            return progs
+        return build, lambda res: tuple(sorted((i, tuple(v))
+                                               for i, v in res[GATEWAY].items()))
+    defs["fw_zero_test"] = (tuple(range(8)), *mk_fw_zero_test(), 13)
+
     def mk_fw_update():
         flt = BloomFilter(toy_bp, bytes(16), family=fam)
         pairs = fw_update_pairs(flt, cfg_add, addr, rng.child("upd"))
@@ -542,11 +553,11 @@ def test_criterion_9_transport_equivalence():
         for mesh in meshes.values():
             for node in mesh.values():
                 node.close()
-    assert len(checked) == 11
+    assert len(checked) == 12
     assert all(v == sessions_per_protocol for v in checked.values())
     elapsed = time.monotonic() - start
     assert elapsed < 120
-    report(9, f"11 protocols x {sessions_per_protocol} sessions: identical "
+    report(9, f"12 protocols x {sessions_per_protocol} sessions: identical "
               f"outputs, accounting and payloads over sim and TCP "
               f"({elapsed:.1f}s)")
 

@@ -21,6 +21,7 @@ from obfw.firewall import (
     ServerTamper,
     ServerTimeout,
     ShareStore,
+    check_product_config,
     combinational_analysis,
     decide_bw,
     decide_product,
@@ -37,13 +38,15 @@ from obfw.firewall import (
     run_eval_bw,
     run_eval_product,
     run_eval_sum,
+    run_eval_tree,
     run_product_with_vote,
     run_update,
 )
-from obfw.field import (PrimeField, berlekamp_welch, interpolate_at_zero,
-                        lagrange_zero_coefficients)
+from obfw.field import (PrimeField, berlekamp_welch, interpolate,
+                        interpolate_at_zero, lagrange_zero_coefficients)
 from obfw.rng import RandomSource
-from obfw.sharing import AdditiveParams, additive_share, shamir_share
+from obfw.sharing import (AdditiveParams, additive_share, prss_pairs,
+                          shamir_share)
 
 TOY_BP = BloomParams(beta=8, kappa=3)
 
@@ -309,7 +312,7 @@ class TestNoMajorityAlerts:
     def test_product(self, cheat_filter):
         _, stores, addrs = cheat_filter
         for addr in addrs:
-            v, _ = run_eval_product(stores, addr, seed=1, tampers={
+            v, _ = run_eval_tree(stores, addr, seed=1, tampers={
                 1: ServerTamper(1), 2: ServerTamper(2)})
             assert v.decision == "alert"
             assert v.suspects == frozenset() and v.value is None
@@ -386,6 +389,7 @@ def test_bw_names_two_cheaters_within_budget():
 
 PRODUCT_RUNNERS = {
     "product": run_eval_product,
+    "tree": run_eval_tree,
     "bw": run_eval_bw,
     "vote": run_product_with_vote,
 }
@@ -411,19 +415,19 @@ class TestProductConfigCheck:
 class TestEvalProduct:
     def test_blacklisted_blocks(self):
         _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
-        v, net = run_eval_product(stores, parse_ipv4("0.0.0.5"), seed=1)
+        v, net = run_eval_tree(stores, parse_ipv4("0.0.0.5"), seed=1)
         assert v.decision == "block" and v.value == 1
         assert net.transcript.rounds() == 1 + math.ceil(math.log2(TOY_BP.kappa))
 
     def test_clean_forwards(self):
         _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
-        v, _ = run_eval_product(stores, parse_ipv4("0.0.0.2"), seed=2)
+        v, _ = run_eval_tree(stores, parse_ipv4("0.0.0.2"), seed=2)
         assert v.decision == "forward" and v.value == 0
 
     def test_single_tamper_alert_names_server(self):
         _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
         for offset in (1, 5, 10):
-            v, net = run_eval_product(
+            v, net = run_eval_tree(
                 stores, parse_ipv4("0.0.0.5"), seed=offset,
                 tampers={4: ServerTamper(result_offset=offset)})
             assert v.decision == "alert"
@@ -467,7 +471,7 @@ class TestEvalProduct:
         decisions = set()
         for i in range(40):
             addr = bytes([10, 0, 0, i])
-            v, net = run_eval_product(stores, addr, seed=i)
+            v, net = run_eval_tree(stores, addr, seed=i)
             assert (v.decision == "block") == flt.query(addr)
             assert net.transcript.rounds() == 1
             assert net.transcript.messages == 2 * cfg.m
@@ -477,7 +481,7 @@ class TestEvalProduct:
     def test_requires_enough_servers(self):
         _, _, stores = toy_stores(scheme="shamir", m=5, t=3)
         with pytest.raises(BadConfig):
-            run_eval_product(stores, parse_ipv4("0.0.0.5"))
+            run_eval_tree(stores, parse_ipv4("0.0.0.5"))
 
 
 class TestCombinational:
@@ -594,7 +598,7 @@ class TestConsistencyFirstReveal:
 class TestBWPath:
     def test_honest_matches_product(self):
         _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
-        v1, _ = run_eval_product(stores, parse_ipv4("0.0.0.5"), seed=5)
+        v1, _ = run_eval_tree(stores, parse_ipv4("0.0.0.5"), seed=5)
         v2, _ = run_eval_bw(stores, parse_ipv4("0.0.0.5"), seed=5)
         assert v1.decision == v2.decision == "block"
         assert v2.suspects == frozenset()
@@ -658,7 +662,7 @@ class TestMajorityVote:
         cfg, _, stores = toy_stores(scheme="shamir", m=7, t=3)
         _, _, net_plain = run_product_with_vote(stores, parse_ipv4("0.0.0.5"),
                                                 seed=9)
-        _, net_product = run_eval_product(stores, parse_ipv4("0.0.0.5"), seed=9)
+        _, net_product = run_eval_tree(stores, parse_ipv4("0.0.0.5"), seed=9)
         width = (cfg.N - 1).bit_length()
         extra = net_plain.transcript.accounting_total() \
             - net_product.transcript.accounting_total()
@@ -703,25 +707,298 @@ class TestUpdates:
     def test_shamir_update(self):
         cfg, flt, stores = toy_stores(scheme="shamir", m=7, t=3, seed=5)
         run_update(stores, flt, parse_ipv4("0.0.0.7"), seed=13)
-        v, _ = run_eval_product(stores, parse_ipv4("0.0.0.7"), seed=14)
+        v, _ = run_eval_product(stores, parse_ipv4("0.0.0.7"), session_id=14)
         assert v.decision == "block"
+
+
+def decoded_words(cfg, responses):
+    """The polynomial through each of the K words the servers answered."""
+    f = cfg.field()
+    return [interpolate(f, [(i, responses[i][k]) for i in sorted(responses)])
+            for k in range(cfg.zero_test_values)]
+
+
+def ratio_family():
+    """Address A hashes to one blacklisted position; UPDATE U sets another."""
+    return FixedHashFamily({
+        parse_ipv4("0.0.0.5"): [2, 4, 5],
+        parse_ipv4("0.0.0.1"): [0, 1, 2],
+        parse_ipv4("0.0.0.9"): [0, 6, 7],
+    }, kappa=3)
+
+
+class TestZeroTest:
+    """Protocol 13, the product CHECK of the daemons: each server answers
+    K values r(sigma - kappa) + z, and the gateway decodes each word once."""
+
+    @pytest.mark.parametrize("m,t,N", [(5, 2, 2 ** 31 - 1), (7, 3, 2 ** 31 - 1),
+                                       (5, 2, 11), (7, 3, 101), (9, 4, 65521)])
+    def test_closed_form(self, m, t, N):
+        # m * (32 + K * w) bits in 1 round and 2m messages, w the accounting
+        # width of Z_N.
+        cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=N, bloom=TOY_BP)
+        _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(m), family=toy_family())
+        _, net = run_eval_product(stores, parse_ipv4("0.0.0.2"), session_id=7)
+        w = (N - 1).bit_length()
+        tr = net.transcript
+        assert tr.accounting_total() == m * (32 + cfg.zero_test_values * w)
+        assert tr.rounds() == 1 and tr.messages == 2 * m
+
+    def test_wire_at_the_benchmark_shapes(self):
+        # 10 envelopes, 315 bits at 5/2; 14 envelopes, 441 bits at 7/3.
+        for m, t, bits in ((5, 2, 315), (7, 3, 441)):
+            cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
+                                 bloom=TOY_BP)
+            _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(1),
+                                family=toy_family())
+            _, net = run_eval_product(stores, parse_ipv4("0.0.0.5"))
+            assert (net.transcript.accounting_total(), net.transcript.rounds(),
+                    net.transcript.messages) == (bits, 1, 2 * m)
+
+    @pytest.mark.parametrize("N,K", [(2 ** 31 - 1, 1), (2 ** 30 + 3, 1),
+                                     (2 ** 30 - 35, 2), (32771, 2), (32749, 3),
+                                     (1031, 3), (1021, 4), (101, 5), (11, 9)])
+    def test_values_per_check(self, N, K):
+        # K is the fewest values with N^K >= 2^30: all K are 0 for a
+        # non-blacklisted address with probability N^-K <= 2^-30, and one
+        # value fewer would leave it above 2^-30.
+        cfg = FirewallConfig(scheme="additive", m=3, N=N, bloom=TOY_BP)
+        assert cfg.zero_test_values == K
+        assert N ** K >= 2 ** 30 > N ** (K - 1)
+
+    def test_decoded_values_are_uniform_and_not_all_zero(self):
+        # sigma != kappa: each decoded value is r (sigma - kappa), uniform
+        # over Z_11 (0 when r = 0), and no CHECK sees all K = 9 at 0.
+        from scipy.stats import chisquare
+        cfg, _, stores = toy_stores(scheme="shamir", m=5, t=2)
+        counts = [0] * cfg.N
+        for sid in range(400):
+            v, net = run_eval_product(stores, parse_ipv4("0.0.0.2"),
+                                      session_id=sid)
+            assert v.decision == "forward"
+            words = decoded_words(cfg, net.results[firewall.GATEWAY])
+            assert any(w.constant_term() for w in words)
+            for w in words:
+                counts[w.constant_term()] += 1
+        _, pvalue = chisquare(counts)
+        assert pvalue > 0.01
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(5, 2), (7, 3), (9, 4)]),
+           st.sampled_from([11, 101, 65521, 2 ** 31 - 1]),
+           st.integers(0, 2 ** 64 - 1))
+    def test_decoded_values_are_r_times_the_gap(self, shape, N, session):
+        # Each decoded value is r_k (sigma - kappa), r_k the secret of the
+        # servers' PRSS shares: uniform with r_k when sigma != kappa, and
+        # the CHECK forwards unless every r_k is 0.
+        m, t = shape
+        cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=N, bloom=TOY_BP)
+        _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(m),
+                            family=toy_family())
+        addr = parse_ipv4("0.0.0.2")                        # sigma = 2
+        v, net = run_eval_product(stores, addr, session_id=session)
+        pairs = {s.party_index: prss_pairs(
+            s.party_index, cfg.shamir_params(), s.prss_keys,
+            f"zero-test/{session}/{addr.hex()}", cfg.zero_test_values)
+            for s in stores}
+        f = cfg.field()
+        r = [interpolate(f, [(i, pairs[i][k][0]) for i in pairs]).constant_term()
+             for k in range(cfg.zero_test_values)]
+        words = decoded_words(cfg, net.results[firewall.GATEWAY])
+        assert [w.constant_term() for w in words] == [x * (2 - 3) % N for x in r]
+        assert v.decision == ("forward" if any(r) else "block")
+
+    def test_gateway_learns_only_the_bit(self):
+        # The word through each y is uniform among the degree-2 polynomials
+        # with constant r (sigma - kappa): the constant is 0 exactly when
+        # the address is blacklisted, and otherwise uniform whatever sigma
+        # is; the other coefficients are uniform in every case.
+        from scipy.stats import chi2_contingency
+        cfg, _, stores = toy_stores(scheme="shamir", m=5, t=2)
+        views = {}
+        for name in ("0.0.0.5", "0.0.0.2", "0.0.0.7"):    # sigma = 3, 2, 0
+            words = [w for sid in range(300) for w in decoded_words(
+                cfg, run_eval_product(stores, parse_ipv4(name),
+                                      session_id=sid)[1].results[firewall.GATEWAY])]
+            views[name] = [[sum(w.coeffs[j] == x if len(w.coeffs) > j else x == 0
+                                for w in words) + 1 for x in range(cfg.N)]
+                           for j in range(3)]
+        assert views["0.0.0.5"][0] == [2701] + [1] * 10
+        _, p_const, _, _ = chi2_contingency([views["0.0.0.2"][0],
+                                             views["0.0.0.7"][0]])
+        assert p_const > 0.01
+        for j in (1, 2):
+            _, p, _, _ = chi2_contingency([views[a][j] for a in views])
+            assert p > 0.01
+
+    def test_reused_session_id_reveals_the_ratio(self):
+        # At the bound: the same session id on the same address, before and
+        # after an UPDATE, gives the same r, so each value pair v, v' holds
+        # v' (sigma - kappa) = v (sigma' - kappa).  One past it, a fresh
+        # session id, draws a fresh r and the relation fails.
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=11, bloom=TOY_BP)
+        flt, stores = fw_init(["0.0.0.5"], cfg, RandomSource(3),
+                              family=ratio_family())
+        addr = parse_ipv4("0.0.0.1")
+
+        def values(sid):
+            _, net = run_eval_product(stores, addr, session_id=sid)
+            return [w.constant_term()
+                    for w in decoded_words(cfg, net.results[firewall.GATEWAY])]
+
+        before = values(40)
+        run_update(stores, flt, parse_ipv4("0.0.0.9"), seed=4)   # sigma 1 -> 2
+        gap, gap_after = 1 - 3, 2 - 3
+        assert all((b2 * gap - b1 * gap_after) % cfg.N == 0
+                   for b1, b2 in zip(before, values(40)))
+        assert not all((b2 * gap - b1 * gap_after) % cfg.N == 0
+                       for b1, b2 in zip(before, values(41)))
+
+    @pytest.mark.parametrize("m,t", [(5, 2), (7, 3)])
+    def test_right_or_alert_up_to_m_minus_2t_plus_1_cheaters(self, m, t):
+        # m - 2t + 1 = 2 at both shapes: every server and every pair of
+        # servers that offsets its values gets an alert, never a silent
+        # verdict.  Up to t-1 cheaters, an alert names only cheaters.
+        cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
+                             bloom=TOY_BP)
+        flt, stores = fw_init(["0.0.0.5"], cfg, RandomSource(m),
+                              family=toy_family())
+        bound = m - 2 * t + 1
+        for c in range(1, bound + 1):
+            for cheaters in itertools.combinations(range(1, m + 1), c):
+                for delta in (1, cfg.N - 1, 12345):
+                    for name in ("0.0.0.5", "0.0.0.2"):
+                        v, _ = run_eval_product(
+                            stores, parse_ipv4(name), session_id=delta,
+                            tampers={j: ServerTamper(delta * j)
+                                     for j in cheaters})
+                        assert v.decision == "alert"
+                        if c <= t - 1:
+                            assert v.suspects <= frozenset(cheaters)
+
+    @pytest.mark.parametrize("m,t", [(5, 2), (7, 3)])
+    def test_one_cheater_past_the_bound_flips_the_bit(self, m, t):
+        # m - 2t + 2 cheaters leave 2(t-1) honest servers h: moving their
+        # values onto f + d * prod(X - h), a codeword with another constant,
+        # turns a blacklisted address into a silent FORWARD.
+        cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
+                             bloom=TOY_BP)
+        _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(m),
+                            family=toy_family())
+        honest = range(1, 2 * t - 1)
+        cheaters = range(2 * t - 1, m + 1)
+        assert len(cheaters) == m - 2 * t + 2
+        tampers = {j: ServerTamper(math.prod(j - h for h in honest) % cfg.N)
+                   for j in cheaters}
+        v, _ = run_eval_product(stores, parse_ipv4("0.0.0.5"), tampers=tampers)
+        assert v == EvalVerdict("forward", value=0)
+
+    def test_cheaters_named_within_the_budget(self):
+        # locate at degree 2(t-1) with t-1 colluders corrects one error at
+        # 5/2 and none at 7/3: one cheater is named at 5/2 and two are
+        # not; at 7/3 one cheater gets an alert that names no one.
+        addr = parse_ipv4("0.0.0.5")
+        for m, t, cheaters, named in ((5, 2, {3}, True), (5, 2, {2, 4}, False),
+                                      (7, 3, set(), True), (7, 3, {6}, False)):
+            cfg = FirewallConfig(scheme="shamir", m=m, t=t, N=2 ** 31 - 1,
+                                 bloom=TOY_BP)
+            _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(m),
+                                family=toy_family())
+            v, _ = run_eval_product(stores, addr, tampers={
+                j: ServerTamper(j) for j in cheaters})
+            if not cheaters:
+                assert v == EvalVerdict("block", value=1)
+            elif named:
+                assert v == EvalVerdict("alert", value=1,
+                                        suspects=frozenset(cheaters))
+            else:
+                assert v == EvalVerdict("alert")
+
+    def test_key_count_limit(self):
+        # 11/5 holds C(10, 4) = 210 keys a server, the limit; 12/5 holds
+        # C(11, 4) = 330, past it, and gets no keys from fw_init.
+        assert firewall.MAX_PRSS_KEYS == 210
+        at = FirewallConfig(scheme="shamir", m=11, t=5, N=101, bloom=TOY_BP)
+        past = FirewallConfig(scheme="shamir", m=12, t=5, N=101, bloom=TOY_BP)
+        check_product_config(at)
+        with pytest.raises(BadConfig, match="330 PRSS keys"):
+            check_product_config(past)
+        _, stores = fw_init([], past, RandomSource(1), family=toy_family())
+        assert all(not s.prss_keys for s in stores)
+        with pytest.raises(BadConfig):
+            run_eval_product(stores, parse_ipv4("0.0.0.5"))
+        # The paper's product makes no PRSS draws, so it runs there.
+        v, _ = run_eval_tree(stores, parse_ipv4("0.0.0.5"))
+        assert v.decision == "forward"
+
+
+class TestPrssKeyFile:
+    def test_each_server_holds_the_keys_of_its_sets(self):
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101, bloom=TOY_BP)
+        _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(6),
+                            family=toy_family())
+        assert [sorted(s.prss_keys) for s in stores] == [
+            [a for a in itertools.combinations(range(1, 6), 4) if i in a]
+            for i in range(1, 6)]
+        # Two servers hold the same key for each set they share.
+        assert stores[0].prss_keys[(1, 2, 3, 4)] \
+            == stores[3].prss_keys[(1, 2, 3, 4)]
+        _, _, additive = toy_stores()
+        assert all(not s.prss_keys for s in additive)
+
+    def test_round_trip(self, tmp_path):
+        _, _, stores = toy_stores(scheme="shamir", m=7, t=3)
+        path = str(tmp_path / "s.share")
+        stores[4].save(path)
+        blob = (tmp_path / "s.share.keys").read_bytes()
+        assert blob[:5] == b"OBFK1" and len(blob) == 10 + 15 * 32
+        back = ShareStore.load(path)
+        assert back.prss_keys == stores[4].prss_keys
+        assert back == stores[4]
+
+    def test_store_without_keys_writes_no_key_file(self, tmp_path):
+        _, _, stores = toy_stores()
+        stores[0].save(str(tmp_path / "a.share"))
+        assert [p.name for p in tmp_path.iterdir()] == ["a.share"]
+        assert ShareStore.load(str(tmp_path / "a.share")).prss_keys == {}
+
+    @pytest.mark.parametrize("damage", ["magic", "party", "truncated",
+                                        "extended"])
+    def test_damaged_key_file_rejected(self, tmp_path, damage):
+        _, _, stores = toy_stores(scheme="shamir", m=5, t=2)
+        stores[1].save(str(tmp_path / "s.share"))
+        keys = tmp_path / "s.share.keys"
+        blob = bytearray(keys.read_bytes())
+        if damage == "magic":
+            blob[4] = ord("2")
+        elif damage == "party":
+            blob[5] = 3
+        blob = {"truncated": blob[:-1], "extended": blob + b"\0"}.get(
+            damage, blob)
+        keys.write_bytes(bytes(blob))
+        with pytest.raises(IoError):
+            ShareStore.load(str(tmp_path / "s.share"))
 
 
 class TestDecisionEquivalence:
     def test_every_variant_matches_plaintext_on_10k_probes(self):
-        # Sum, product and BW evaluations all agree with the plaintext
-        # filter across 10^4 random probes against honest servers, and no
-        # blacklisted address escapes any variant.
+        # Sum, the zero test (protocol 13), the product tree (protocol 10)
+        # and BW all agree with the plaintext filter across 12 000 random
+        # probes against honest servers, 6000 of them sum-mode and 2000 for
+        # each product variant, and no blacklisted address escapes any
+        # variant.  At N = 11 the zero test answers K = 9 values.
         bp = derive_params(40, 0.02)
         cfg = FirewallConfig(scheme="shamir", m=7, t=3, N=11, bloom=bp)
         rng = RandomSource(b"variants" + bytes(24))
         blacklist = [f"10.20.0.{i}" for i in range(40)]
         flt, stores = fw_init(blacklist, cfg, rng)
+        assert cfg.zero_test_values == 9
 
-        for line in blacklist:
+        for k, line in enumerate(blacklist):
             addr = parse_ipv4(line)
             assert run_eval_sum(stores, addr)[0].decision == "block"
-            assert run_eval_product(stores, addr, seed=addr)[0].decision == "block"
+            assert run_eval_product(stores, addr, session_id=k)[0].decision == "block"
+            assert run_eval_tree(stores, addr, seed=addr)[0].decision == "block"
             assert run_eval_bw(stores, addr, seed=addr)[0].decision == "block"
 
         checked = 0
@@ -731,8 +1008,13 @@ class TestDecisionEquivalence:
             assert (v.decision == "block") == flt.query(addr)
             checked += 1
         for i in range(2000):
+            addr = bytes([88, 44, (i >> 8) & 0xFF, i & 0xFF])
+            v, _ = run_eval_product(stores, addr, session_id=i)
+            assert (v.decision == "block") == flt.query(addr)
+            checked += 1
+        for i in range(2000):
             addr = bytes([66, 44, (i >> 8) & 0xFF, i & 0xFF])
-            v, _ = run_eval_product(stores, addr, seed=i)
+            v, _ = run_eval_tree(stores, addr, seed=i)
             assert (v.decision == "block") == flt.query(addr)
             checked += 1
         for i in range(2000):
@@ -740,7 +1022,7 @@ class TestDecisionEquivalence:
             v, _ = run_eval_bw(stores, addr, seed=i)
             assert (v.decision == "block") == flt.query(addr)
             checked += 1
-        assert checked == 10_000
+        assert checked == 12_000
 
 
 class TestDeduction:

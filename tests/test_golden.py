@@ -9,7 +9,9 @@ landed; the extra comparison cases (forced shift with a < b, alg5 on
 equal inputs, alg6 at m = 3 and m = 4) before the alg4/alg5/alg6 role
 programs were merged onto one P1/P2 core and one helper core; alg7 at
 l = 16 before its xor triangle was laid out once per bit width, draws
-read ahead and payloads were hashed only on demand.
+read ahead and payloads were hashed only on demand.  The zero test's case
+was recorded when it became the product CHECK; protocol 10's
+`eval_product` case runs through `run_eval_tree` on its old pin.
 """
 import pytest
 
@@ -24,6 +26,7 @@ from obfw.firewall import (
     run_eval_bw,
     run_eval_product,
     run_eval_sum,
+    run_eval_tree,
     run_product_with_vote,
     run_update,
 )
@@ -33,6 +36,7 @@ from obfw.net.envelope import (
     PROTO_FW_EVAL_PRODUCT,
     PROTO_FW_EVAL_SUM,
     PROTO_FW_UPDATE,
+    PROTO_FW_ZERO_TEST,
     PROTO_MAJORITY_VOTE,
     PROTO_SC_LOW_ROUNDS,
     PROTO_SC_MALICIOUS,
@@ -138,8 +142,10 @@ CASES = {
     "mult_fanin": (PROTO_SC_MALICIOUS, _mult_fanin),
     "eval_sum_additive": (PROTO_FW_EVAL_SUM, lambda: _eval_sum("additive", 3, 0)),
     "eval_sum_shamir": (PROTO_FW_EVAL_SUM, lambda: _eval_sum("shamir", 5, 2)),
-    "eval_product": (PROTO_FW_EVAL_PRODUCT, lambda: run_eval_product(
+    "eval_product": (PROTO_FW_EVAL_PRODUCT, lambda: run_eval_tree(
         _stores("shamir", 5, 2)[1], LISTED, seed="golden/product")[1].transcript),
+    "eval_zero_test": (PROTO_FW_ZERO_TEST, lambda: run_eval_product(
+        _stores("shamir", 5, 2)[1], FRESH, session_id=2 ** 64 - 3)[1].transcript),
     "eval_bw": (PROTO_FW_EVAL_PRODUCT, _eval_bw),
     "update": (PROTO_FW_UPDATE, _update),
     "majority_vote": (PROTO_MAJORITY_VOTE, _vote),
@@ -161,6 +167,7 @@ GOLDEN = {
     "eval_product": ("8fbf5827639ab35124ed7d3e92993f9e35f7ceefe891ce22e3adb2901a5c31a1", 2175, 3),
     "eval_sum_additive": ("4026f0717113c2c6fdd032528ad5560ca18cb1e4c9a582eab78c2b9b11e13f86", 189, 1),
     "eval_sum_shamir": ("4719c2d552a850ee59a8fa432927edd8f81dacf3bcce42cc244fcf70b1aea878", 315, 1),
+    "eval_zero_test": ("cfe14bfac1648f991a30d713f83c966227e282073dbc6c74f22511e584d96309", 315, 1),
     "majority_vote": ("d21792da317c57d65a06a9ce8890deeef3ffcd9b1f82817de06e7244d2536847", 2795, 4),
     "mult_fanin": ("e2d2ef086cf846564e9e8524aaaa567eb99d8f1aa3d2b625eef6ae5e6a35f43c", 744, 3),
     "output_check": ("5659d945a200db577ecf27244c963928215c160e8eaf87e6a63550615b665ff1", 1240, 2),
@@ -183,4 +190,4 @@ def test_every_simulated_protocol_id_is_pinned():
         PROTO_SHAMIR_MULT, PROTO_ADDITIVE_MULT3, PROTO_DUAL_OUTPUT_CHECK,
         PROTO_SC_SEMI_HONEST, PROTO_SC_LOW_ROUNDS, PROTO_SC_SHARED_INPUTS,
         PROTO_SC_MALICIOUS, PROTO_FW_EVAL_SUM, PROTO_FW_EVAL_PRODUCT,
-        PROTO_FW_UPDATE, PROTO_MAJORITY_VOTE}
+        PROTO_FW_UPDATE, PROTO_MAJORITY_VOTE, PROTO_FW_ZERO_TEST}

@@ -23,13 +23,14 @@ from obfw.firewall import (
     fw_update_pairs,
     parse_ipv4,
     run_eval_sum,
-    server_product_program,
     server_sum_program,
+    server_zero_test_program,
 )
 from obfw.net import (
     PROTO_FW_EVAL_PRODUCT,
     PROTO_FW_EVAL_SUM,
     PROTO_FW_UPDATE,
+    PROTO_FW_ZERO_TEST,
     PROTO_MAJORITY_VOTE,
     Endpoint,
     TcpNode,
@@ -120,12 +121,35 @@ class TestDaemons:
 
     def test_server_runs_only_check_protocols(self, stack):
         _, _, _, daemons, _ = stack
-        for proto in (PROTO_FW_EVAL_SUM, PROTO_FW_EVAL_PRODUCT):
-            program = daemons[0]._program_for(1, proto)
+        program = daemons[0]._program_for(1, PROTO_FW_EVAL_SUM)
+        assert program is not None
+        program.close()
+        # The zero test needs PRSS keys, which an additive store never
+        # holds; the paper's product and the vote run in the simulator only.
+        for proto in (PROTO_FW_ZERO_TEST, PROTO_FW_EVAL_PRODUCT,
+                      PROTO_MAJORITY_VOTE, PROTO_FW_UPDATE, 99):
+            assert daemons[0]._program_for(1, proto) is None
+
+    def test_zero_test_needs_the_prss_keys(self):
+        # A server whose store lacks its PRSS keys ignores a zero test, as
+        # a dead server would, where its program would fail on the first
+        # key it looked up.
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
+                             bloom=derive_params(20, 0.05))
+        _, stores = fw_init(["10.9.0.1"], cfg, RandomSource(b"keys" + bytes(28)))
+        keyless = ShareStore(config=cfg, party_index=2,
+                             instance_keys=stores[1].instance_keys,
+                             values=stores[1].values, family=stores[1].family)
+        daemons = [FirewallServerDaemon(s, TcpNode(2, Endpoint("127.0.0.1", 0)),
+                                        psk=b"psk") for s in (stores[1], keyless)]
+        try:
+            program = daemons[0]._program_for(1, PROTO_FW_ZERO_TEST)
             assert program is not None
             program.close()
-        for proto in (PROTO_MAJORITY_VOTE, PROTO_FW_UPDATE, 99):
-            assert daemons[0]._program_for(1, proto) is None
+            assert daemons[1]._program_for(1, PROTO_FW_ZERO_TEST) is None
+        finally:
+            for d in daemons:
+                d.stop()
 
     def test_malformed_check_rejected(self, stack):
         _, _, _, _, gw = stack
@@ -263,27 +287,50 @@ class TestServing:
         assert not any(t.is_alive() for t in threads)
         assert {a: r for part in got.values() for a, r in part.items()} == want
 
-    @pytest.mark.parametrize("mesh_stack", [("additive", 3, 0, "sum")],
-                             indirect=True, ids=["sum"])
+    @pytest.mark.parametrize("mesh_stack", [("additive", 3, 0, "sum"),
+                                            ("shamir", 5, 2, "product")],
+                             indirect=True, ids=["sum", "product"])
     def test_thread_count_steady(self, mesh_stack):
+        # A CHECK session of either mode never waits on a peer, so no
+        # server starts a thread for one: under concurrent clients the live
+        # threads peak at the idle count plus the gateway's thread for each
+        # client connection, besides this test's clients and sampler.
         flt, _, gw = mesh_stack
-        with socket.create_connection(("127.0.0.1", gw.port), timeout=15) as c:
-            rfh, wfh = c.makefile("r", newline="\n"), c.makefile("w", newline="\n")
+        clients = 4
+        addrs = [f"10.8.0.{i}" for i in range(20)] + \
+                [f"172.22.0.{i}" for i in range(80)]
+        want = {a: "BLOCK" if flt.query(parse_ipv4(a)) else "FORWARD"
+                for a in addrs}
+        got = {}
+        done = threading.Event()
+        idle = peak = threading.active_count()
 
-            def check(addr):
-                wfh.write(f"CHECK {addr}\n")
-                wfh.flush()
-                return rfh.readline().strip()
+        def sample():
+            nonlocal peak
+            while not done.is_set():
+                peak = max(peak, threading.active_count())
+                time.sleep(0.0005)
 
-            assert check("10.8.0.1") == "BLOCK"
-            before = threading.active_count()
-            for i in range(50):
-                want = "BLOCK" if flt.query(parse_ipv4(f"10.8.0.{i}")) else "FORWARD"
-                assert check(f"10.8.0.{i}") == want
-            deadline = time.monotonic() + 2.0
-            while threading.active_count() > before and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert threading.active_count() <= before
+        def client(k):
+            mine = addrs[k::clients]
+            got.update(zip(mine, check_lines(gw.port, mine)))
+
+        sampler = threading.Thread(target=sample)
+        sampler.start()
+        threads = [threading.Thread(target=client, args=(k,))
+                   for k in range(clients)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        done.set()
+        sampler.join()
+        assert got == want
+        assert peak <= idle + 1 + 2 * clients
+        deadline = time.monotonic() + 2.0
+        while threading.active_count() > idle and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= idle
 
     def test_gateway_restart(self, stack):
         cfg, _, _, daemons, gw = stack
@@ -339,7 +386,8 @@ class TestGatewayAnswersEveryLine:
     @contextlib.contextmanager
     def _no_majority_gateway():
         """A product-mode gateway whose five servers split: two of them add
-        different offsets to their result share."""
+        different offsets to their zero-test values, two errors in each
+        word that no degree-2 polynomial within one error explains."""
         cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
                              bloom=derive_params(20, 0.05))
         _, stores = fw_init(["10.8.0.1"], cfg,
@@ -349,8 +397,7 @@ class TestGatewayAnswersEveryLine:
         for i in range(1, 6):
             nodes[i].serve(
                 lambda sid, proto, i=i: rewrite_sends(
-                    server_product_program(stores[i - 1],
-                                           RandomSource(i).child(f"s/{sid}")),
+                    server_zero_test_program(stores[i - 1], sid),
                     tampers.get(i, ServerTamper(0))))
         gw = GatewayDaemon(cfg, nodes[0], mode="product")
         gw.start()
@@ -528,23 +575,6 @@ def saved_stores(tmp_path, cfg, blacklist):
     for store, path in zip(stores, paths):
         store.save(path)
     return flt, [ShareStore.load(path) for path in paths], paths
-
-
-def test_unseeded_server_draws_private_randomness():
-    """A server built without a seed must not draw its resharing
-    polynomials from a public seed: the session id is in every header."""
-    cfg = FirewallConfig(scheme="additive", m=3, N=101,
-                         bloom=derive_params(20, 0.05))
-    _, stores = fw_init(["10.9.0.1"], cfg, RandomSource(b"seedless" + bytes(24)))
-    daemons = [FirewallServerDaemon(stores[0], TcpNode(1, Endpoint("127.0.0.1", 0)),
-                                    psk=b"psk") for _ in range(2)]
-    try:
-        draws = [d.rng.child("s/1").bytes(32) for d in daemons]
-    finally:
-        for d in daemons:
-            d.stop()
-    assert draws[0] != draws[1]
-    assert RandomSource(0).child("s/1").bytes(32) not in draws
 
 
 class TestDurableUpdates:
@@ -858,6 +888,28 @@ class TestCli:
              "serve"], capture_output=True, text=True, timeout=30)
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.splitlines() == ["config error: config has no 'psk'"]
+
+    def test_serve_product_mode_needs_the_key_file(self, tmp_path, capsys):
+        # fw-init writes each Shamir store's PRSS keys beside it; a
+        # product-mode server refuses a store without them before it
+        # opens a port.
+        cfg = {"party_index": 2, "scheme": "shamir", "m": 5, "t": 2,
+               "N": 101, "eval_mode": "product", "psk": "0011",
+               "bloom": {"eta": 5, "target_fp": 0.1},
+               "store_prefix": str(tmp_path / "fw")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        bl = tmp_path / "b.txt"
+        bl.write_text("8.8.8.8\n")
+        assert main(["--config", str(cfg_path), "fw-init", str(bl)]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.glob("*.keys")) == [
+            f"fw.server{i}.share.keys" for i in range(1, 6)]
+        (tmp_path / "fw.server2.share.keys").unlink()
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "serve"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: product mode needs the PRSS keys")
 
     @pytest.mark.parametrize("argv,cfg", [
         (["fw-init", "b.txt"], {"N": 11}),

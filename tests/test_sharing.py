@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obfw.field import PrimeField, interpolate
 from obfw.rng import RandomSource
 from obfw.sharing import (
     AdditiveParams,
@@ -22,6 +23,8 @@ from obfw.sharing import (
     additive_expand,
     additive_reveal,
     additive_share,
+    prss_pairs,
+    prss_sets,
     run_additive_mult3,
     run_shamir_mult,
     shamir_add,
@@ -431,3 +434,81 @@ class TestShareColumns:
             expected[m - 1][i] = bit ^ acc
         got = share_bits_among(value, lbits, m, RandomSource(f"bits/{lbits}/{m}"))
         assert got == expected
+
+
+def prss_deal(params, seed):
+    """One key per PRSS set, as a dealer draws them."""
+    keys = RandomSource(seed).child("prss")
+    return {a: keys.bytes(32) for a in prss_sets(params)}
+
+
+def prss_all(params, keys, label, count):
+    """Every party's `count` pairs: {party: [(r, z), ...]}."""
+    return {i: prss_pairs(i, params, {a: k for a, k in keys.items() if i in a},
+                          label, count)
+            for i in range(1, params.n + 1)}
+
+
+PRSS_SHAPES = st.sampled_from([(5, 2), (7, 3), (9, 4)])
+PRSS_MODULI = st.sampled_from([11, 13, 101, 65521, 2 ** 31 - 1])
+
+
+class TestPrss:
+    """Pseudo-random secret sharing at m/t = 5/2, 7/3 and 9/4: degree t-1
+    sharings r and degree-2(t-1) sharings z of 0, with no interaction."""
+
+    def test_key_sets(self):
+        # C(m, t-1) sets of m-t+1 servers; each server holds C(m-1, t-1).
+        params = ShamirParams(11, 2, 7)
+        sets = prss_sets(params)
+        assert len(sets) == 21 and all(len(a) == 5 for a in sets)
+        assert all(sum(i in a for a in sets) == 15 for i in range(1, 8))
+
+    @settings(max_examples=25, deadline=None)
+    @given(PRSS_SHAPES, PRSS_MODULI, st.integers(0, 2 ** 64 - 1),
+           st.integers(1, 3))
+    def test_r_and_z_lie_on_their_polynomials(self, shape, p, session, count):
+        m, t = shape
+        params = ShamirParams(p, t - 1, m)
+        f = PrimeField(p)
+        pairs = prss_all(params, prss_deal(params, p), f"{session}", count)
+        for k in range(count):
+            r = interpolate(f, [(i, pairs[i][k][0]) for i in pairs])
+            z = interpolate(f, [(i, pairs[i][k][1]) for i in pairs])
+            assert r.degree <= t - 1
+            assert z.degree <= 2 * (t - 1) and z.constant_term() == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(PRSS_SHAPES, PRSS_MODULI, st.integers(0, 2 ** 64 - 1),
+           st.data())
+    def test_t_minus_1_servers_miss_the_key_that_fixes_r(self, shape, p,
+                                                          session, data):
+        # The t-1 servers outside one set hold every key but its own; a
+        # fresh key for that set leaves their shares of r as they were and
+        # moves r(0).
+        m, t = shape
+        params = ShamirParams(p, t - 1, m)
+        f = PrimeField(p)
+        keys = prss_deal(params, session)
+        coalition = data.draw(st.sets(st.integers(1, m), min_size=t - 1,
+                                      max_size=t - 1))
+        (missing,) = [a for a in keys if not coalition & set(a)]
+        assert all(missing not in {a for a in keys if i in a}
+                   for i in coalition)
+        label = f"{session}"
+        count = 8
+        before = prss_all(params, keys, label, count)
+        after = prss_all(params, {**keys, missing: bytes(32)}, label, count)
+        for i in coalition:
+            assert before[i] == after[i]
+        secrets = [[interpolate(f, [(i, pairs[i][k][0]) for i in pairs])
+                    .constant_term() for k in range(count)]
+                   for pairs in (before, after)]
+        assert secrets[0] != secrets[1]
+
+    def test_streams_are_per_label(self):
+        params = ShamirParams(101, 1, 5)
+        keys = prss_deal(params, 1)
+        a, b = (prss_all(params, keys, label, 4) for label in ("1/x", "2/x"))
+        assert a != b
+        assert prss_all(params, keys, "1/x", 4) == a
