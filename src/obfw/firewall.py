@@ -33,6 +33,7 @@ import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Generator, Iterable, Sequence
 
 from .bloom import (BloomFilter, BloomParams, SipHashFamily, read_file,
@@ -58,8 +59,8 @@ from .net import (
     send,
 )
 from .rng import RandomSource, unpack_uints, widen_uints
-from .sharing import (ShamirParams, mult_fanin_party, prss_pairs, prss_sets,
-                      share_columns)
+from .sharing import (PrssPlan, ShamirParams, mult_fanin_party, plan_pairs,
+                      prss_plan, prss_sets, share_columns)
 
 # Share columns are unsigned 32-bit arrays: 4 bytes a share, so N < 2^32
 # (the store header keeps N in 4 bytes as well).
@@ -73,13 +74,15 @@ _KEYS_MAGIC = b"OBFK1"
 _KEYS_HEADER = struct.Struct("<5sBBBH")
 _PRSS_KEY_BYTES = 32
 # The most PRSS keys a server may hold, C(m-1, t-1): 210 is m/t = 11/5.
-# There a server spends 1.3 ms of CPU per product CHECK on its PRSS pairs
-# at N = 2^31 - 1 (K = 1) and 2.3 ms at N = 101 (K = 5), against 0.02 ms
-# for the 4 keys of 5/2 (best of 30, one core of a 2-vCPU x86 host,
+# There a server spends 0.4 ms of CPU per product CHECK on its PRSS pairs
+# at N = 2^31 - 1 (K = 1) and 1.6 ms at N = 101 (K = 5), against 0.011 ms
+# for the 4 keys of 5/2 (best of 9 runs, one core of a 2-vCPU x86 host,
 # CPython 3.11).
 MAX_PRSS_KEYS = 210
 GATEWAY = 0
 RESULT_STEP = 100
+# The step of a server's refusal: no CHECK program receives at it.
+REFUSAL_STEP = 0
 # The protocols a server daemon runs: sum mode and the zero test.  The
 # paper's product and the vote run only in the simulator.
 CHECK_PROTOCOLS = (PROTO_FW_EVAL_SUM, PROTO_FW_ZERO_TEST)
@@ -140,10 +143,20 @@ class FirewallConfig:
         if self.m < 2:
             raise BadConfig("need at least two servers")
 
+    # A CHECK reads the field, the Shamir parameters, K and the product
+    # verdicts; each is built once per config, on first use.
     def field(self) -> PrimeField:
-        return PrimeField(self.N)
+        return self._field
 
     def shamir_params(self) -> ShamirParams:
+        return self._shamir_params
+
+    @cached_property
+    def _field(self) -> PrimeField:
+        return PrimeField(self.N)
+
+    @cached_property
+    def _shamir_params(self) -> ShamirParams:
         # Degree t-1 so that t shares reveal: the reveal-combination counts
         # C(m, t) then come out exactly as published.
         return ShamirParams(self.N, self.t - 1, self.m)
@@ -153,7 +166,7 @@ class FirewallConfig:
         """Bytes a share takes in a store file: the fewest that hold N-1."""
         return max(1, ((self.N - 1).bit_length() + 7) // 8)
 
-    @property
+    @cached_property
     def zero_test_values(self) -> int:
         """K, the values each server answers in a zero test: the fewest with
         N^K >= 2^30.  A CHECK blocks an address wrongly only when all K
@@ -162,6 +175,27 @@ class FirewallConfig:
         while self.N ** k < 1 << 30:
             k += 1
         return k
+
+    @cached_property
+    def product_refusal(self) -> str | None:
+        """Why product evaluation cannot run on this config, or None."""
+        if self.scheme != "shamir":
+            return "product evaluation is implemented for Shamir stores"
+        if self.m < 2 * self.t + 1:
+            return "product evaluation needs m >= 2t+1 servers"
+        return None
+
+    @cached_property
+    def zero_test_refusal(self) -> str | None:
+        """Why the zero test cannot run on this config, or None: it also
+        needs at most MAX_PRSS_KEYS keys a server."""
+        if self.product_refusal is not None:
+            return self.product_refusal
+        keys = math.comb(self.m - 1, self.t - 1)
+        if keys > MAX_PRSS_KEYS:
+            return (f"the zero test at m={self.m} t={self.t} needs {keys} "
+                    f"PRSS keys a server, above the limit of {MAX_PRSS_KEYS}")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +213,8 @@ class ShareStore:
     update reaches that file before it reaches memory.  `prss_keys` maps
     each PRSS key set that holds this server to its key; a store that can
     run the zero test has them, and `save` writes them beside the store.
+    Give `prss_keys` a new mapping to change them: the zero test's plan of
+    the keys is rebuilt when the mapping is a new one.
     """
     config: FirewallConfig
     party_index: int
@@ -195,6 +231,9 @@ class ShareStore:
     # the file never goes back to an older state.
     _update_lock: threading.Lock = dc_field(default_factory=threading.Lock,
                                             repr=False, compare=False)
+    # (the `prss_keys` mapping, its PrssPlan), built on first use.
+    _prss_plan: tuple = dc_field(default=(None, None), init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.values, array):
@@ -230,6 +269,15 @@ class ShareStore:
                 values = self.values
                 for idx, val in fresh:
                     values[idx] = val
+
+    def prss_plan(self) -> PrssPlan:
+        """The plan of this server's PRSS keys, for `plan_pairs`."""
+        keys, plan = self._prss_plan
+        if keys is not self.prss_keys:
+            keys = self.prss_keys
+            plan = prss_plan(self.party_index, self.config.shamir_params(), keys)
+            self._prss_plan = (keys, plan)
+        return plan
 
     def hash_indices(self, addr: bytes) -> list[int]:
         return self.family.indices(addr, self.config.bloom.beta)
@@ -389,7 +437,7 @@ def fw_init(blacklist: Sequence[str], cfg: FirewallConfig, rng: RandomSource,
     bits = itertools.chain.from_iterable(map(_BYTE_BITS.__getitem__, flt.bits))
     cols = _deal(bits, cfg, rng, "pos/", range(beta))
     prss = {}
-    if _product_refusal(cfg) is None:
+    if cfg.zero_test_refusal is None:
         keys_rng = rng.child("prss")
         prss = {a: keys_rng.bytes(_PRSS_KEY_BYTES)
                 for a in prss_sets(cfg.shamir_params())}
@@ -572,10 +620,19 @@ def server_zero_test_program(store: ShareStore, session_id: int) -> Generator:
     ((addr_int,),) = yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
     addr = addr_int.to_bytes(4, "big")
     gap = sum(store.read(store.hash_indices(addr))) - cfg.bloom.kappa
-    pairs = prss_pairs(store.party_index, cfg.shamir_params(), store.prss_keys,
+    pairs = plan_pairs(store.prss_plan(), cfg.shamir_params(),
                        f"zero-test/{session_id}/{addr.hex()}",
                        cfg.zero_test_values)
     yield from send(GATEWAY, 2, [(zn, [(r * gap + z) % cfg.N for r, z in pairs])])
+    return None
+
+
+def server_refusal_program() -> Generator:
+    """A server's answer to a CHECK it cannot run: the address, then one
+    envelope at REFUSAL_STEP, where the gateway waits on another step, so
+    the CHECK fails at once naming this server."""
+    yield from recv(GATEWAY, 1, [(group_addr32(), 1)])
+    yield from send(GATEWAY, REFUSAL_STEP, [(group_z2(), [0])])
     return None
 
 
@@ -656,24 +713,10 @@ def decide_bw(cfg: FirewallConfig, shares: dict[int, int]) -> EvalVerdict:
 
 # -- choosing a CHECK's programs ----------------------------------------------
 
-def _product_refusal(cfg: FirewallConfig, zero_test: bool = True) -> str | None:
-    """Why product evaluation cannot run on `cfg`, or None.  The zero test
-    also needs at most MAX_PRSS_KEYS keys a server."""
-    if cfg.scheme != "shamir":
-        return "product evaluation is implemented for Shamir stores"
-    if cfg.m < 2 * cfg.t + 1:
-        return "product evaluation needs m >= 2t+1 servers"
-    keys = math.comb(cfg.m - 1, cfg.t - 1)
-    if zero_test and keys > MAX_PRSS_KEYS:
-        return (f"the zero test at m={cfg.m} t={cfg.t} needs {keys} PRSS keys "
-                f"a server, above the limit of {MAX_PRSS_KEYS}")
-    return None
-
-
 def check_product_config(cfg: FirewallConfig) -> None:
     """Raise BadConfig unless the product CHECK, the zero test, supports
     `cfg`."""
-    why = _product_refusal(cfg)
+    why = cfg.zero_test_refusal
     if why is not None:
         raise BadConfig(why)
 
@@ -684,7 +727,8 @@ def gateway_program(cfg: FirewallConfig, protocol_id: int, addr: bytes,
     sum mode asks `live`, a product protocol all m after its config check."""
     if protocol_id == PROTO_FW_EVAL_SUM:
         return gateway_sum_program(cfg, addr, live)
-    why = _product_refusal(cfg, zero_test=protocol_id == PROTO_FW_ZERO_TEST)
+    why = (cfg.zero_test_refusal if protocol_id == PROTO_FW_ZERO_TEST
+           else cfg.product_refusal)
     if why is not None:
         raise BadConfig(why)
     if protocol_id == PROTO_FW_ZERO_TEST:
@@ -706,10 +750,15 @@ def server_program(store: ShareStore, protocol_id: int, session_id: int,
                    rng=None) -> Generator | None:
     """A server's program for `protocol_id` in session `session_id`, or
     None.  The vote is a product that also sends its result share to the
-    other servers; `rng()` gives those two their draws."""
+    other servers; `rng()` gives those two their draws.  A store whose
+    config runs the zero test but that lacks its PRSS keys refuses one."""
     if protocol_id == PROTO_FW_EVAL_SUM:
         return server_sum_program(store)
     if protocol_id == PROTO_FW_ZERO_TEST:
+        if store.config.zero_test_refusal is not None:
+            return None         # no gateway runs the zero test on this config
+        if not store.prss_keys:
+            return server_refusal_program()
         return server_zero_test_program(store, session_id)
     if protocol_id in (PROTO_FW_EVAL_PRODUCT, PROTO_MAJORITY_VOTE):
         return server_product_program(store, rng(),

@@ -8,11 +8,12 @@ which is portable across Python versions (unlike the Mersenne state of
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import sys
 from array import array
-from typing import Sequence
+from typing import Iterable, Sequence
 
 try:
     # CPython's builtin SHA-256 gives hashlib's digests with less overhead
@@ -60,49 +61,11 @@ class RandomSource:
     def child_draws(self, labels: Sequence[int | str], n: int,
                     count: int) -> list[list[int]]:
         """`count` columns: column j holds `self.child(l).randbelow_many(n,
-        count)[j]` for every label l, in label order.
-
-        Every child seed and its counter blocks are hashed in one pass and
-        unpacked column by column.  A row with an out-of-range draw takes the
-        in-range draws of its blocks, or else redraws from its own stream.
-        """
-        if n <= 0:
-            raise ValueError("randbelow needs n >= 1")
-        k = (n - 1).bit_length() or 1
-        width = (k + 7) // 8
-        shift = width * 8 - k
-        sha256 = _sha256
+        count)[j]` for every label l, in label order."""
         prefix = self.seed + b"/"
-        seeds = [sha256(prefix + (label.encode() if isinstance(label, str)
-                                  else _label_tag(label))).digest()
-                 for label in labels]
-        # Each row is the child's first blocks, enough for count draws; the
-        # draws of one row are contiguous in it, whatever the width.
-        ctrs = [c.to_bytes(8, "little")
-                for c in range((count * width + 31) // 32)]
-        blob = b"".join([sha256(seed + ctr).digest()
-                         for seed in seeds for ctr in ctrs])
-        row = 32 * len(ctrs)
-        if width in UINT_TYPECODES:
-            flat = unpack_uints(blob, width)
-            stride = row // width
-            cols = [flat[j::stride] for j in range(count)]
-        else:
-            cols = [[int.from_bytes(blob[i:i + width], "little")
-                     for i in range(j * width, len(blob), row)]
-                    for j in range(count)]
-        cols = [[v >> shift for v in col] if shift else list(col) for col in cols]
-        if any(max(col, default=0) >= n for col in cols):
-            rejected = {i for col in cols for i, v in enumerate(col) if v >= n}
-            for i in rejected:
-                draws = unpack_uints(
-                    blob[i * row:i * row + row // width * width], width)
-                kept = [v >> shift for v in draws if v >> shift < n]
-                if len(kept) < count:
-                    kept = RandomSource(seeds[i]).randbelow_many(n, count)
-                for col, v in zip(cols, kept):
-                    col[i] = v
-        return cols
+        return child_columns((prefix + (label.encode() if isinstance(label, str)
+                                        else _label_tag(label))
+                              for label in labels), n, count)
 
     def bytes(self, k: int) -> bytes:
         buf, pos = self._buf, self._pos
@@ -157,9 +120,7 @@ class RandomSource:
             return out
         while len(out) < count:
             need = count - len(out)
-            # The mean number of draws holding `need` in range, plus one sigma.
-            ahead = round(need / q + math.sqrt(need * (1 - q)) / q)
-            draws = unpack_uints(self.bytes(ahead * width), width)
+            draws = unpack_uints(self.bytes(_read_ahead(need, q) * width), width)
             out += [v >> shift for v in draws if v < bound]
         # Give back the draws after the count-th in-range one.
         drop, i = len(out) - count, len(draws)
@@ -173,6 +134,69 @@ class RandomSource:
             self._buf = _sha256(self.seed + block.to_bytes(8, "little")).digest()
         self._pos = end - 32 * block
         return out[:count]
+
+
+def _read_ahead(need: int, q: float) -> int:
+    """The draws that hold `need` in range when a share `q` of draws is:
+    their mean count plus one standard deviation."""
+    return round(need / q + math.sqrt(need * (1 - q)) / q)
+
+
+@functools.lru_cache(maxsize=256)
+def _child_geometry(n: int, count: int) -> tuple[int, int, tuple[bytes, ...]]:
+    """(width, shift, counter tags) of `count` draws below `n` from the
+    first blocks of a stream: the blocks of `randbelow_many`'s read-ahead."""
+    k = (n - 1).bit_length() or 1
+    width = (k + 7) // 8
+    shift = width * 8 - k
+    q = (n << shift) / (1 << width * 8)
+    blocks = (_read_ahead(count, q) * width + 31) // 32
+    return width, shift, tuple(c.to_bytes(8, "little") for c in range(blocks))
+
+
+def child_columns(paths: Iterable[bytes], n: int,
+                  count: int) -> list[list[int]]:
+    """`count` columns: column j holds `RandomSource(sha256(path).digest())
+    .randbelow_many(n, count)[j]` for every path, in path order.
+
+    `RandomSource(s).child(label)` seeds itself with the digest of s, "/"
+    and the label's tag, so the path of those three gives that child's
+    draws.  Every seed and the counter blocks of its read-ahead are hashed
+    in one pass; row i of the blocks is child i's stream, and its draws lie
+    in it `width` bytes each, whatever the width.  The rows are unpacked
+    column by column; a row with an out-of-range draw takes the first
+    in-range draws of its blocks instead, and reads on in its own stream
+    only when they are too few.
+    """
+    if n <= 0:
+        raise ValueError("randbelow needs n >= 1")
+    sha256 = _sha256
+    seeds = [sha256(path).digest() for path in paths]
+    if not seeds:
+        return [[] for _ in range(count)]
+    width, shift, ctrs = _child_geometry(n, count)
+    blob = b"".join([sha256(seed + ctr).digest()
+                     for seed in seeds for ctr in ctrs])
+    row = 32 * len(ctrs)
+    whole = row // width * width        # the bytes of a row's whole draws
+    bound = n << shift                  # v >> shift < n exactly when v < bound
+    if width in UINT_TYPECODES:
+        flat = unpack_uints(blob, width)
+        stride = row // width
+        cols = [[v >> shift for v in flat[j::stride]] for j in range(count)]
+    else:
+        cols = [[int.from_bytes(blob[i:i + width], "little") >> shift
+                 for i in range(j * width, len(blob), row)]
+                for j in range(count)]
+    if max(map(max, cols), default=0) >= n:
+        for i in {i for col in cols for i, v in enumerate(col) if v >= n}:
+            kept = [v >> shift for v in unpack_uints(
+                blob[i * row:i * row + whole], width) if v < bound]
+            if len(kept) < count:
+                kept = RandomSource(seeds[i]).randbelow_many(n, count)
+            for col, v in zip(cols, kept):
+                col[i] = v
+    return cols
 
 
 def widen_uints(blob: bytes, width: int) -> bytearray:

@@ -46,7 +46,7 @@ from .firewall import (
     server_program,
     verify_admin_mac,
 )
-from .net import PROTO_FW_ZERO_TEST, Endpoint, PartyTimeout, TcpNode
+from .net import Endpoint, PartyTimeout, TcpNode
 
 # Characters a text line may hold, newline included (UPDATE lines stay under 800).
 MAX_LINE = 4096
@@ -137,8 +137,10 @@ class FirewallServerDaemon:
     """Hosts one share store: envelope sessions plus the admin text port.
 
     No session a server runs draws randomness: the zero test's comes from
-    the store's PRSS keys.  `seed` is accepted and unused, so that callers
-    that pass one keep working.
+    the store's PRSS keys.  A Shamir store without them refuses each zero
+    test at once, so the CHECK ends in an ERROR naming this server rather
+    than in the gateway's party timeout.  `seed` is accepted and unused,
+    so that callers that pass one keep working.
     """
 
     def __init__(self, store: ShareStore, node: TcpNode, psk: bytes,
@@ -160,10 +162,6 @@ class FirewallServerDaemon:
 
     # -- envelope sessions -------------------------------------------------
     def _program_for(self, session_id: int, protocol_id: int):
-        # A store without PRSS keys cannot answer a zero test: the session
-        # is ignored, as a dead server's is, and the gateway times out.
-        if protocol_id == PROTO_FW_ZERO_TEST and not self.store.prss_keys:
-            return None
         if protocol_id in CHECK_PROTOCOLS:
             return server_program(self.store, protocol_id, session_id)
         return None

@@ -26,7 +26,7 @@ from .field import (
     random_polynomial,
 )
 from .net import PROTO_ADDITIVE_MULT3, PROTO_SHAMIR_MULT, group_zp, recv, run_session, send
-from .rng import RandomSource
+from .rng import RandomSource, child_columns
 
 
 class SharingError(Exception):
@@ -377,6 +377,27 @@ def _prss_weights(params: ShamirParams,
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class PrssPlan:
+    """What party `me` needs of its keys for every PRSS label: each key
+    followed by "/", the path prefix of its stream, in `prss_sets` order;
+    `r_weights`, the column of f_A(me) over those key sets; and
+    `z_weights`, the columns of f_A(me) * me^l for l = 1..t, one after
+    another."""
+    prefixes: tuple[bytes, ...]
+    r_weights: tuple[int, ...]
+    z_weights: tuple[int, ...]
+
+
+def prss_plan(me: int, params: ShamirParams,
+              keys: dict[tuple[int, ...], bytes]) -> PrssPlan:
+    """Party `me`'s plan of `keys` (key set -> 32-byte key)."""
+    sets = _prss_weights(params, me)
+    r_weights, *z_columns = zip(*(weights for _, weights in sets))
+    return PrssPlan(tuple(keys[members] + b"/" for members, _ in sets),
+                    r_weights, tuple(itertools.chain(*z_columns)))
+
+
 def prss_pairs(me: int, params: ShamirParams, keys: dict[tuple[int, ...], bytes],
                label: str, count: int) -> list[tuple[int, int]]:
     """`count` pairs (r, z), party `me`'s shares of a random degree-t
@@ -390,17 +411,23 @@ def prss_pairs(me: int, params: ShamirParams, keys: dict[tuple[int, ...], bytes]
     Any t parties miss the key of the set that excludes them all, so r(0)
     is uniform to them.
     """
+    return plan_pairs(prss_plan(me, params, keys), params, label, count)
+
+
+def plan_pairs(plan: PrssPlan, params: ShamirParams, label: str,
+               count: int) -> list[tuple[int, int]]:
+    """`prss_pairs` of the keys that `plan` was made of: the streams of all
+    keys are drawn in one pass, and each pair weighs its draw columns in
+    two sums."""
     p, width = params.p, params.t + 1
-    r = [0] * count
-    z = [0] * count
-    for members, weights in _prss_weights(params, me):
-        draws = RandomSource(keys[members]).child(label).randbelow_many(
-            p, count * width)
-        for k in range(count):
-            s = draws[k * width:(k + 1) * width]
-            r[k] += weights[0] * s[0]
-            z[k] += sum(map(operator.mul, weights[1:], s[1:]))
-    return [(a % p, b % p) for a, b in zip(r, z)]
+    tag = label.encode()
+    cols = child_columns([prefix + tag for prefix in plan.prefixes], p,
+                         count * width)
+    mul, chain = operator.mul, itertools.chain.from_iterable
+    r_weights, z_weights = plan.r_weights, plan.z_weights
+    return [(sum(map(mul, r_weights, cols[j])) % p,
+             sum(map(mul, z_weights, chain(cols[j + 1:j + width]))) % p)
+            for j in range(0, count * width, width)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Firewall: initialization, evaluation variants, detection, updates."""
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -955,6 +956,37 @@ class TestPrssKeyFile:
         back = ShareStore.load(path)
         assert back.prss_keys == stores[4].prss_keys
         assert back == stores[4]
+
+    def test_zero_test_plan_follows_the_keys(self, tmp_path):
+        # A server answers from a plan of its keys that it builds once.  A
+        # store loaded from its files answers as the dealt store does; a
+        # copy with one key changed answers otherwise, and so does a store
+        # given that copy's keys after its plan was built.
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101, bloom=TOY_BP)
+        _, stores = fw_init(["0.0.0.5"], cfg, RandomSource(6),
+                            family=toy_family())
+        store = stores[1]
+
+        def answer(s):
+            program = firewall.server_zero_test_program(s, 3)
+            next(program)
+            ((_, ys),) = program.send([[2]]).segments
+            program.close()
+            return ys
+
+        before = answer(store)
+        path = str(tmp_path / "s.share")
+        store.save(path)
+        back = ShareStore.load(path)
+        back.family = store.family
+        assert answer(back) == before
+        a = next(iter(store.prss_keys))
+        changed = dataclasses.replace(
+            store, prss_keys={**store.prss_keys, a: bytes(32)})
+        assert answer(changed) != before
+        store.prss_keys = changed.prss_keys
+        assert answer(store) == answer(changed)
+        assert "_prss_plan" not in repr(store) and store == changed
 
     def test_store_without_keys_writes_no_key_file(self, tmp_path):
         _, _, stores = toy_stores()

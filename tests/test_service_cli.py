@@ -14,6 +14,8 @@ import pytest
 from obfw.bloom import derive_params
 from obfw.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, EXIT_USAGE, main
 from obfw.firewall import (
+    GATEWAY,
+    REFUSAL_STEP,
     AuthFail,
     BadConfig,
     FirewallConfig,
@@ -33,6 +35,8 @@ from obfw.net import (
     PROTO_FW_ZERO_TEST,
     PROTO_MAJORITY_VOTE,
     Endpoint,
+    Recv,
+    Send,
     TcpNode,
     build_mesh,
     group_addr32,
@@ -67,6 +71,13 @@ def stack():
     gw.stop()
     for d in daemons:
         d.stop()
+
+
+def keyless_copy(store):
+    """`store` without its PRSS keys, as a server that lost its key file."""
+    return ShareStore(config=store.config, party_index=store.party_index,
+                      instance_keys=store.instance_keys, values=store.values,
+                      family=store.family)
 
 
 def check_line(port, addr):
@@ -131,24 +142,51 @@ class TestDaemons:
             assert daemons[0]._program_for(1, proto) is None
 
     def test_zero_test_needs_the_prss_keys(self):
-        # A server whose store lacks its PRSS keys ignores a zero test, as
-        # a dead server would, where its program would fail on the first
-        # key it looked up.
+        # A server whose store lacks its PRSS keys refuses a zero test: it
+        # takes the address and answers at a step that no CHECK receives
+        # at, where its program would fail on the first key it looked up.
         cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
                              bloom=derive_params(20, 0.05))
         _, stores = fw_init(["10.9.0.1"], cfg, RandomSource(b"keys" + bytes(28)))
-        keyless = ShareStore(config=cfg, party_index=2,
-                             instance_keys=stores[1].instance_keys,
-                             values=stores[1].values, family=stores[1].family)
         daemons = [FirewallServerDaemon(s, TcpNode(2, Endpoint("127.0.0.1", 0)),
-                                        psk=b"psk") for s in (stores[1], keyless)]
+                                        psk=b"psk")
+                   for s in (stores[1], keyless_copy(stores[1]))]
         try:
             program = daemons[0]._program_for(1, PROTO_FW_ZERO_TEST)
             assert program is not None
             program.close()
-            assert daemons[1]._program_for(1, PROTO_FW_ZERO_TEST) is None
+            refusal = daemons[1]._program_for(1, PROTO_FW_ZERO_TEST)
+            assert isinstance(next(refusal), Recv)
+            answer = refusal.send([[0x0A090001]])
+            assert isinstance(answer, Send)
+            assert (answer.to, answer.step) == (GATEWAY, REFUSAL_STEP)
+            refusal.close()
         finally:
             for d in daemons:
+                d.stop()
+
+    def test_keyless_server_fails_the_check_at_once(self):
+        # One server of a 5/2 product-mode stack has lost its key file: each
+        # CHECK ends in an ERROR naming it, well before the gateway's 10 s
+        # party timeout.
+        cfg = FirewallConfig(scheme="shamir", m=5, t=2, N=101,
+                             bloom=derive_params(20, 0.05))
+        _, stores = fw_init(["10.9.0.1"], cfg, RandomSource(b"keys" + bytes(28)))
+        stores[2] = keyless_copy(stores[2])
+        nodes = build_mesh(list(range(cfg.m + 1)))
+        daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=b"psk")
+                   for i in range(1, cfg.m + 1)]
+        gw = GatewayDaemon(cfg, nodes[0], mode="product")
+        for d in [*daemons, gw]:
+            d.start()
+        try:
+            for addr in ("10.9.0.1", "10.9.0.2"):
+                t0 = time.monotonic()
+                line = check_line(gw.port, addr)
+                assert time.monotonic() - t0 < 1.0
+                assert line.startswith("ERROR") and "party 3" in line, line
+        finally:
+            for d in [gw, *daemons]:
                 d.stop()
 
     def test_malformed_check_rejected(self, stack):

@@ -4,7 +4,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obfw import rng as rng_module
+from obfw.bloom import BloomParams
 from obfw.field import PrimeField, interpolate
+from obfw.firewall import FirewallConfig, check_product_config
 from obfw.rng import RandomSource
 from obfw.sharing import (
     AdditiveParams,
@@ -512,3 +515,70 @@ class TestPrss:
         a, b = (prss_all(params, keys, label, 4) for label in ("1/x", "2/x"))
         assert a != b
         assert prss_all(params, keys, "1/x", 4) == a
+
+
+# One modulus per draw width (1, 2, 3 and 4 bytes, 2^32 - 5 with no spare
+# bits), and moduli where a third to a half of all draws are rejected.
+STREAM_MODULI = [131, 65521, 2 ** 24 - 3, 2 ** 31 - 1, 2 ** 32 - 5,
+                 11, 101, 257, 65537]
+STREAM_SHAPES = [(5, 2), (7, 3), (9, 4), (11, 5)]
+
+
+def reference_pairs(me, params, keys, label, count):
+    """`prss_pairs` as its docstring says, one key's stream at a time:
+    `RandomSource(key).child(label).randbelow_many(p, count * (t+1))`."""
+    p, width = params.p, params.t + 1
+    r, z = [0] * count, [0] * count
+    for members in prss_sets(params):
+        if me not in members:
+            continue
+        f = 1
+        for j in range(1, params.n + 1):
+            if j not in members:
+                f = f * (j - me) * pow(j, -1, p) % p
+        draws = RandomSource(keys[members]).child(label).randbelow_many(
+            p, count * width)
+        for k in range(count):
+            s = draws[k * width:(k + 1) * width]
+            r[k] += f * s[0]
+            z[k] += sum(f * pow(me, l, p) * s[l] for l in range(1, width))
+    return [(a % p, b % p) for a, b in zip(r, z)]
+
+
+def reads_past_its_blocks(key, label, p, count):
+    """Whether a key's stream holds fewer than `count` in-range draws in
+    the blocks that `child_columns` hashes for it, so that it reads on."""
+    seed = RandomSource(key).child(label).seed
+    width, shift, ctrs = rng_module._child_geometry(p, count)
+    blocks = RandomSource(seed).bytes(32 * len(ctrs))
+    draws = [int.from_bytes(blocks[i:i + width], "little") >> shift
+             for i in range(0, len(blocks) - width + 1, width)]
+    return sum(v < p for v in draws) < count
+
+
+def test_prss_pairs_are_the_key_streams():
+    """Every modulus that the zero test accepts, at each shape it admits,
+    gives the pairs of the one-stream-per-key reference; some examples
+    take the read past the hashed blocks."""
+    read_on = []
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(STREAM_SHAPES), st.sampled_from(STREAM_MODULI),
+           st.integers(0, 2 ** 64 - 1), st.data())
+    def check(shape, p, session, data):
+        m, t = shape
+        if m >= p:
+            return                      # the modulus does not admit m
+        cfg = FirewallConfig("shamir", m, p, BloomParams(64, 2), t)
+        check_product_config(cfg)
+        params, count = cfg.shamir_params(), cfg.zero_test_values
+        me = data.draw(st.integers(1, m))
+        keys = {a: k for a, k in prss_deal(params, session).items() if me in a}
+        label = f"zero-test/{session}/0a000001"
+        assert prss_pairs(me, params, keys, label, count) \
+            == reference_pairs(me, params, keys, label, count)
+        read_on.append(any(reads_past_its_blocks(k, label, p, count * t)
+                           for k in keys.values()))
+
+    check()
+    assert any(read_on) and not all(read_on)
