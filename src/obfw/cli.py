@@ -197,11 +197,12 @@ def cmd_fw_init(args) -> int:
     return EXIT_OK
 
 
-def _node(index: int, listen: Endpoint, peers: list[dict]) -> TcpNode:
-    """A TcpNode on `listen` that has dialled `peers`, retrying each for
-    up to 5 s while it is not up yet."""
+def _node(peers: list[dict]) -> TcpNode:
+    """The gateway's TcpNode, party 0: it dials `peers`, retrying each for
+    up to 5 s while it is not up yet, and listens nowhere, since in the
+    star of the gateway and its servers nothing dials the gateway."""
     try:
-        node = TcpNode(index, listen)
+        node = TcpNode(0, None)
         for peer in peers:
             for attempt in range(50):
                 try:
@@ -212,14 +213,16 @@ def _node(index: int, listen: Endpoint, peers: list[dict]) -> TcpNode:
                         raise
                     time.sleep(0.1)
     except OSError as exc:
-        raise ConnectFail(f"party {index}: {exc}") from exc
+        raise ConnectFail(f"party 0: {exc}") from exc
     return node
 
 
 def _serve_until_interrupted(daemon, banner: str) -> int:
     daemon.start()
-    print(banner)
     try:
+        # Flushed for a supervisor that reads a pipe; inside the try, so
+        # that an interrupt sent once it shows stops the daemon cleanly.
+        print(banner, flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
@@ -229,6 +232,9 @@ def _serve_until_interrupted(daemon, banner: str) -> int:
 
 def cmd_serve(args) -> int:
     cfg = load_config(args)
+    if "peers" in cfg:
+        raise ConfigError("a server reads no 'peers': only the gateway and "
+                          "admin-update dial the servers")
     index = _required(cfg, "party_index")
     psk = bytes.fromhex(_required(cfg, "psk"))
     path = cfg.get("store_path") or _store_path(cfg, index)
@@ -236,10 +242,10 @@ def cmd_serve(args) -> int:
     if cfg.get("eval_mode") == "product" and not store.prss_keys:
         raise ConfigError(f"product mode needs the PRSS keys that fw-init "
                           f"writes to {path}.keys for a Shamir store")
-    # A server dials the peers with a lower index and accepts the others;
-    # the gateway dials every server.
-    node = _node(index, _endpoint(cfg, "listen"),
-                 [p for p in cfg.get("peers", []) if p["index"] < index])
+    try:
+        node = TcpNode(index, _endpoint(cfg, "listen"))
+    except OSError as exc:
+        raise ConnectFail(f"party {index}: {exc}") from exc
     daemon = FirewallServerDaemon(store, node, psk=psk,
                                   admin_listen=_endpoint(cfg, "admin_listen"))
     return _serve_until_interrupted(
@@ -250,7 +256,7 @@ def cmd_serve(args) -> int:
 def cmd_gateway(args) -> int:
     cfg = load_config(args)
     fw_cfg = _firewall_config(cfg)
-    node = _node(0, Endpoint("127.0.0.1", 0), cfg.get("peers", []))
+    node = _node(cfg.get("peers", []))
     daemon = GatewayDaemon(fw_cfg, node, listen=_endpoint(cfg, "listen"),
                            mode=cfg.get("eval_mode", "sum"))
     return _serve_until_interrupted(daemon, f"gateway on port {daemon.port}")

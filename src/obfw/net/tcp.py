@@ -1,33 +1,32 @@
 """TCP transport: the same party programs over loopback or LAN sockets.
 
 Envelopes ride length-prefixed records (see envelope.frame).  One TcpNode
-per party owns a listening socket plus one connection per peer; any number
-of sessions multiplex over those connections, demultiplexed by
-(session_id, sender).  The sender is the peer that the connection's
-handshake named: an envelope whose sender byte says otherwise closes the
-connection.  Every peer socket sets TCP_NODELAY: a session trades many
-envelopes of a few bytes each, and Nagle's algorithm would hold each one
-behind an unacknowledged one until the peer's delayed ACK fires.
+per party owns its connections to its peers, and a listening socket
+unless it only dials; any number of sessions multiplex over those
+connections, demultiplexed by (session_id, sender).  The sender is the
+peer that the connection's handshake named: an envelope whose sender byte
+says otherwise closes the connection.  Every peer socket sets
+TCP_NODELAY: a session trades many envelopes of a few bytes each, and
+Nagle's algorithm would hold each one behind an unacknowledged one until
+the peer's delayed ACK fires.
 
 Each node has one reader thread, started with the node.  It runs a
 `poll` loop over a table of file descriptors: the listener, the peer
 sockets and the handshakes of peers that dialled in.  It parses the
 records of each read in place, keeping a buffer only for a record that
 the read left partial, and appends each envelope to its (session,
-sender) queue.  `run_program`
-runs a party program under `kernel.drive`.  One driven from another
-thread (the gateway's connection threads, run_tcp_session, tests) waits
-on a lock of its own, which the reader releases only when an envelope
-for that (session, sender) arrives; one driven on the node thread keeps
-reading the sockets while it waits.
+sender) queue.  `run_program` runs a party program under `kernel.drive`.
+One driven from another thread (the gateway's connection threads,
+run_tcp_session, tests) waits on a lock of its own, which the reader
+releases only when an envelope for that (session, sender) arrives.
 
-A serving node (see `serve`) queues each session that a peer starts and
-runs the queue on the node thread, one session after another.  Once the
-session on the node thread has to wait for an envelope, every queued
-session gets a thread of its own: two servers that each queued the other's
-next session behind a blocked one would deadlock.  A session that never
-waits never costs a thread: a firewall CHECK's server session, in sum mode
-or the zero test, is one envelope in and one out.
+The daemons are a star: the gateway dials every server, and no envelope
+travels between servers.  A serving node (see `serve`) runs each session
+that a peer starts on the node thread, to its end, as soon as the read
+that opened it is queued.  Such a session never waits: a firewall CHECK's
+server session, in sum mode or the zero test, is one envelope in and one
+out, and a served session whose `Recv` finds no envelope queued ends at
+once with PartyTimeout, which the node logs.
 """
 from __future__ import annotations
 
@@ -53,7 +52,7 @@ def _log():
 
 
 # Longest the node thread sleeps in poll before it looks at the clock
-# (handshake deadlines; a waiting session's deadline).
+# (handshake deadlines; sessions that nothing runs, to drop).
 TICK = 0.2
 # How long, in node timeouts, a node remembers a finished session, so that a
 # late envelope for it is dropped instead of queued or taken for a new
@@ -89,9 +88,11 @@ class _Conn:
 
 
 class TcpNode:
-    """One party's endpoint: accepts peers, dials peers, runs sessions."""
+    """One party's endpoint: accepts peers on `listen` (none if it is None:
+    a node that only dials), dials peers, runs sessions."""
 
-    def __init__(self, index: int, listen: Endpoint, timeout: float = 10.0):
+    def __init__(self, index: int, listen: Endpoint | None,
+                 timeout: float = 10.0):
         self.index = index
         self.timeout = timeout
         self._conns: dict[int, socket.socket] = {}
@@ -113,22 +114,21 @@ class TcpNode:
         self._program_for: ProgramFor | None = None
         self._tasks: list[Callable[[], None]] = []
         # Node thread only: the polled peer sockets by file descriptor;
-        # accepted sockets awaiting their index byte, with deadlines;
-        # started sessions that wait for the node thread.
+        # accepted sockets awaiting their index byte, with deadlines.
         self._fds: dict[int, _Conn] = {}
         self._handshakes: dict[_Conn, float] = {}
-        self._starts: deque[tuple[Generator, int, int]] = deque()
 
-        self._server = socket.create_server((listen.host, listen.port))
-        self._server.setblocking(False)
-        self.port = self._server.getsockname()[1]
+        self._server = self.port = None
+        self._poller = select.poll()
+        if listen is not None:
+            self._server = socket.create_server((listen.host, listen.port))
+            self._server.setblocking(False)
+            self.port = self._server.getsockname()[1]
+            self._poller.register(self._server, select.POLLIN)
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._poller = select.poll()
-        self._poller.register(self._server, select.POLLIN)
         self._poller.register(self._wake_r, select.POLLIN)
-        self._ident: int | None = None     # the node thread's, once it runs
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name=f"obfw-node-{index}")
         self._thread.start()
@@ -153,7 +153,9 @@ class TcpNode:
         self._call_soon(lambda: self._watch(_Conn(sock, peer)))
 
     def serve(self, program_for: ProgramFor) -> None:
-        """Run every session a peer starts, `program_for` giving its program.
+        """Run every session a peer starts, `program_for` giving its program,
+        on the node thread: a `Recv` there whose envelope is not queued
+        ends the session with PartyTimeout.
 
         Sessions that arrived before this call, and not longer ago than
         FORGET_AFTER timeouts, start now.
@@ -190,26 +192,23 @@ class TcpNode:
 
     # -- the node thread ---------------------------------------------------
     def _loop(self) -> None:
-        self._ident = threading.get_ident()
         try:
             while not self._closed:
-                self._poll(TICK)
-                while self._starts:
-                    self._serve_session(*self._starts.popleft())
+                self._poll()
         finally:
             self._shut()
 
-    def _poll(self, timeout: float) -> None:
-        """Handle what the sockets have for up to `timeout` seconds."""
+    def _poll(self) -> None:
+        """Handle what the sockets have for up to TICK seconds."""
         fds = self._fds
-        for fd, _ in self._poller.poll(timeout * 1000):
+        for fd, _ in self._poller.poll(TICK * 1000):
             conn = fds.get(fd)
             if conn is not None:
                 self._read(conn)
-            elif fd == self._server.fileno():
-                self._accept()
             elif fd == self._wake_r.fileno():
                 self._run_tasks()
+            elif self._server is not None and fd == self._server.fileno():
+                self._accept()
         if self._handshakes:
             now = time.monotonic()
             for conn, deadline in list(self._handshakes.items()):
@@ -349,6 +348,7 @@ class TcpNode:
             self._start(sid, protocol_id)
 
     def _start(self, session_id: int, protocol_id: int) -> None:
+        """Run a session that a peer started, here on the node thread."""
         program_for = self._program_for
         program = None
         try:
@@ -360,11 +360,7 @@ class TcpNode:
         if program is None:
             with self._lock:
                 self._finish(session_id)
-        else:
-            self._starts.append((program, session_id, protocol_id))
-
-    def _serve_session(self, program: Generator, session_id: int,
-                       protocol_id: int) -> None:
+            return
         try:
             self.run_program(program, session_id, protocol_id)
         except PartyTimeout as exc:
@@ -385,7 +381,8 @@ class TcpNode:
             conn.sock.close()
         for sock in list(self._conns.values()):
             sock.close()
-        self._server.close()
+        if self._server is not None:
+            self._server.close()
         self._wake_r.close()
         self._wake_w.close()
 
@@ -405,7 +402,7 @@ class TcpNode:
                       self._send, functools.partial(self._take, session_id))
         try:
             while True:
-                next(steps)     # never yields: _take waits itself
+                next(steps)     # never yields: _take returns or raises
         except StopIteration as stop:
             return stop.value, tr
         finally:
@@ -445,8 +442,9 @@ class TcpNode:
                 pass
 
     def _take(self, session_id: int, frm: int) -> Envelope:
-        """The next envelope from `frm` in this session; PartyTimeout if
-        none arrives within the node timeout."""
+        """The next envelope from `frm` in this session; PartyTimeout if it
+        is not queued yet on the node thread, or if none arrives within the
+        node timeout on any other."""
         key = (session_id, frm)
         deadline = None
         while True:
@@ -454,25 +452,19 @@ class TcpNode:
                 q = self._queues.get(key)
                 if q:
                     return q.popleft()
+                if threading.current_thread() is self._thread:
+                    raise PartyTimeout(
+                        f"party {self.index} is missing the envelope from "
+                        f"party {frm} in session {session_id}")
                 if deadline is None:    # the envelope is not in yet
                     deadline = time.monotonic() + self.timeout
-                    on_node = threading.get_ident() == self._ident
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._closed:
                     self._waiters.pop(key, None)
                     break
-                if not on_node:
-                    waiter = self._waiters[key] = threading.Lock()
-                    waiter.acquire()
-            if not on_node:
-                waiter.acquire(timeout=remaining)
-                continue
-            # No session waits behind this blocked one.
-            while self._starts:
-                threading.Thread(target=self._serve_session, daemon=True,
-                                 args=self._starts.popleft()).start()
-            # Keep reading the sockets, this session's included.
-            self._poll(min(remaining, TICK))
+                waiter = self._waiters[key] = threading.Lock()
+                waiter.acquire()
+            waiter.acquire(timeout=remaining)
         raise PartyTimeout(f"party {self.index} timed out waiting for "
                            f"party {frm} in session {session_id}")
 

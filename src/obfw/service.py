@@ -16,12 +16,12 @@ Wire surfaces:
         builds each (gateway_session, server_program).  Sum mode runs
         protocol 9 and product mode the zero test, protocol 13.
 
-Each daemon's TcpNode reads all of its peer connections on one thread.  A
-server runs the evaluation sessions the gateway starts on that thread, one
-after another.  A session of either mode is one envelope in and one out,
-so it never waits on a peer and never costs a server a thread (a session
-that waited would hand the sessions queued behind it threads of their
-own; see TcpNode.serve).  The gateway runs each CHECK on the thread of the
+The daemons are a star: the gateway's TcpNode dials every server and
+listens nowhere, and a server's node dials no one.  Each node reads all of
+its connections on one thread.  A server runs the evaluation sessions the
+gateway starts on that thread, one after another, each to its end: a
+session of either mode is one envelope in and one out, so it never waits
+(see TcpNode.serve).  The gateway runs each CHECK on the thread of the
 client connection that asked for it.
 """
 from __future__ import annotations

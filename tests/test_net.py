@@ -848,47 +848,48 @@ class TestNodeThread:
         finally:
             node.close()
 
-    def test_session_queued_behind_a_blocked_one_still_runs(self):
-        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=5)
+    def test_served_session_missing_an_envelope_ends_at_once(self, caplog):
+        # A served session runs on the node thread and never waits: one
+        # whose envelope is not queued ends at once, well inside the node
+        # timeout, and starts no thread.
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=30)
         zp = group_zp(251)
 
-        def waits_for_second(session_id):
+        def wants_a_second(session_id):
             yield from _recv_one(2)
-            (got,) = yield from recv(2, 2, [(zp, 1)])
-            yield from send(2, 3, [(zp, got)])
+            yield from recv(2, 2, [(zp, 1)])
 
         def replies_at_once(session_id):
             yield from _recv_one(2)
             yield from _send_one(2, session_id)
 
-        programs = {41: waits_for_second, 42: replies_at_once}
+        programs = {41: wants_a_second, 42: replies_at_once}
         node.serve(lambda session_id, protocol_id:
                    programs[session_id](session_id))
+        payload = encode_elements([(zp, [7])])
         try:
-            with _handshake_as(node, 2) as c:
-                payload = encode_elements([(zp, [7])])
-                c.sendall(frame(Envelope(4, 1, 41, 2, payload))
-                          + frame(Envelope(4, 1, 42, 2, payload)))
-                buf = bytearray()
-
-                def next_reply():
-                    while True:
-                        envs = take_frames(buf)
-                        if envs:
-                            assert len(envs) == 1
-                            return envs[0]
-                        buf.extend(c.recv(1 << 16))
-
-                # Session 42 answers while session 41 waits for its second
-                # envelope, which goes only once that answer is read.
-                first = next_reply()
-                assert first.session_id == 42
-                assert decode_elements(first.payload, [(zp, 1)]) == [[42]]
-                c.sendall(frame(Envelope(4, 2, 41, 2,
-                                         encode_elements([(zp, [9])]))))
-                second = next_reply()
-                assert second.session_id == 41
-                assert decode_elements(second.payload, [(zp, 1)]) == [[9]]
+            with caplog.at_level(logging.WARNING, logger="obfw.net.tcp"), \
+                    _handshake_as(node, 2) as c:
+                threads = threading.active_count()
+                t0 = time.monotonic()
+                c.sendall(frame(Envelope(4, 1, 41, 2, payload)))
+                while not caplog.records and time.monotonic() - t0 < 1:
+                    time.sleep(0.005)
+                assert caplog.records, "the session did not end within 1 s"
+                (record,) = caplog.records
+                assert record.levelno == logging.WARNING
+                assert "session 41" in record.getMessage()
+                assert "missing the envelope from party 2" in record.getMessage()
+                assert threading.active_count() == threads
+                # The node serves the next session.
+                c.sendall(frame(Envelope(4, 1, 42, 2, payload)))
+                buf, envs = bytearray(), []
+                while not envs:
+                    buf += c.recv(1 << 16)
+                    envs += take_frames(buf)
+                assert [e.session_id for e in envs] == [42]
+                assert decode_elements(envs[0].payload, [(zp, 1)]) == [[42]]
+                assert threading.active_count() == threads
         finally:
             node.close()
 

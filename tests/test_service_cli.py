@@ -2,6 +2,9 @@
 import contextlib
 import gc
 import json
+import os
+import select
+import signal
 import socket
 import subprocess
 import sys
@@ -11,8 +14,9 @@ import weakref
 
 import pytest
 
-from obfw.bloom import derive_params
-from obfw.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, EXIT_USAGE, main
+from obfw.bloom import BloomFilter, derive_params
+from obfw.cli import (EXIT_OK, EXIT_PROTOCOL, EXIT_TRANSPORT, EXIT_USAGE,
+                      _node, main)
 from obfw.firewall import (
     GATEWAY,
     REFUSAL_STEP,
@@ -288,6 +292,90 @@ class TestSessionQueues:
             time.sleep(0.01)
         assert {i: sorted(node._queues) for i, node in nodes.items()
                 if node._queues} == {}
+
+
+@pytest.fixture
+def star_stack(request):
+    """m share servers and a gateway wired as `obfw serve` and `obfw gateway`
+    wire them: each server listens and dials no one, and the gateway's node
+    dials every server and listens nowhere."""
+    scheme, m, t, mode = request.param
+    cfg = FirewallConfig(scheme=scheme, m=m, t=t, N=101,
+                         bloom=derive_params(20, 0.05))
+    flt, stores = fw_init([f"10.8.0.{i}" for i in range(20)], cfg,
+                          RandomSource(b"star-stack" + bytes(22)))
+    servers = [FirewallServerDaemon(stores[i - 1],
+                                    TcpNode(i, Endpoint("127.0.0.1", 0)),
+                                    psk=b"psk") for i in range(1, m + 1)]
+    for d in servers:
+        d.start()
+    gw = GatewayDaemon(cfg, _node([{"index": d.node.index, "host": "127.0.0.1",
+                                    "port": d.node.port} for d in servers]),
+                       mode=mode)
+    gw.start()
+    yield flt, servers, gw
+    gw.stop()
+    for d in servers:
+        d.stop()
+
+
+def listening_ports():
+    """The TCP ports that this process has a listening socket on."""
+    ports = set()
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            sock = socket.socket(fileno=os.dup(int(name)))
+        except OSError:
+            continue    # not a socket, or closed since the listing
+        with sock:
+            if (sock.type == socket.SOCK_STREAM
+                    and sock.family in (socket.AF_INET, socket.AF_INET6)
+                    and sock.getsockopt(socket.SOL_SOCKET,
+                                        socket.SO_ACCEPTCONN)):
+                ports.add(sock.getsockname()[1])
+    return ports
+
+
+class TestStar:
+    @pytest.mark.parametrize("star_stack", [("additive", 3, 0, "sum"),
+                                            ("shamir", 5, 2, "product")],
+                             indirect=True, ids=["sum", "product"])
+    def test_only_the_gateway_dials(self, star_stack):
+        flt, servers, gw = star_stack
+        for addr in [f"10.8.0.{i}" for i in range(4)] + ["172.20.0.1",
+                                                         "172.20.0.2"]:
+            want = "BLOCK" if flt.query(parse_ipv4(addr)) else "FORWARD"
+            assert check_line(gw.port, addr) == want
+        assert {d.node.index: sorted(d.node._conns) for d in servers} == \
+            {d.node.index: [0] for d in servers}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists this process's sockets in /proc")
+    def test_gateway_node_cannot_be_reached(self):
+        # Nothing dials the gateway in a star, so its node has no port on
+        # which another process could connect and name a server's index.
+        cfg = FirewallConfig(scheme="additive", m=3, N=101,
+                             bloom=derive_params(20, 0.05))
+        _, stores = fw_init(["10.9.0.1"], cfg,
+                            RandomSource(b"no-port" + bytes(25)))
+        servers = [FirewallServerDaemon(stores[i - 1],
+                                        TcpNode(i, Endpoint("127.0.0.1", 0)),
+                                        psk=b"psk") for i in (1, 2, 3)]
+        for d in servers:
+            d.start()
+        node = None
+        try:
+            before = listening_ports()
+            node = _node([{"index": d.node.index, "host": "127.0.0.1",
+                           "port": d.node.port} for d in servers])
+            assert listening_ports() == before
+            assert node.port is None
+            assert sorted(node._conns) == [1, 2, 3]
+        finally:
+            if node is not None:
+                node.close()
+            for d in servers:
+                d.stop()
 
 
 def check_lines(port, addrs):
@@ -664,6 +752,11 @@ class TestDurableUpdates:
             ["s1.share", "s2.share", "s3.share"]
 
 
+SERVER_WITH_PEERS = {"party_index": 1, "m": 3, "N": 11, "psk": "0011",
+                     "peers": [{"index": 2, "host": "127.0.0.1",
+                                "port": 7002}]}
+
+
 class TestCli:
     def test_compare_prints_verdict(self, capsys):
         assert main(["compare", "alg4", "15", "13", "--l", "5"]) == EXIT_OK
@@ -949,17 +1042,24 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("config error: product mode needs the PRSS keys")
 
-    @pytest.mark.parametrize("argv,cfg", [
-        (["fw-init", "b.txt"], {"N": 11}),
-        (["serve"], {"m": 3, "N": 11, "psk": "0011"}),
-    ], ids=["fw-init-without-m", "serve-without-party-index"])
-    def test_missing_required_key_exit2(self, tmp_path, capsys, argv, cfg):
+    @pytest.mark.parametrize("argv,cfg,why", [
+        (["fw-init", "b.txt"], {"N": 11}, "config has no"),
+        (["serve"], {"m": 3, "N": 11, "psk": "0011"}, "config has no"),
+        # A server dials no one: `peers` would be read by nothing.  The
+        # store is absent, so reading it first would be a file error.
+        (["serve"], SERVER_WITH_PEERS, "a server reads no 'peers'"),
+        (["run", "--role", "party"], SERVER_WITH_PEERS,
+         "a server reads no 'peers'"),
+    ], ids=["fw-init-without-m", "serve-without-party-index",
+            "serve-with-peers", "run-party-with-peers"])
+    def test_missing_required_key_exit2(self, tmp_path, capsys, argv, cfg,
+                                        why):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {**cfg, "store_prefix": str(tmp_path / "fw")}))
         assert main(["--config", str(cfg_path), *argv]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: config has no")
+        assert len(err) == 1 and err[0].startswith(f"config error: {why}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("indices", [[], [1, 2], [1, 2, 2, 3], [0, 1, 2]],
@@ -1086,6 +1186,121 @@ class TestCli:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_OK
         assert "a >= b" in proc.stdout
+
+
+def free_ports(n):
+    """n loopback TCP ports that were free a moment ago."""
+    socks = [socket.socket() for _ in range(n)]
+    try:
+        for sock in socks:
+            sock.bind(("127.0.0.1", 0))
+        return [sock.getsockname()[1] for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+def start_daemon(cfg_path, cmd):
+    """`obfw --config cfg_path cmd` as a child that writes to pipes, without
+    PYTHONUNBUFFERED: its banner reaches the pipe only if it is flushed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "obfw.cli", "--config", str(cfg_path), cmd],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def read_banner(proc, timeout=10.0):
+    ready, _, _ = select.select([proc.stdout], [], [], timeout)
+    assert ready, f"no banner from {proc.args[-1]} within {timeout} s"
+    return proc.stdout.readline().strip()
+
+
+def interrupt(procs):
+    """SIGINT each daemon; their exit codes."""
+    for proc in procs:
+        proc.send_signal(signal.SIGINT)
+    return [proc.wait(10) for proc in procs]
+
+
+@contextlib.contextmanager
+def children():
+    """A list to put child processes in; each still running is killed."""
+    procs = []
+    try:
+        yield procs
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
+
+class TestCliStack:
+    """The daemons as the CLI deploys them: one process each."""
+
+    BLOOM = {"eta": 20, "target_fp": 0.05}
+
+    def test_gateway_banner_reaches_a_pipe(self, tmp_path):
+        cfg = FirewallConfig(scheme="additive", m=3, N=101,
+                             bloom=derive_params(20, 0.05))
+        _, stores = fw_init(["10.9.0.1"], cfg,
+                            RandomSource(b"banner" + bytes(26)))
+        servers = [FirewallServerDaemon(stores[i - 1],
+                                        TcpNode(i, Endpoint("127.0.0.1", 0)),
+                                        psk=b"psk") for i in (1, 2, 3)]
+        for d in servers:
+            d.start()
+        cfg_path = tmp_path / "gateway.json"
+        cfg_path.write_text(json.dumps({
+            "m": 3, "N": 101, "bloom": self.BLOOM,
+            "peers": [{"index": d.node.index, "host": "127.0.0.1",
+                       "port": d.node.port} for d in servers]}))
+        try:
+            with children() as procs:
+                procs.append(start_daemon(cfg_path, "gateway"))
+                assert read_banner(procs[0]).startswith("gateway on port ")
+                assert interrupt(procs) == [EXIT_OK]
+        finally:
+            for d in servers:
+                d.stop()
+
+    def test_serve_and_gateway_processes_answer_checks(self, tmp_path):
+        base = {"scheme": "additive", "m": 3, "N": 11, "bloom": self.BLOOM,
+                "store_prefix": str(tmp_path / "fw")}
+        blacklist = [f"10.1.0.{i}" for i in range(1, 11)]
+        bl = tmp_path / "b.txt"
+        bl.write_text("\n".join(blacklist) + "\n")
+        init_path = tmp_path / "init.json"
+        init_path.write_text(json.dumps(base))
+        assert main(["--config", str(init_path), "fw-init", str(bl)]) == EXIT_OK
+        flt = BloomFilter.load(str(tmp_path / "fw.filter"))
+        fresh = next(a for a in (f"172.16.0.{i}" for i in range(256))
+                     if not flt.query(parse_ipv4(a)))
+        ports = free_ports(3)
+        paths = []
+        for i, port in enumerate(ports, start=1):
+            paths.append(tmp_path / f"server{i}.json")
+            paths[-1].write_text(json.dumps({
+                **base, "party_index": i, "psk": "0011",
+                "listen": {"host": "127.0.0.1", "port": port},
+                "admin_listen": {"host": "127.0.0.1", "port": 0}}))
+        paths.append(tmp_path / "gateway.json")
+        paths[-1].write_text(json.dumps({
+            **base, "eval_mode": "sum",
+            "peers": [{"index": i, "host": "127.0.0.1", "port": port}
+                      for i, port in enumerate(ports, start=1)]}))
+        with children() as procs:
+            procs += [start_daemon(path, "serve") for path in paths[:3]]
+            procs.append(start_daemon(paths[3], "gateway"))
+            banners = [read_banner(proc) for proc in procs]
+            assert [b.split(" on ")[0] for b in banners] == \
+                ["server 1", "server 2", "server 3", "gateway"]
+            gw_port = int(banners[3].rsplit(" ", 1)[1])
+            assert check_line(gw_port, "10.1.0.7") == "BLOCK"
+            assert check_line(gw_port, fresh) == "FORWARD"
+            assert interrupt(procs) == [EXIT_OK] * 4
 
 
 class TestConnectionCap:
