@@ -15,8 +15,6 @@ import os
 import sys
 import time
 
-import jsonschema
-
 from .bloom import BloomFilter, BloomParams, derive_params
 from .compare import (
     ROUNDS,
@@ -106,6 +104,9 @@ def load_config(args) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    # Imported here: bench and compare read no config, and jsonschema
+    # would cost them about 75 ms and 3.7 MB.
+    import jsonschema
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -197,6 +198,18 @@ def cmd_fw_init(args) -> int:
     return EXIT_OK
 
 
+def _server_peers(cfg: dict, m: int, cmd: str) -> list[dict]:
+    """`cfg`'s peers in index order, or a ConfigError unless they name each
+    server 1..m once: a server left out would never answer a CHECK, nor
+    get the update that the filter then records."""
+    peers = sorted(cfg.get("peers", []), key=lambda peer: peer["index"])
+    indices = [peer["index"] for peer in peers]
+    if indices != list(range(1, m + 1)):
+        raise ConfigError(f"{cmd} needs one peer for each server 1..{m}, "
+                          f"got indices {indices}")
+    return peers
+
+
 def _node(peers: list[dict]) -> TcpNode:
     """The gateway's TcpNode, party 0: it dials `peers`, retrying each for
     up to 5 s while it is not up yet, and listens nowhere, since in the
@@ -256,7 +269,7 @@ def cmd_serve(args) -> int:
 def cmd_gateway(args) -> int:
     cfg = load_config(args)
     fw_cfg = _firewall_config(cfg)
-    node = _node(cfg.get("peers", []))
+    node = _node(_server_peers(cfg, fw_cfg.m, "gateway"))
     daemon = GatewayDaemon(fw_cfg, node, listen=_endpoint(cfg, "listen"),
                            mode=cfg.get("eval_mode", "sum"))
     return _serve_until_interrupted(daemon, f"gateway on port {daemon.port}")
@@ -274,13 +287,7 @@ def cmd_admin_update(args) -> int:
     filter_path = _filter_path(cfg)
     flt = BloomFilter.load(filter_path)
     rng = RandomSource(_seed_from(cfg, args.seed))
-    peers = sorted(cfg.get("peers", []), key=lambda peer: peer["index"])
-    indices = [peer["index"] for peer in peers]
-    if indices != list(range(1, fw_cfg.m + 1)):
-        # A server left out would never get the update that the filter
-        # then records.
-        raise ConfigError(f"admin-update needs one peer for each server "
-                          f"1..{fw_cfg.m}, got indices {indices}")
+    peers = _server_peers(cfg, fw_cfg.m, "admin-update")
     per_server = fw_update_pairs(flt, fw_cfg, addr, rng)
     try:
         for peer, pairs in zip(peers, per_server):

@@ -22,8 +22,6 @@ paper's analysis of them stays below; no verdict runs it.
 """
 from __future__ import annotations
 
-import hmac as hmac_mod
-import hashlib
 import itertools
 import math
 import os
@@ -889,11 +887,13 @@ def run_update(stores: Sequence[ShareStore], flt: BloomFilter, addr: bytes,
 # ---------------------------------------------------------------------------
 
 def admin_mac(psk: bytes, line: str) -> str:
-    return hmac_mod.new(psk, line.encode(), hashlib.sha256).hexdigest()
+    import hmac     # on first use: it maps OpenSSL's libcrypto, about 3.6 MB
+    return hmac.new(psk, line.encode(), "sha256").hexdigest()
 
 
 def verify_admin_mac(psk: bytes, line: str, mac: str) -> None:
-    if not hmac_mod.compare_digest(admin_mac(psk, line), mac.strip()):
+    import hmac
+    if not hmac.compare_digest(admin_mac(psk, line), mac.strip()):
         raise AuthFail("admin HMAC mismatch")
 
 

@@ -14,11 +14,11 @@ as the socket framed them, or encodes from the simulator's snapshot.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import defaultdict
 from dataclasses import dataclass
 
+from ..rng import _sha256
 from .envelope import Envelope
 
 
@@ -126,12 +126,12 @@ class Transcript:
         """A digest of every sent payload, one rolling hash per sender so
         the value is independent of delivery interleaving; replaying a
         seeded session must reproduce it byte for byte."""
-        acc = hashlib.sha256()
+        acc = _sha256()
         for party, evs in sorted(self.party_events.items()):
             sent = b"".join([bytes((ev.peer & 0xFF, ev.step & 0xFF)) + _bytes(ev.payload)
                              for ev in evs if ev.kind == "S"])
             if sent:                    # two header bytes per send
-                acc.update(hashlib.sha256(sent).digest())
+                acc.update(_sha256(sent).digest())
         return acc.hexdigest()
 
     def to_dict(self) -> dict:

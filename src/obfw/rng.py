@@ -9,20 +9,21 @@ which is portable across Python versions (unlike the Mersenne state of
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import sys
 from array import array
 from typing import Iterable, Sequence
 
 try:
-    # CPython's builtin SHA-256 gives hashlib's digests with less overhead
-    # per call than the OpenSSL one on the short inputs hashed here.
+    # The one SHA-256 constructor of the package: CPython's builtin module
+    # gives hashlib's digests with less overhead per call than OpenSSL on
+    # the short inputs hashed here, and no CHECK then maps libcrypto.
     from _sha2 import sha256 as _sha256             # CPython 3.12 on
 except ImportError:
     try:
         from _sha256 import sha256 as _sha256       # CPython 3.11 and before
     except ImportError:
+        import hashlib
         _sha256 = hashlib.sha256
 
 # array typecodes of unsigned integers of 1, 2 and 4 bytes, which hold
@@ -45,9 +46,9 @@ class RandomSource:
         if isinstance(seed, int):
             seed = seed.to_bytes(32, "little", signed=False)
         elif isinstance(seed, str):
-            seed = hashlib.sha256(seed.encode()).digest()
+            seed = _sha256(seed.encode()).digest()
         if len(seed) != 32:
-            seed = hashlib.sha256(seed).digest()
+            seed = _sha256(seed).digest()
         self.seed = seed
         self.counter = 0
         self._buf = b""

@@ -1266,6 +1266,26 @@ class TestCliStack:
             for d in servers:
                 d.stop()
 
+    @pytest.mark.parametrize("indices", [None, [1, 2], [1, 2, 2, 3]],
+                             ids=["no-peers", "server-missing",
+                                  "duplicate-index"])
+    def test_gateway_needs_every_server_exit2(self, tmp_path, indices):
+        # A child process, so that a gateway which starts anyway is killed
+        # rather than left serving; every peer port refuses connections.
+        cfg = {"m": 3, "N": 11, "bloom": self.BLOOM}
+        if indices is not None:
+            port = free_ports(1)[0]
+            cfg["peers"] = [{"index": i, "host": "127.0.0.1", "port": port}
+                            for i in indices]
+        cfg_path = tmp_path / "gateway.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with children() as procs:
+            procs.append(start_daemon(cfg_path, "gateway"))
+            assert procs[0].wait(10) == EXIT_USAGE
+            assert procs[0].stdout.read() == ""
+            assert procs[0].stderr.read().startswith(
+                "config error: gateway needs one peer for each server 1..3")
+
     def test_serve_and_gateway_processes_answer_checks(self, tmp_path):
         base = {"scheme": "additive", "m": 3, "N": 11, "bloom": self.BLOOM,
                 "store_prefix": str(tmp_path / "fw")}
