@@ -3,9 +3,12 @@
 
 Stands up two stacks on 127.0.0.1: three additive share servers behind a
 sum-mode gateway, and five Shamir (t = 2) share servers behind a
-product-mode gateway, which runs the zero test.  Each stack answers CHECKs
-and an authenticated UPDATE through the public line protocols, and every
-verdict is asserted against the admin's plaintext filter.
+product-mode gateway, which runs the zero test.  Each stack is wired as
+`obfw serve` and `obfw gateway` wire it: every server listens and dials no
+one, and the gateway's node dials each server and listens nowhere.  Each
+stack answers CHECKs and an authenticated UPDATE through the public line
+protocols, and every verdict is asserted against the admin's plaintext
+filter.
 
 At N = 11 each zero-test server answers K = 9 values, 18 draws from each
 of its 4 PRSS keys' streams, and about one stream in 22 holds too few
@@ -16,7 +19,7 @@ import socket
 
 from obfw.bloom import derive_params
 from obfw.firewall import FirewallConfig, fw_init, fw_update_pairs, parse_ipv4
-from obfw.net import build_mesh
+from obfw.net import Endpoint, TcpNode
 from obfw.rng import RandomSource
 from obfw.service import FirewallServerDaemon, GatewayDaemon, admin_push_update
 
@@ -42,10 +45,14 @@ def walkthrough(cfg, mode, seed):
     print(f"\n{mode} mode: beta={cfg.bloom.beta} kappa={cfg.bloom.kappa} "
           f"scheme={cfg.scheme} m={cfg.m} t={cfg.t} N={cfg.N}")
     flt, stores = fw_init(BLACKLIST, cfg, RandomSource(seed))
-    nodes = build_mesh(list(range(cfg.m + 1)))
-    daemons = [FirewallServerDaemon(stores[i - 1], nodes[i], psk=PSK)
+    daemons = [FirewallServerDaemon(stores[i - 1],
+                                    TcpNode(i, Endpoint("127.0.0.1", 0)),
+                                    psk=PSK)
                for i in range(1, cfg.m + 1)]
-    gw = GatewayDaemon(cfg, nodes[0], mode=mode)
+    gw_node = TcpNode(0, None)
+    for d in daemons:
+        gw_node.connect(d.node.index, Endpoint("127.0.0.1", d.node.port))
+    gw = GatewayDaemon(cfg, gw_node, mode=mode)
     for d in [*daemons, gw]:
         d.start()
 
@@ -56,7 +63,7 @@ def walkthrough(cfg, mode, seed):
         return verdict
 
     try:
-        print(f"servers on eval ports {[nodes[i].port for i in range(1, cfg.m + 1)]}, "
+        print(f"servers on eval ports {[d.node.port for d in daemons]}, "
               f"gateway on {gw.port}")
         for addr in SHOWN:
             print(f"CHECK {addr:<14} -> {checked(addr)}")

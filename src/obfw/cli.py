@@ -252,6 +252,9 @@ def cmd_serve(args) -> int:
     psk = bytes.fromhex(_required(cfg, "psk"))
     path = cfg.get("store_path") or _store_path(cfg, index)
     store = ShareStore.load(path)
+    if store.party_index != index:
+        raise ConfigError(f"party_index is {index}, but {path} holds the "
+                          f"shares of server {store.party_index}")
     if cfg.get("eval_mode") == "product" and not store.prss_keys:
         raise ConfigError(f"product mode needs the PRSS keys that fw-init "
                           f"writes to {path}.keys for a Shamir store")

@@ -35,7 +35,7 @@ import select
 import socket
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator
 
@@ -54,10 +54,9 @@ def _log():
 # Longest the node thread sleeps in poll before it looks at the clock
 # (handshake deadlines; sessions that nothing runs, to drop).
 TICK = 0.2
-# How long, in node timeouts, a node remembers a finished session, so that a
-# late envelope for it is dropped instead of queued or taken for a new
-# session; also how long it holds the envelopes of a session that nothing
-# runs (a reply that came later still, or one sent before `serve`).
+# How long, in node timeouts, a node that does not serve holds the envelopes
+# of a session that nothing runs: one sent before its session starts, or
+# after it ended.  A node keeps nothing of a session once it ends.
 FORGET_AFTER = 2
 
 # program_for(session_id, protocol_id) -> party program, or None to ignore.
@@ -100,16 +99,14 @@ class TcpNode:
         self._closed = False
         # Guarded by _lock: the received envelopes; the lock that each
         # thread other than the node thread waits on for its next one; the
-        # live sessions; the finished ones, each with the time to forget it,
-        # soonest first; the sessions that nothing runs yet, each with its
-        # protocol and the time to drop it; the serving callback; the node
-        # thread's tasks.
+        # sessions a program runs; those that nothing runs, each with its
+        # protocol and the time to drop it, soonest first; the serving
+        # callback; the node thread's tasks.
         self._lock = threading.Lock()
         self._forget = FORGET_AFTER * timeout
         self._queues: dict[tuple[int, int], deque[Envelope]] = {}
         self._waiters: dict[tuple[int, int], threading.Lock] = {}
         self._live: set[int] = set()
-        self._finished: OrderedDict[int, float] = OrderedDict()
         self._unserved: dict[int, tuple[int, float]] = {}
         self._program_for: ProgramFor | None = None
         self._tasks: list[Callable[[], None]] = []
@@ -324,8 +321,6 @@ class TcpNode:
         with self._lock:
             for env in envs:
                 sid = env.session_id
-                if sid in self._finished:
-                    continue    # the session finished here: a late envelope
                 key = (sid, env.sender)
                 q = self._queues.get(key)
                 if q is None:
@@ -391,13 +386,14 @@ class TcpNode:
                     protocol_id: int):
         """Drive one party program over the socket mesh.
 
-        Returns (result, transcript).  The session's receive queues are
-        freed when the program returns or raises, and envelopes that
-        arrive for it later are dropped.
+        Returns (result, transcript).  The session takes the envelopes
+        already held for it; its receive queues are freed when the program
+        returns or raises.
         """
         tr = Transcript(session_id=session_id, protocol_id=protocol_id)
         with self._lock:
-            self._claim(session_id)
+            self._live.add(session_id)
+            self._unserved.pop(session_id, None)
         steps = drive(program, self.index, session_id, protocol_id, tr,
                       self._send, functools.partial(self._take, session_id))
         try:
@@ -468,23 +464,13 @@ class TcpNode:
         raise PartyTimeout(f"party {self.index} timed out waiting for "
                            f"party {frm} in session {session_id}")
 
-    def _claim(self, session_id: int) -> None:
-        """Mark a session live, whatever this node knew of it (under _lock)."""
-        self._live.add(session_id)
-        self._finished.pop(session_id, None)
-        self._unserved.pop(session_id, None)
-
     def _finish(self, session_id: int) -> None:
-        """Free a session's queues and remember it as finished for a while,
-        forgetting those finished longer ago (under _lock)."""
+        """Forget a session and free its queues (under _lock).  An envelope
+        that arrives for it later is one more that nothing runs: a serving
+        node starts a session for it, any other holds it for FORGET_AFTER
+        timeouts."""
         self._live.discard(session_id)
         self._unserved.pop(session_id, None)
-        now = time.monotonic()
-        finished = self._finished
-        finished.pop(session_id, None)
-        finished[session_id] = now + self._forget
-        while next(iter(finished.values())) < now:
-            finished.popitem(last=False)
         for key in [k for k in self._queues if k[0] == session_id]:
             del self._queues[key]
 

@@ -204,9 +204,9 @@ class GatewayDaemon:
         self.cfg = cfg
         self.node = node
         self.mode = mode
-        # Session ids start at a random 64-bit epoch, so a restarted gateway
-        # does not reuse the ids that the servers remember as finished, nor
-        # the zero test's random multipliers, which the id and address fix.
+        # Session ids start at a random 64-bit epoch, so the zero test's
+        # random multipliers, which the id and address fix, do not repeat
+        # across gateway restarts.  Servers remember no finished id.
         self._session_counter = int.from_bytes(os.urandom(8), "little")
         self._lock = threading.Lock()
         self._lines = _LineServer(listen, self._answer)

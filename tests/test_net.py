@@ -655,6 +655,11 @@ class TestNodeThread:
             # would see at the benchmark's CHECK rate.
             for sid in range(5000):
                 node.run_program(nothing(), sid, 4)
+            assert node._queues == {} and node._live == set()
+            assert node._unserved == {}
+            # Nor does any other table keep the finished ids.
+            assert all(len(v) < 5000 for v in vars(node).values()
+                       if isinstance(v, (dict, set, list)))
             with _handshake_as(node, 2) as c:
                 payload = encode_elements([(group_zp(251), [7])])
                 c.sendall(frame(Envelope(4, 1, 0, 2, payload)))        # late
@@ -662,15 +667,35 @@ class TestNodeThread:
                 # An envelope that comes before its session starts reaches it.
                 c.sendall(frame(Envelope(4, 1, 10 ** 6 + 1, 2, payload)))
                 assert node.run_program(_recv_one(2), 10 ** 6 + 1, 4)[0] == 7
-                # The late one was dropped; the unrun one is held, for now.
-                assert set(node._queues) == {(10 ** 6, 2)}
+                # The late one is held like the unrun one, for now.
+                assert set(node._queues) == {(0, 2), (10 ** 6, 2)}
+                assert set(node._unserved) == {0, 10 ** 6}
                 time.sleep(forget + 3 * TICK)
                 assert node._queues == {} and node._unserved == {}
-                assert 10 ** 6 in node._finished
-                node.run_program(nothing(), 5000, 4)
-                # Finished ids are forgotten by age.
-                assert set(node._finished) == {10 ** 6, 5000}
                 assert node._live == set()
+        finally:
+            node.close()
+
+    def test_reused_session_id_receives_an_envelope_held_for_it(self):
+        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=2)
+
+        def nothing():
+            return None
+            yield
+
+        try:
+            node.run_program(nothing(), 5, 4)
+            with _handshake_as(node, 2) as c:
+                payload = encode_elements([(group_zp(251), [7])])
+                c.sendall(frame(Envelope(4, 1, 5, 2, payload)))
+                deadline = time.monotonic() + 5
+                while time.monotonic() < deadline:
+                    with node._lock:
+                        if (5, 2) in node._queues:
+                            break
+                    time.sleep(0.005)
+                assert node.run_program(_recv_one(2), 5, 4)[0] == 7
+            assert node._queues == {} and node._unserved == {}
         finally:
             node.close()
 
@@ -770,33 +795,6 @@ class TestNodeThread:
             with _handshake_as(node, 2) as c:
                 c.sendall(frame(Envelope(4, 1, 64, 2, payload)))
                 assert node.run_program(_recv_one(2), 64, 4)[0] == 7
-        finally:
-            node.close()
-
-    def test_refinished_session_is_forgotten_at_its_later_time(self):
-        node = TcpNode(1, Endpoint("127.0.0.1", 0), timeout=0.5)
-        forget = FORGET_AFTER * node.timeout
-
-        def nothing():
-            return None
-            yield
-
-        def sleep_past(session_id):
-            time.sleep(max(0.0, node._finished[session_id] - time.monotonic())
-                       + 0.05)
-
-        try:
-            node.run_program(nothing(), 1, 4)
-            node.run_program(nothing(), 2, 4)
-            time.sleep(forget / 2)
-            node.run_program(nothing(), 1, 4)
-            assert list(node._finished) == [2, 1]
-            sleep_past(2)
-            node.run_program(nothing(), 3, 4)
-            assert list(node._finished) == [1, 3]
-            sleep_past(1)
-            node.run_program(nothing(), 4, 4)
-            assert list(node._finished) == [3, 4]
         finally:
             node.close()
 

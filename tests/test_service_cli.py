@@ -255,7 +255,9 @@ class TestProductModeDaemons:
 
 @pytest.fixture
 def mesh_stack(request):
-    """build_mesh wiring of m share servers plus a gateway, as `obfw` runs them."""
+    """m share servers plus a gateway, wired with build_mesh as perfbench
+    wires them: unlike `obfw serve` and `obfw gateway`, every node listens
+    and the servers dial each other."""
     scheme, m, t, mode = request.param
     cfg = FirewallConfig(scheme=scheme, m=m, t=t, N=101,
                          bloom=derive_params(20, 0.05))
@@ -1285,6 +1287,30 @@ class TestCliStack:
             assert procs[0].stdout.read() == ""
             assert procs[0].stderr.read().startswith(
                 "config error: gateway needs one peer for each server 1..3")
+
+    def test_serve_refuses_another_servers_store_exit2(self, tmp_path):
+        # A child process, so that a server which starts anyway is killed
+        # rather than left serving server 1's shares as server 2's.
+        base = {"scheme": "additive", "m": 3, "N": 11, "bloom": self.BLOOM,
+                "store_prefix": str(tmp_path / "fw")}
+        (tmp_path / "b.txt").write_text("10.1.0.1\n")
+        init_path = tmp_path / "init.json"
+        init_path.write_text(json.dumps(base))
+        assert main(["--config", str(init_path), "fw-init",
+                     str(tmp_path / "b.txt")]) == EXIT_OK
+        store = tmp_path / "fw.server1.share"
+        cfg_path = tmp_path / "server2.json"
+        cfg_path.write_text(json.dumps({
+            **base, "party_index": 2, "psk": "0011", "store_path": str(store),
+            "listen": {"host": "127.0.0.1", "port": 0},
+            "admin_listen": {"host": "127.0.0.1", "port": 0}}))
+        with children() as procs:
+            procs.append(start_daemon(cfg_path, "serve"))
+            assert procs[0].wait(10) == EXIT_USAGE
+            assert procs[0].stdout.read() == ""
+            assert procs[0].stderr.read() == (
+                f"config error: party_index is 2, but {store} holds the "
+                f"shares of server 1\n")
 
     def test_serve_and_gateway_processes_answer_checks(self, tmp_path):
         base = {"scheme": "additive", "m": 3, "N": 11, "bloom": self.BLOOM,
