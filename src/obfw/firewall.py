@@ -28,6 +28,7 @@ import os
 import struct
 import sys
 import threading
+from _operator import _compare_digest    # hmac.compare_digest without OpenSSL
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -56,7 +57,7 @@ from .net import (
     run_session,
     send,
 )
-from .rng import RandomSource, unpack_uints, widen_uints
+from .rng import RandomSource, hmac_sha256, unpack_uints, widen_uints
 from .sharing import (PrssPlan, ShamirParams, mult_fanin_party, plan_pairs,
                       prss_plan, prss_sets, share_columns)
 
@@ -887,13 +888,16 @@ def run_update(stores: Sequence[ShareStore], flt: BloomFilter, addr: bytes,
 # ---------------------------------------------------------------------------
 
 def admin_mac(psk: bytes, line: str) -> str:
-    import hmac     # on first use: it maps OpenSSL's libcrypto, about 3.6 MB
-    return hmac.new(psk, line.encode(), "sha256").hexdigest()
+    """The HMAC line's hex: HMAC-SHA256 of the UTF-8 line on `rng._sha256`,
+    so no UPDATE maps OpenSSL."""
+    return hmac_sha256(psk, line.encode()).hex()
 
 
 def verify_admin_mac(psk: bytes, line: str, mac: str) -> None:
-    import hmac
-    if not hmac.compare_digest(admin_mac(psk, line), mac.strip()):
+    # Bytes in constant time: compared as text, a non-ASCII MAC would raise
+    # TypeError rather than fail.
+    if not _compare_digest(admin_mac(psk, line).encode(),
+                           mac.strip().encode()):
         raise AuthFail("admin HMAC mismatch")
 
 

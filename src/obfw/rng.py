@@ -15,9 +15,10 @@ from array import array
 from typing import Iterable, Sequence
 
 try:
-    # The one SHA-256 constructor of the package: CPython's builtin module
-    # gives hashlib's digests with less overhead per call than OpenSSL on
-    # the short inputs hashed here, and no CHECK then maps libcrypto.
+    # The one SHA-256 constructor of the package, behind every digest and
+    # the admin MAC: CPython's builtin module gives hashlib's digests with
+    # less overhead per call than OpenSSL on the short inputs hashed here,
+    # and no obfw process then maps libcrypto.
     from _sha2 import sha256 as _sha256             # CPython 3.12 on
 except ImportError:
     try:
@@ -26,11 +27,25 @@ except ImportError:
         import hashlib
         _sha256 = hashlib.sha256
 
+# HMAC's inner and outer pads, as byte-translation tables (RFC 2104).
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
 # array typecodes of unsigned integers of 1, 2 and 4 bytes, which hold
 # little-endian values once byteswapped on a big-endian host; other widths
 # go through int.from_bytes and int.to_bytes (`unpack_uints` widens 3-byte
 # draws to 4 bytes first).
 UINT_TYPECODES = {1: "B", 2: "H", 4: "I"}
+
+
+def hmac_sha256(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 (RFC 2104) on `_sha256`: `hmac.new(key, msg, "sha256")`'s
+    digest.  A key longer than the 64-byte block is hashed first."""
+    if len(key) > 64:
+        key = _sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    inner = _sha256(key.translate(_IPAD) + msg).digest()
+    return _sha256(key.translate(_OPAD) + inner).digest()
 
 
 def _label_tag(label: int | str) -> bytes:

@@ -620,6 +620,20 @@ class TestPipelinedLines:
             assert push(good) == "OK"
         assert list(stores[0].values) != before
 
+    def test_non_ascii_hmac_line_is_authfail(self, stack):
+        # Compared as text, a non-ASCII MAC raises TypeError, which would
+        # end the connection's thread with no reply.
+        _, _, stores, daemons, _ = stack
+        before = list(stores[0].values)
+        with socket.create_connection(("127.0.0.1", daemons[0].admin_port),
+                                      timeout=5) as c:
+            c.sendall("UPDATE 1.2.3.4 1,2,3,4\nHMAC éé\n".encode())
+            fh = c.makefile("r", newline="\n")
+            assert fh.readline() == "AUTHFAIL\n"
+            c.sendall(b"UPDATE 1.2.3.4 1,2,3,4\nHMAC 00\n")
+            assert fh.readline() == "AUTHFAIL\n"
+        assert list(stores[0].values) == before
+
 
 def reply_until_eof(conn) -> bytes:
     """Everything the peer sends before it closes the connection."""
